@@ -20,12 +20,11 @@ from .bounds import (BoundReport, ChainSpec, ProjectionChain, TailReport,
 from .errors import (AbsoluteContinuityError, ConfigurationError, DomainError,
                      GenboundError, InvalidProcessError,
                      UnsupportedGeometryError)
-from .learning import (Algorithm, GenEstimate, LearningProblem, Supersample,
-                       SupersampleLaw, algorithm_from_json, delta_bound,
-                       empirical_risk, erm_algorithm, exact_joint,
-                       expected_gen, gen_error, gibbs_algorithm,
-                       ignore_algorithm, population_risk, problem_from_json,
-                       subgaussian_sigma, supersample_joint)
+from .learning import (Algorithm, GenEstimate, LearningProblem, SupersampleLaw,
+                       algorithm_from_json, delta_bound, erm_algorithm,
+                       exact_joint, expected_gen, gibbs_algorithm,
+                       ignore_algorithm, problem_from_json, subgaussian_sigma,
+                       supersample_joint)
 from .measures import (FiniteMeasure, JointMeasure, MarkovKernel,
                        conditional_divergence, conditional_mutual_information,
                        kl_divergence, mutual_information, product)
@@ -40,7 +39,8 @@ from .suprema import (FiniteMetricSpace, ProcessSpec, Selector, ball_mass,
                       tabulated_process, telescoping_check)
 from .transport import (CostMatrix, EmbeddedSupport, Geodesic, GeodesicPoint,
                         TransportPlan, consecutive_couplings, diagonal_plan,
-                        euclidean_cost, geodesic, product_plan, wasserstein)
+                        displacement_interpolation, euclidean_cost, geodesic,
+                        product_plan, wasserstein)
 from .verify import (SuiteResult, run_golden_suite, run_lemma_suite,
                      run_psi_suite, run_suite, run_transport_suite)
 

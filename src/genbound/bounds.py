@@ -31,9 +31,10 @@ from .errors import ConfigurationError, DomainError
 from .learning import (Algorithm, LearningProblem, delta_bound, exact_joint,
                        expected_gen, subgaussian_sigma, supersample_joint)
 from .measures import FiniteMeasure, MarkovKernel, mutual_information
-from .orlicz import DiscreteRandomVariable, orlicz_norm, psi_inv
-from .transport import (EmbeddedSupport, TransportPlan, euclidean_cost, geodesic,
-                        product_plan, wasserstein)
+from .orlicz import psi_inv
+# plans come from LearningProblem.w2_plan; perfbench/smoke.py reads bounds.wasserstein
+from .transport import (EmbeddedSupport, TransportPlan, displacement_interpolation,  # noqa: F401
+                        euclidean_cost, product_plan, wasserstein)
 
 COMPONENT_TOL = 1e-9
 
@@ -121,25 +122,16 @@ def _psi2_inv_ratio(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, bool]
     return psi_inv(ratio, 2.0), escape
 
 
-def _loss_differences(prob: LearningProblem) -> np.ndarray:
-    """g[u, v, z] = loss(u, z) - loss(v, z)."""
-    return prob.loss[:, None, :] - prob.loss[None, :, :]
-
-
-def _empirical_sq_dists(prob: LearningProblem) -> np.ndarray:
-    """dsl2[s, u, v] = (1/n) sum_i (loss(u, z_i) - loss(v, z_i))^2."""
-    g = _loss_differences(prob)  # (N, N, m)
-    out = np.empty((prob.num_samples, prob.num_hypotheses, prob.num_hypotheses))
-    for start in range(0, prob.num_samples, 4096):
-        block = prob.samples[start:start + 4096]
-        out[start:start + 4096] = (g[:, :, block] ** 2).mean(axis=3).transpose(2, 0, 1)
-    return out
-
-
-def _population_dists(prob: LearningProblem) -> np.ndarray:
-    """dl[u, v] = sqrt(E_Z (loss(u, Z) - loss(v, Z))^2)."""
-    g = _loss_differences(prob)
-    return np.sqrt((g**2 @ prob.p_z.weights))
+def _escaped_report(name: str, lhs: float, kind: str, rhs: float, components: dict,
+                    escape: bool, escaped=None, **details) -> BoundReport:
+    """BoundReport whose rhs, and the escaped components (all by default),
+    become +inf when a density escaped its reference measure."""
+    if escape:
+        rhs = np.inf
+        components = {k: np.inf if escaped is None or k in escaped else v
+                      for k, v in components.items()}
+    return BoundReport(name, lhs, float(rhs), kind, components,
+                       details={**details, "absolutely_continuous": not escape})
 
 
 def chain_metric(prob: LearningProblem) -> np.ndarray:
@@ -150,7 +142,7 @@ def chain_metric(prob: LearningProblem) -> np.ndarray:
     """
     if prob.bound is None:
         raise DomainError("chain_metric: bounded-loss mode required")
-    g = _loss_differences(prob)
+    g = prob.loss_differences
     return np.sqrt(6.0) * (g.max(axis=2) - g.min(axis=2)) / 2.0
 
 
@@ -161,15 +153,8 @@ def increment_check(prob: LearningProblem, metric: np.ndarray, tol: float = 1e-9
     anything <= tol means the metric is admissible for the chain bounds.
     """
     N = prob.num_hypotheses
-    law = FiniteMeasure(prob.sample_probs)
-    worst = -np.inf
-    for u in range(N):
-        for v in range(N):
-            if u == v:
-                continue
-            sums = prob.n * (prob.gen_matrix[v] - prob.gen_matrix[u])
-            norm = orlicz_norm(DiscreteRandomVariable(sums, law), 2.0)
-            worst = max(worst, norm - np.sqrt(prob.n) * metric[u, v])
+    gaps = prob.pair_norms - np.sqrt(prob.n) * metric
+    worst = gaps[~np.eye(N, dtype=bool)].max() if N > 1 else -np.inf
     if worst > tol * max(1.0, float(np.abs(metric).max())):
         raise DomainError(f"increment_check: metric too small by {worst:.3e}")
     return float(worst)
@@ -193,12 +178,9 @@ def bound_density(prob: LearningProblem, alg: Algorithm,
     expect = float((joint.weights * inv).sum()) if not escape else np.inf
     scale = np.sqrt(12.0 * sig**2 / prob.n)
     est = expected_gen(prob, alg)
-    rhs = scale * (expect + 1.0)
-    components = ({"density": scale * expect, "offset": scale}
-                  if math.isfinite(rhs) else {"density": np.inf, "offset": scale})
-    return BoundReport("density", est.absolute, float(rhs), "absolute", components,
-                       details={"sigma": sig, "density_expectation": expect,
-                                "absolutely_continuous": not escape})
+    return _escaped_report("density", est.absolute, "absolute", scale * (expect + 1.0),
+                           {"density": scale * expect, "offset": scale}, escape,
+                           ("density",), sigma=sig, density_expectation=expect)
 
 
 def bound_mi(prob: LearningProblem, alg: Algorithm,
@@ -244,27 +226,17 @@ def bound_cmi(prob: LearningProblem, alg: Algorithm) -> BoundReport:
 # coupling bounds
 # ---------------------------------------------------------------------------
 
-def optimal_couplings(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure,
-                      embedding: EmbeddedSupport | None = None) -> list[TransportPlan]:
+def optimal_couplings(prob: LearningProblem, alg: Algorithm,
+                      q_w: FiniteMeasure) -> list[TransportPlan]:
     """Per-sample W_2-optimal plan between the posterior row and q_w.
 
-    Falls back to product couplings without an embedding. Identical rows are
-    solved once (the LP is deterministic, so this is purely a speedup).
+    Falls back to product couplings without an embedding. Plans come from
+    the problem's plan cache, so each distinct row is solved once.
     """
-    emb = embedding if embedding is not None else prob.embedding
-    plans: list[TransportPlan] = []
-    if emb is None:
-        for s in range(prob.num_samples):
-            plans.append(product_plan(FiniteMeasure(alg.matrix[s]), q_w))
-        return plans
-    cost = euclidean_cost(emb, emb)
-    cache: dict[bytes, TransportPlan] = {}
-    for s in range(prob.num_samples):
-        key = alg.matrix[s].tobytes()
-        if key not in cache:
-            _, cache[key] = wasserstein(FiniteMeasure(alg.matrix[s]), q_w, cost, p=2.0)
-        plans.append(cache[key])
-    return plans
+    rows = [FiniteMeasure(row) for row in alg.matrix]
+    if prob.embedding is None:
+        return [product_plan(row, q_w) for row in rows]
+    return [prob.w2_plan(row, q_w)[1] for row in rows]
 
 
 def _coupling_arrays(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure,
@@ -284,6 +256,23 @@ def _coupling_arrays(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure,
     return arr
 
 
+def _coupling_and_reference(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | None,
+                            couplings, mu_uv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling tensor pi[s] (W_2-optimal by default) and its reference law
+    mu[u, v] (the sample mixture of pi by default)."""
+    if q_w is None:
+        q_w = hypothesis_marginal(prob, alg)
+    if couplings is None:
+        couplings = optimal_couplings(prob, alg, q_w)
+    pi = _coupling_arrays(prob, alg, q_w, couplings)
+    if mu_uv is None:
+        return pi, np.einsum("s,suv->uv", prob.sample_probs, pi)
+    mu = np.asarray(mu_uv, dtype=float)
+    if mu.shape != pi.shape[1:]:
+        raise ConfigurationError("coupling: reference shape mismatch")
+    return pi, mu
+
+
 def bound_coupling(prob: LearningProblem, alg: Algorithm,
                    q_w: FiniteMeasure | None = None,
                    couplings=None, mu_uv: np.ndarray | None = None) -> BoundReport:
@@ -294,25 +283,14 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
     where s^2 sums, over draws, the squared ghost-vs-train increments of the
     loss difference between the coupled hypotheses.
     """
-    if q_w is None:
-        q_w = hypothesis_marginal(prob, alg)
-    if couplings is None:
-        couplings = optimal_couplings(prob, alg, q_w)
-    pi = _coupling_arrays(prob, alg, q_w, couplings)
+    pi, mu = _coupling_and_reference(prob, alg, q_w, couplings, mu_uv)
     p_s = prob.sample_probs
-    if mu_uv is None:
-        mu = np.einsum("s,suv->uv", p_s, pi)
-    else:
-        mu = np.asarray(mu_uv, dtype=float)
-        if mu.shape != pi.shape[1:]:
-            raise ConfigurationError("bound_coupling: reference shape mismatch")
 
     cells = prob.num_hypotheses**2 * prob.num_samples**2 * prob.n
     if cells > 2 * 10**8:
         raise ConfigurationError(
             "bound_coupling: ghost-pair tensor too large to enumerate")
-    g = _loss_differences(prob)  # (N, N, m)
-    per_draw = g[:, :, prob.samples]  # (N, N, S, n)
+    per_draw = prob.loss_differences[:, :, prob.samples]  # (N, N, S, n)
     # sq_sig[u, v, s, s'] = sum_i (g[.,.,ghost_i] - g[.,.,train_i])^2
     diff = per_draw[:, :, :, None, :] - per_draw[:, :, None, :, :]  # train s, ghost s'
     sq_sig = (diff**2).sum(axis=4)
@@ -325,21 +303,19 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
     term2 = float(p_s @ np.sqrt(inner) @ p_s)
 
     scale = np.sqrt(24.0) / prob.n
-    rhs = np.inf if escape else scale * (term1 + term2)
     est = expected_gen(prob, alg)
-    components = ({"decorrelation": scale * term1, "reference": scale * term2}
-                  if math.isfinite(rhs) else {"decorrelation": np.inf,
-                                              "reference": scale * term2})
-    return BoundReport("coupling", est.signed, float(rhs), "signed", components,
-                       details={"absolutely_continuous": not escape})
+    return _escaped_report("coupling", est.signed, "signed", scale * (term1 + term2),
+                           {"decorrelation": scale * term1, "reference": scale * term2},
+                           escape, ("decorrelation",))
 
 
-def _chain_step_terms(prob: LearningProblem, pi: np.ndarray, rho: np.ndarray,
-                      dl: np.ndarray, dsl: np.ndarray) -> tuple[float, float, bool]:
+def _chain_step_terms(prob: LearningProblem, pi: np.ndarray,
+                      rho: np.ndarray) -> tuple[float, float, bool]:
     """Loss-metric chain step: (cross term, reference term, escape flag)."""
     inv, escape = _psi2_inv_ratio(pi, rho[None, :, :])
+    dl = prob.population_dists
     cross = float(np.einsum("s,suv,suv->", prob.sample_probs, pi * inv,
-                            dl[None, :, :] + dsl))
+                            dl[None, :, :] + prob.empirical_dists))
     ref = float((rho * dl).sum())
     return cross, ref, escape
 
@@ -349,26 +325,13 @@ def bound_coupling_simplified(prob: LearningProblem, alg: Algorithm,
                               couplings=None, mu_uv: np.ndarray | None = None) -> BoundReport:
     """Signed E[gen] <= sqrt(48/n) E[(population + empirical loss distance)
     * psi_2^{-1}(coupling density) + reference population distance]."""
-    if q_w is None:
-        q_w = hypothesis_marginal(prob, alg)
-    if couplings is None:
-        couplings = optimal_couplings(prob, alg, q_w)
-    pi = _coupling_arrays(prob, alg, q_w, couplings)
-    if mu_uv is None:
-        mu = np.einsum("s,suv->uv", prob.sample_probs, pi)
-    else:
-        mu = np.asarray(mu_uv, dtype=float)
-    dl = _population_dists(prob)
-    dsl = np.sqrt(_empirical_sq_dists(prob))
-    cross, ref, escape = _chain_step_terms(prob, pi, mu, dl, dsl)
+    pi, mu = _coupling_and_reference(prob, alg, q_w, couplings, mu_uv)
+    cross, ref, escape = _chain_step_terms(prob, pi, mu)
     scale = np.sqrt(48.0 / prob.n)
-    rhs = np.inf if escape else scale * (cross + ref)
     est = expected_gen(prob, alg)
-    components = ({"decorrelation": scale * cross, "reference": scale * ref}
-                  if math.isfinite(rhs) else {"decorrelation": np.inf,
-                                              "reference": scale * ref})
-    return BoundReport("coupling_simplified", est.signed, float(rhs), "signed",
-                       components, details={"absolutely_continuous": not escape})
+    return _escaped_report("coupling_simplified", est.signed, "signed", scale * (cross + ref),
+                           {"decorrelation": scale * cross, "reference": scale * ref},
+                           escape, ("decorrelation",))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +443,15 @@ def partition_chain(prob: LearningProblem, alg: Algorithm, partitions) -> Projec
                            labels=tuple(np.asarray(l) for l in labels))
 
 
+def _refinement_joint(prob: LearningProblem, alg: Algorithm, new_rep: np.ndarray,
+                      old_rep: np.ndarray) -> np.ndarray:
+    """joint[s, u, v] = P(newer-level representative u, older-level representative v | s)."""
+    N = prob.num_hypotheses
+    joint = np.zeros((prob.num_samples, N, N))
+    np.add.at(joint.transpose(1, 2, 0), (new_rep, old_rep), alg.matrix.T)
+    return joint
+
+
 def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions,
                           metric: np.ndarray | None = None) -> ChainSpec:
     """ChainSpec whose couplings are the exact partition-refinement joints and
@@ -490,12 +462,9 @@ def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions,
     root = pc.kernels[0].matrix
     if np.abs(root - root[0]).max() > 1e-12:
         raise ConfigurationError("chain_from_partitions: coarsest level must be sample-free")
-    N = prob.num_hypotheses
     couplings, references = [], []
     for k in range(1, len(pc.kernels)):
-        new_rep, old_rep = pc.reps[k], pc.reps[k - 1]
-        joint = np.zeros((prob.num_samples, N, N))
-        np.add.at(joint.transpose(1, 2, 0), (new_rep, old_rep), alg.matrix.T)
+        joint = _refinement_joint(prob, alg, pc.reps[k], pc.reps[k - 1])
         couplings.append(joint)
         references.append(np.einsum("s,suv->uv", prob.sample_probs, joint))
     return ChainSpec(kernels=pc.kernels, couplings=tuple(couplings),
@@ -520,8 +489,7 @@ def _validate_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> 
             raise ConfigurationError(f"chain: reference {k} is not a probability table")
 
 
-def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
-                check_metric: bool = True) -> BoundReport:
+def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> BoundReport:
     """Telescoped coupling bound along an interpolating chain of kernels.
 
     Without a metric, each step contributes its loss-based decorrelation and
@@ -529,44 +497,35 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     under sqrt(2/n) is reported instead (the loss form moves to details).
     """
     _validate_chain(prob, alg, chain)
-    dl = _population_dists(prob)
-    dsl = np.sqrt(_empirical_sq_dists(prob))
     est = expected_gen(prob, alg)
 
     cross_terms, ref_terms, escape_any = [], [], False
     for joint, ref in zip(chain.couplings, chain.references):
-        cross, ref_t, escape = _chain_step_terms(prob, joint, ref, dl, dsl)
+        cross, ref_t, escape = _chain_step_terms(prob, joint, ref)
         cross_terms.append(cross)
         ref_terms.append(ref_t)
         escape_any = escape_any or escape
     loss_scale = np.sqrt(48.0 / prob.n)
-    loss_rhs = np.inf if escape_any else loss_scale * (sum(cross_terms) + sum(ref_terms))
-
+    loss = _escaped_report("chain", est.signed, "signed",
+                           loss_scale * (sum(cross_terms) + sum(ref_terms)),
+                           {f"step_{k + 1}": loss_scale * (cross_terms[k] + ref_terms[k])
+                            for k in range(len(cross_terms))}, escape_any)
     if chain.metric is None:
-        components = {f"step_{k + 1}": (np.inf if escape_any else
-                                        loss_scale * (cross_terms[k] + ref_terms[k]))
-                      for k in range(len(cross_terms))}
-        return BoundReport("chain", est.signed, float(loss_rhs), "signed", components,
-                           details={"absolutely_continuous": not escape_any})
+        return loss
 
     metric = np.asarray(chain.metric, dtype=float)
-    if metric.shape != dl.shape:
+    if metric.shape != prob.population_dists.shape:
         raise ConfigurationError("chain: metric shape mismatch")
-    if check_metric:
-        increment_check(prob, metric)
+    increment_check(prob, metric)
     scale = np.sqrt(2.0 / prob.n)
     steps = []
     for joint, ref in zip(chain.couplings, chain.references):
-        inv, escape = _psi2_inv_ratio(joint, ref[None, :, :])
-        escape_any = escape_any or escape
+        inv, _ = _psi2_inv_ratio(joint, ref[None, :, :])
         cross = float(np.einsum("s,suv,uv->", prob.sample_probs, joint * inv, metric))
         steps.append(scale * (cross + float((ref * metric).sum())))
-    rhs = np.inf if escape_any else sum(steps)
-    components = {f"step_{k + 1}": (np.inf if escape_any else steps[k])
-                  for k in range(len(steps))}
-    return BoundReport("chain_metric", est.signed, float(rhs), "signed", components,
-                       details={"absolutely_continuous": not escape_any,
-                                "loss_form_rhs": float(loss_rhs)})
+    return _escaped_report("chain_metric", est.signed, "signed", sum(steps),
+                           {f"step_{k + 1}": step for k, step in enumerate(steps)},
+                           escape_any, loss_form_rhs=loss.rhs)
 
 
 def markov_slack(prob: LearningProblem, alg: Algorithm, pc: ProjectionChain) -> float:
@@ -574,9 +533,7 @@ def markov_slack(prob: LearningProblem, alg: Algorithm, pc: ProjectionChain) -> 
     sample-free; zero for genuine partition projections."""
     worst = 0.0
     for k in range(1, len(pc.kernels)):
-        new_rep, old_rep = pc.reps[k], pc.reps[k - 1]
-        joint = np.zeros((prob.num_samples, prob.num_hypotheses, prob.num_hypotheses))
-        np.add.at(joint.transpose(1, 2, 0), (new_rep, old_rep), alg.matrix.T)
+        joint = _refinement_joint(prob, alg, pc.reps[k], pc.reps[k - 1])
         mix = np.einsum("s,suv->uv", prob.sample_probs, joint)
         mix_new = mix.sum(axis=1)
         for s in range(prob.num_samples):
@@ -638,9 +595,7 @@ def bound_stochastic_chain(prob: LearningProblem, alg: Algorithm,
         if k == 1:
             joints = newk.matrix[:, :, None] * p_w[None, None, :]  # independent prior draw
         else:
-            new_rep, old_rep = chain.reps[k - 1], chain.reps[k - 2]
-            joints = np.zeros((prob.num_samples, N, N))
-            np.add.at(joints.transpose(1, 2, 0), (new_rep, old_rep), alg.matrix.T)
+            joints = _refinement_joint(prob, alg, chain.reps[k - 1], chain.reps[k - 2])
         sqrt_div = sqrt_div_per_level(newk)
         form1_terms.append(float(np.einsum("s,suv,uv->", p_s, joints,
                                            d * (sqrt_div[:, None] + 1.0))))
@@ -660,9 +615,8 @@ def bound_stochastic_chain(prob: LearningProblem, alg: Algorithm,
 # transport-geodesic bound
 # ---------------------------------------------------------------------------
 
-def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm, steps: int = 1,
-                               embedding: EmbeddedSupport | None = None,
-                               check_increments: bool = True) -> BoundReport:
+def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm,
+                               steps: int = 1) -> BoundReport:
     """Signed E[gen] <= sqrt(2/n) (2 E[W_2(posterior, marginal)] + sum over steps
     of E[step length * sqrt(step divergence vs the sample mixture)]).
 
@@ -671,16 +625,12 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm, steps: int
     step contributes its exact length times the root divergence of its
     coupling against the mixture coupling.
     """
-    emb = embedding if embedding is not None else prob.embedding
+    emb = prob.embedding
     if emb is None:
         raise ConfigurationError("bound_wasserstein_geodesic: problem has no embedding")
-    if emb.size != prob.num_hypotheses:
-        raise ConfigurationError("bound_wasserstein_geodesic: embedding size mismatch")
     if steps < 1:
         raise ConfigurationError("bound_wasserstein_geodesic: steps >= 1")
-    if check_increments:
-        dist = euclidean_cost(emb, emb).entries
-        increment_check(prob, dist)
+    increment_check(prob, euclidean_cost(emb, emb).entries)
 
     q_w = hypothesis_marginal(prob, alg)
     p_s = prob.sample_probs
@@ -688,12 +638,12 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm, steps: int
     est = expected_gen(prob, alg)
 
     live = np.nonzero(p_s > 0)[0]
-    geos, cache = {}, {}
+    geos, by_plan = {}, {}
     for s in live:
-        key = alg.matrix[s].tobytes()
-        if key not in cache:
-            cache[key] = geodesic(FiniteMeasure(alg.matrix[s]), q_w, emb, times)
-        geos[s] = cache[key]
+        dist, plan = prob.w2_plan(FiniteMeasure(alg.matrix[s]), q_w)
+        if id(plan) not in by_plan:
+            by_plan[id(plan)] = displacement_interpolation(plan, dist, emb, times)
+        geos[s] = by_plan[id(plan)]
 
     expected_w2 = float(sum(p_s[s] * geos[s].distance for s in live))
 
@@ -835,7 +785,7 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     emp = prob.empirical_matrix  # (N, S)
     lhs = emp.T @ contrast.T - np.einsum("sw,ws->s", contrast, emp)[None, :]  # (ghost, train)
 
-    dsl2 = _empirical_sq_dists(prob)  # (S, N, N)
+    dsl2 = prob.empirical_sq_dists  # (S, N, N)
     rhs = np.zeros((S, S))  # (ghost, train)
     for k in range(K):
         joint, ref = chain.couplings[k], chain.references[k]

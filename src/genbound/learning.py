@@ -21,7 +21,8 @@ from scipy.special import logsumexp, rel_entr
 from . import mc
 from .errors import ConfigurationError, DomainError
 from .measures import FiniteMeasure, JointMeasure, MarkovKernel
-from .transport import EmbeddedSupport
+from .orlicz import DiscreteRandomVariable, orlicz_norm
+from .transport import EmbeddedSupport, TransportPlan, euclidean_cost, wasserstein
 
 ENUMERATION_CAP = 10**6
 
@@ -116,6 +117,74 @@ class LearningProblem:
         g.flags.writeable = False
         return g
 
+    @cached_property
+    def loss_differences(self) -> np.ndarray:
+        """g[u, v, z] = loss(u, z) - loss(v, z)."""
+        g = self.loss[:, None, :] - self.loss[None, :, :]
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def population_dists(self) -> np.ndarray:
+        """dl[u, v] = sqrt(E_Z (loss(u, Z) - loss(v, Z))^2)."""
+        d = np.sqrt(self.loss_differences**2 @ self.p_z.weights)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def empirical_sq_dists(self) -> np.ndarray:
+        """dsl2[s, u, v] = (1/n) sum_i (loss(u, z_i) - loss(v, z_i))^2."""
+        g = self.loss_differences  # (N, N, m)
+        out = np.empty((self.num_samples, self.num_hypotheses, self.num_hypotheses))
+        for start in range(0, self.num_samples, 4096):
+            block = self.samples[start:start + 4096]
+            out[start:start + 4096] = (g[:, :, block] ** 2).mean(axis=3).transpose(2, 0, 1)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def empirical_dists(self) -> np.ndarray:
+        """dsl[s, u, v] = sqrt(dsl2[s, u, v]), the empirical loss distance."""
+        d = np.sqrt(self.empirical_sq_dists)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def pair_norms(self) -> np.ndarray:
+        """norm[u, v] = psi_2 norm of n (gen[v] - gen[u]) under the sample law.
+
+        These are the sum-increment norms a chain metric must dominate; the
+        diagonal is zero and never compared.
+        """
+        N = self.num_hypotheses
+        law = FiniteMeasure(self.sample_probs)
+        out = np.zeros((N, N))
+        for u in range(N):
+            for v in range(N):
+                if u != v:
+                    sums = self.n * (self.gen_matrix[v] - self.gen_matrix[u])
+                    out[u, v] = orlicz_norm(DiscreteRandomVariable(sums, law), 2.0)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _w2_plans(self) -> dict:
+        return {}
+
+    def w2_plan(self, source: FiniteMeasure, target: FiniteMeasure) -> tuple[float, TransportPlan]:
+        """W_2 distance and optimal plan between two laws on the embedding.
+
+        Each pair of weight vectors is solved once per problem; the coupling
+        and geodesic bounds all read their plans from here.
+        """
+        if self.embedding is None:
+            raise ConfigurationError("w2_plan: problem has no embedding")
+        key = (source.weights.tobytes(), target.weights.tobytes())
+        if key not in self._w2_plans:
+            cost = euclidean_cost(self.embedding, self.embedding)
+            self._w2_plans[key] = wasserstein(source, target, cost, p=2.0)
+        return self._w2_plans[key]
+
     def sample_index(self, sample) -> int:
         digits = np.asarray(sample, dtype=np.int64)
         if digits.shape != (self.n,) or digits.min() < 0 or digits.max() >= self.num_outcomes:
@@ -147,25 +216,6 @@ def problem_from_json(obj) -> LearningProblem:
     if obj.get("embedding") is not None:
         emb = EmbeddedSupport(np.asarray(obj["embedding"]["points"], dtype=float))
     return LearningProblem(loss, p_z, n, bound=obj.get("bound"), embedding=emb)
-
-
-# ---------------------------------------------------------------------------
-# risks
-# ---------------------------------------------------------------------------
-
-def population_risk(prob: LearningProblem, w: int) -> float:
-    return float(prob.population_risks[w])
-
-
-def empirical_risk(prob: LearningProblem, w: int, sample) -> float:
-    digits = np.asarray(sample, dtype=np.int64)
-    if digits.shape != (prob.n,):
-        raise ConfigurationError("empirical_risk: bad sample length")
-    return float(prob.loss[w, digits].mean())
-
-
-def gen_error(prob: LearningProblem, w: int, sample) -> float:
-    return population_risk(prob, w) - empirical_risk(prob, w, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +368,6 @@ def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
 # ---------------------------------------------------------------------------
 # supersample construction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Supersample:
-    """One realization: ghost sample, training sample, and the signs."""
-
-    s_ghost: np.ndarray
-    s_train: np.ndarray
-    signs: np.ndarray
-
 
 @dataclass(frozen=True)
 class SupersampleLaw:

@@ -189,10 +189,6 @@ def kl_divergence(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     return float(rel_entr(mu.weights, nu.weights).sum())
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return rel_entr(p, q).sum(axis=-1)
-
-
 def mutual_information(joint: JointMeasure) -> float:
     """I(X;Y) of a joint table. Always finite: the joint is << its marginal product."""
     w = joint.weights

@@ -84,7 +84,10 @@ def euclidean_cost(a: EmbeddedSupport, b: EmbeddedSupport) -> CostMatrix:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Coupling of (source, target); marginals hold to PLAN_MARGINAL_TOL."""
+    """Coupling of (source, target); marginals hold to PLAN_MARGINAL_TOL.
+
+    Entries down to -PLAN_MARGINAL_TOL are LP round-off and are clipped to 0.
+    """
 
     weights: np.ndarray
     source: FiniteMeasure
@@ -94,7 +97,7 @@ class TransportPlan:
         w = np.asarray(weights, dtype=float)
         if w.shape != (source.support_size, target.support_size):
             raise ConfigurationError("TransportPlan: shape does not match marginals")
-        if w.min() < -1e-12:
+        if w.min() < -PLAN_MARGINAL_TOL:
             raise ConfigurationError(f"TransportPlan: negative mass {w.min():.3e}")
         w = np.clip(w, 0.0, None)
         if (np.abs(w.sum(axis=1) - source.weights).max() > PLAN_MARGINAL_TOL
@@ -187,25 +190,30 @@ def _dedupe(positions: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.nda
     return uniq, merged, inverse
 
 
-def geodesic(mu: FiniteMeasure, nu: FiniteMeasure, emb: EmbeddedSupport, times,
-             cost: CostMatrix | None = None) -> Geodesic:
+def geodesic(mu: FiniteMeasure, nu: FiniteMeasure, emb: EmbeddedSupport, times) -> Geodesic:
     """Constant-speed W_2 path from mu (t=0) to nu (t=1) on one embedded support.
 
-    Every returned point is a FiniteMeasure over a freshly deduplicated
-    EmbeddedSupport of interpolated atoms. A caller-supplied cost matrix is
-    only accepted if it agrees with the embedding's Euclidean distances.
+    Solves the W_2 LP, then hands the plan to displacement_interpolation.
     """
     if emb.size != mu.support_size or emb.size != nu.support_size:
         raise ConfigurationError("geodesic: measures and embedding disagree in size")
+    dist, plan = wasserstein(mu, nu, euclidean_cost(emb, emb), p=2.0)
+    return displacement_interpolation(plan, dist, emb, times)
+
+
+def displacement_interpolation(plan: TransportPlan, distance: float, emb: EmbeddedSupport,
+                               times) -> Geodesic:
+    """The geodesic of a W_2-optimal plan on one embedded support.
+
+    Every returned point is a FiniteMeasure over a freshly deduplicated
+    EmbeddedSupport of interpolated atoms; `distance` is the plan's W_2 cost
+    as the LP returned it, and becomes the geodesic's length.
+    """
+    if plan.weights.shape != (emb.size, emb.size):
+        raise ConfigurationError("geodesic: plan and embedding disagree in size")
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or t[-1] != 1.0 or np.any(np.diff(t) <= 0):
         raise ConfigurationError("geodesic: times must increase from exactly 0 to exactly 1")
-    eucl = euclidean_cost(emb, emb)
-    if cost is not None:
-        if cost.entries.shape != eucl.entries.shape or np.abs(cost.entries - eucl.entries).max() > 1e-9:
-            raise UnsupportedGeometryError("geodesic: supplied cost is not the Euclidean one")
-    dist, plan = wasserstein(mu, nu, eucl, p=2.0)
-
     ii, jj = np.nonzero(plan.weights)
     mass = plan.weights[ii, jj]
     src = emb.points[ii]
@@ -219,7 +227,7 @@ def geodesic(mu: FiniteMeasure, nu: FiniteMeasure, emb: EmbeddedSupport, times,
         members.append(inverse)
     return Geodesic(times=tuple(float(x) for x in t), points=tuple(points), plan=plan,
                     atom_pairs=np.stack([ii, jj], axis=1), atom_mass=mass,
-                    atom_to_point=tuple(members), distance=dist)
+                    atom_to_point=tuple(members), distance=distance)
 
 
 def consecutive_couplings(geo: Geodesic, plan: TransportPlan) -> list[TransportPlan]:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from genbound import (ChainSpec, ConfigurationError, DomainError,
-                      FiniteMeasure, LearningProblem, MarkovKernel,
+from genbound import (ChainSpec, ConfigurationError, DiscreteRandomVariable,
+                      DomainError, FiniteMeasure, LearningProblem, MarkovKernel,
                       bound_chain, bound_cmi, bound_coupling,
                       bound_coupling_simplified, bound_density, bound_mi,
                       bound_stochastic_chain, bound_wasserstein_geodesic,
@@ -13,8 +13,9 @@ from genbound import (ChainSpec, ConfigurationError, DomainError,
                       expected_gen, gibbs_algorithm, hypothesis_marginal,
                       ignore_algorithm, increment_check, kl_divergence,
                       loss_embedding, markov_slack, mutual_information,
-                      optimal_couplings, partition_chain, subgaussian_sigma,
-                      tail_pac_bayes, tail_pointwise_check, tail_transductive)
+                      optimal_couplings, orlicz_norm, partition_chain,
+                      subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
+                      tail_transductive)
 from genbound.bounds import _coupling_arrays
 
 from conftest import algorithm_family, random_problem
@@ -306,6 +307,40 @@ def test_increment_check_accepts_and_rejects():
     assert worst <= 0.0
     with pytest.raises(DomainError):
         increment_check(prob, 0.4 * d)
+
+
+def test_increment_check_single_hypothesis_has_no_pairs():
+    prob = LearningProblem(np.array([[0.2, 0.7]]), FiniteMeasure([0.5, 0.5]), n=2,
+                           bound=1.0)
+    assert increment_check(prob, np.zeros((1, 1))) == -np.inf
+
+
+def test_increment_check_matches_the_pairwise_loop(small_problem):
+    prob = small_problem
+    metric = chain_metric(prob)
+    law = FiniteMeasure(prob.sample_probs)
+    worst = -np.inf
+    for u in range(prob.num_hypotheses):
+        for v in range(prob.num_hypotheses):
+            if u != v:
+                sums = prob.n * (prob.gen_matrix[v] - prob.gen_matrix[u])
+                norm = orlicz_norm(DiscreteRandomVariable(sums, law), 2.0)
+                worst = max(worst, norm - np.sqrt(prob.n) * metric[u, v])
+    assert increment_check(prob, metric) == worst
+
+
+def test_problem_tables_are_cached_and_read_only(small_problem, gibbs_alg):
+    prob = small_problem
+    for name in ("loss_differences", "population_dists", "empirical_sq_dists",
+                 "empirical_dists", "pair_norms"):
+        table = getattr(prob, name)
+        assert getattr(prob, name) is table
+        assert not table.flags.writeable
+    q_w = hypothesis_marginal(prob, gibbs_alg)
+    row = FiniteMeasure(gibbs_alg.matrix[0])
+    assert prob.w2_plan(row, q_w) is prob.w2_plan(FiniteMeasure(gibbs_alg.matrix[0]), q_w)
+    plans = optimal_couplings(prob, gibbs_alg, q_w)
+    assert plans[0] is prob.w2_plan(row, q_w)[1]
 
 
 def test_partition_chain_markov_and_validation(small_problem, gibbs_alg):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from genbound import (ConfigurationError, EmbeddedSupport, FiniteMeasure,
-                      consecutive_couplings, diagonal_plan, euclidean_cost,
-                      geodesic, product_plan, wasserstein)
+                      TransportPlan, consecutive_couplings, diagonal_plan,
+                      displacement_interpolation, euclidean_cost, geodesic,
+                      product_plan, run_transport_suite, wasserstein)
+from genbound.transport import PLAN_MARGINAL_TOL
 
 
 def line(*xs) -> EmbeddedSupport:
@@ -167,3 +169,37 @@ def test_consecutive_couplings_rejects_foreign_plan():
     foreign = product_plan(mu, nu)
     with pytest.raises(ConfigurationError):
         consecutive_couplings(geo, foreign)
+
+
+def test_plan_clips_lp_round_off_and_rejects_real_negative_mass():
+    mu, nu = FiniteMeasure([0.5, 0.5]), FiniteMeasure([0.5, 0.5])
+    off = 0.5 * PLAN_MARGINAL_TOL
+    plan = TransportPlan([[0.5 + off, -off], [-off, 0.5 + off]], mu, nu)
+    assert plan.weights.min() == 0.0
+    with pytest.raises(ConfigurationError):
+        TransportPlan([[0.5, 0.0], [-1e-6, 0.5]], mu, nu)
+
+
+def test_transport_suite_seed_with_negative_lp_round_off():
+    # HiGHS returns a plan entry of -6.7e-11 here, inside its own 1e-10
+    # feasibility tolerance; the plan must accept and clip it.
+    result = run_transport_suite(4, 384069)
+    assert result.passed
+    assert result.max_violation < 1e-9
+
+
+def test_displacement_interpolation_of_the_lp_plan_is_the_geodesic():
+    gen = np.random.default_rng(4)
+    emb = EmbeddedSupport(gen.normal(size=(4, 2)))
+    mu = FiniteMeasure(gen.dirichlet(np.ones(4)))
+    nu = FiniteMeasure(gen.dirichlet(np.ones(4)))
+    times = np.array([0.0, 0.5, 1.0])
+    dist, plan = wasserstein(mu, nu, euclidean_cost(emb, emb), p=2.0)
+    geo = displacement_interpolation(plan, dist, emb, times)
+    ref = geodesic(mu, nu, emb, times)
+    assert geo.distance == ref.distance == dist
+    for a, b in zip(geo.points, ref.points):
+        assert np.array_equal(a.measure.weights, b.measure.weights)
+        assert np.array_equal(a.support.points, b.support.points)
+    with pytest.raises(ConfigurationError):
+        displacement_interpolation(plan, dist, line(0.0, 1.0), times)
