@@ -273,6 +273,21 @@ def _coupling_and_reference(prob: LearningProblem, alg: Algorithm, q_w: FiniteMe
     return pi, mu
 
 
+def _ghost_pair_sum(prob: LearningProblem, table: np.ndarray, keys: np.ndarray,
+                    train: np.ndarray, weights: np.ndarray) -> float:
+    """sum_e weights[e] E_ghost sqrt(sum_i table[keys[e], z_{train[e], i}, z_{ghost, i}]),
+    streamed over blocks of entries so no (entries, S) array exceeds 8 MiB."""
+    z, p_s, S = prob.samples, prob.sample_probs, prob.num_samples
+    total, step = 0.0, max(1, 2**20 // S)
+    for lo in range(0, len(weights), step):
+        k, s = keys[lo:lo + step], train[lo:lo + step]
+        sq = np.zeros((len(k), S))
+        for i in range(prob.n):
+            sq += table[k, z[s, i]][:, z[:, i]]
+        total += float(weights[lo:lo + step] @ (np.sqrt(sq) @ p_s))
+    return total
+
+
 def bound_coupling(prob: LearningProblem, alg: Algorithm,
                    q_w: FiniteMeasure | None = None,
                    couplings=None, mu_uv: np.ndarray | None = None) -> BoundReport:
@@ -284,23 +299,19 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
     loss difference between the coupled hypotheses.
     """
     pi, mu = _coupling_and_reference(prob, alg, q_w, couplings, mu_uv)
-    p_s = prob.sample_probs
-
-    cells = prob.num_hypotheses**2 * prob.num_samples**2 * prob.n
-    if cells > 2 * 10**8:
-        raise ConfigurationError(
-            "bound_coupling: ghost-pair tensor too large to enumerate")
-    per_draw = prob.loss_differences[:, :, prob.samples]  # (N, N, S, n)
-    # sq_sig[u, v, s, s'] = sum_i (g[.,.,ghost_i] - g[.,.,train_i])^2
-    diff = per_draw[:, :, :, None, :] - per_draw[:, :, None, :, :]  # train s, ghost s'
-    sq_sig = (diff**2).sum(axis=4)
-    sig = np.sqrt(sq_sig)
-
+    p_s, S = prob.sample_probs, prob.num_samples
+    # every sample has a support entry, so this caps the reference term's S^2 n too
+    s, u, v = support = np.nonzero(pi)  # a W_2 plan has at most 2N - 1 per sample
+    if s.size * S * prob.n > 2 * 10**8:
+        raise ConfigurationError("bound_coupling: too many ghost pairs to enumerate")
+    g = prob.loss_differences
+    d2 = (g[:, :, :, None] - g[:, :, None, :]) ** 2  # (N, N, train outcome, ghost outcome)
     inv, escape = _psi2_inv_ratio(pi, mu[None, :, :])
-    mean_sig_ghost = np.einsum("uvst,t->suv", sig, p_s)  # average over ghost half
-    term1 = float(np.einsum("s,suv,suv,suv->", p_s, pi, inv, mean_sig_ghost))
-    inner = np.einsum("uv,uvst->st", mu, sq_sig)
-    term2 = float(p_s @ np.sqrt(inner) @ p_s)
+    term1 = np.inf if escape else _ghost_pair_sum(
+        prob, d2.reshape(-1, *d2.shape[2:]), u * prob.num_hypotheses + v, s,
+        p_s[s] * pi[support] * inv[support])
+    term2 = _ghost_pair_sum(prob, np.einsum("uv,uvab->ab", mu, d2)[None],
+                            np.zeros(S, dtype=np.int64), np.arange(S), p_s)
 
     scale = np.sqrt(24.0) / prob.n
     est = expected_gen(prob, alg)
@@ -691,7 +702,7 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm,
 def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
                          q_w: FiniteMeasure | None = None,
                          sigma: float | None = None,
-                         mc: tuple[int, int] | None = None) -> TailReport:
+                         mc: tuple[int, int] | None = None, workers: int = 1) -> TailReport:
     """P{ |gen| > sigma sqrt(6/n) (psi_2^{-1}(density) + sqrt(log 1/delta)) } <= delta."""
     if not 0.0 < delta <= 1.0:
         raise DomainError("tail_pointwise_check: delta in (0, 1]")
@@ -721,7 +732,7 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
         w_idx = np.minimum(w_idx, prob.num_hypotheses - 1)
         return exceed[s_idx, w_idx].sum()
 
-    hits = sum(_mc.run_blocks(one_block, len(sizes)))
+    hits = sum(_mc.run_blocks(one_block, len(sizes), workers))
     freq = hits / samples
     stderr = float(np.sqrt(max(freq * (1 - freq), 0.0) / samples))
     return TailReport("tail_pointwise", float(delta), float(freq), mode="mc",
@@ -796,15 +807,16 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
         log_term = np.sqrt(np.log(2.0 / (p_k[k] * delta)))
         ref_dot = np.einsum("uv,suv->s", ref, dsl2)  # <ref, d^2> per half
         rhs += np.sqrt(0.5 * (ref_dot[:, None] + ref_dot[None, :]))
-        # the pair distance mixes both halves inside a sqrt; loop the train half
+        # the pair distance mixes both halves inside a sqrt: loop the train half,
+        # over the joint's support (a dyadic level k has at most 2^k per sample)
         for s in range(S):
-            pi_psi = joint[s] * inv[s]
-            d = np.sqrt(0.5 * (dsl2 + dsl2[s][None, :, :]))  # (ghost, N, N)
-            rhs[:, s] += np.einsum("uv,guv->g", pi_psi, d)
-            rhs[:, s] += log_term * np.einsum("uv,guv->g", joint[s], d)
+            u, v = np.nonzero(joint[s])
+            d = np.sqrt(0.5 * (dsl2[:, u, v] + dsl2[s, u, v]))  # (ghost, support)
+            rhs[:, s] += d @ (joint[s, u, v] * inv[s, u, v])
+            rhs[:, s] += log_term * (d @ joint[s, u, v])
     rhs *= np.sqrt(96.0 / prob.n)
 
     bad = lhs > rhs
     violation = float((p_s[:, None] * p_s[None, :])[bad].sum())
     return TailReport("tail_transductive", float(delta), violation,
-                      details={"levels": K, "level_weights": p_k.tolist()})
+                      details={"levels": K, "level_weights": p_k.tolist(), "per_pair_rhs": rhs})

@@ -206,7 +206,7 @@ def cmd_tail(args) -> int:
         mc_arg = (args.mc_samples, seed) if args.mc_samples else None
         parts = bnd.dyadic_partitions(prob.num_hypotheses, include_root=True)
         chain = bnd.chain_from_partitions(prob, alg, parts)
-        reports = [bnd.tail_pointwise_check(prob, alg, delta, mc=mc_arg),
+        reports = [bnd.tail_pointwise_check(prob, alg, delta, mc=mc_arg, workers=args.workers),
                    bnd.tail_pac_bayes(prob, alg, delta),
                    bnd.tail_transductive(prob, alg, chain, delta)]
         for rep in reports:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from genbound import (ChainSpec, ConfigurationError, DiscreteRandomVariable,
                       optimal_couplings, orlicz_norm, partition_chain,
                       subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
                       tail_transductive)
-from genbound.bounds import _coupling_arrays
+from genbound.bounds import _coupling_and_reference, _coupling_arrays, _psi2_inv_ratio
 
 from conftest import algorithm_family, random_problem
 
@@ -198,10 +199,16 @@ def test_coupling_escapes_on_bad_reference():
     alg = gibbs_algorithm(prob, 1.0)
     q_w = hypothesis_marginal(prob, alg)
     mu = np.zeros((2, 2))
-    mu[0, 0] = 1.0
-    report = bound_coupling_simplified(prob, alg, q_w=q_w, mu_uv=mu)
-    assert report.rhs == math.inf
-    assert not report.details["absolutely_continuous"]
+    mu[0, 1] = 1.0  # the product couplings also charge (0, 0), (1, 0) and (1, 1)
+    for fn in (bound_coupling, bound_coupling_simplified):
+        report = fn(prob, alg, q_w=q_w, mu_uv=mu)
+        assert report.rhs == math.inf
+        assert report.components["decorrelation"] == math.inf
+        assert not report.details["absolutely_continuous"]
+        assert 0.0 < report.components["reference"] < math.inf
+    reference = bound_coupling(prob, alg, q_w=q_w, mu_uv=mu).components["reference"]
+    assert reference == pytest.approx(dense_coupling_terms(prob, alg, q_w=q_w, mu_uv=mu)[1],
+                                      rel=1e-12, abs=0)
 
 
 def test_coupling_rejects_wrong_marginals():
@@ -211,6 +218,85 @@ def test_coupling_rejects_wrong_marginals():
     bad = [np.full((2, 2), 0.25)] * prob.num_samples
     with pytest.raises(ConfigurationError):
         bound_coupling(prob, alg, q_w=q_w, couplings=bad)
+
+
+def dense_coupling_terms(prob, alg, **kwargs):
+    """Reference: bound_coupling's (decorrelation, reference) components from the
+    whole (N, N, S, S, n) ghost-pair tensor, the way they were first computed."""
+    pi, mu = _coupling_and_reference(prob, alg, kwargs.get("q_w"), kwargs.get("couplings"),
+                                     kwargs.get("mu_uv"))
+    p_s = prob.sample_probs
+    per_draw = prob.loss_differences[:, :, prob.samples]  # (N, N, S, n)
+    diff = per_draw[:, :, :, None, :] - per_draw[:, :, None, :, :]  # train s, ghost s'
+    sq_sig = (diff**2).sum(axis=4)
+    inv, escape = _psi2_inv_ratio(pi, mu[None, :, :])
+    mean_sig_ghost = np.einsum("uvst,t->suv", np.sqrt(sq_sig), p_s)
+    term1 = math.inf if escape else float(
+        np.einsum("s,suv,suv,suv->", p_s, pi, inv, mean_sig_ghost))
+    term2 = float(p_s @ np.sqrt(np.einsum("uv,uvst->st", mu, sq_sig)) @ p_s)
+    scale = np.sqrt(24.0) / prob.n
+    return scale * term1, scale * term2
+
+
+def assert_coupling_matches_dense(prob, alg, **kwargs):
+    report = bound_coupling(prob, alg, **kwargs)
+    decorrelation, reference = dense_coupling_terms(prob, alg, **kwargs)
+    assert report.components["decorrelation"] == pytest.approx(decorrelation, rel=1e-12, abs=0)
+    assert report.components["reference"] == pytest.approx(reference, rel=1e-12, abs=0)
+    assert report.rhs == pytest.approx(decorrelation + reference, rel=1e-12, abs=0)
+    return report
+
+
+def test_coupling_matches_dense_ghost_pair_tensor():
+    gen = np.random.default_rng(35)
+    for _ in range(12):  # W_2 plans on the loss embedding
+        prob = random_problem(gen)
+        for alg in algorithm_family(prob):
+            assert_coupling_matches_dense(prob, alg)
+    for _ in range(6):  # dense product couplings: no embedding
+        prob = random_problem(gen, embed=False)
+        for alg in algorithm_family(prob):
+            assert_coupling_matches_dense(prob, alg)
+    prob = xor_problem()
+    for alg in algorithm_family(prob):
+        assert_coupling_matches_dense(prob, alg)
+    for prob in (random_problem(gen), random_problem(gen), xor_problem(True)):
+        report = assert_coupling_matches_dense(prob, ignore_algorithm(prob))
+        assert report.rhs == 0.0
+
+
+def test_coupling_memory_stays_off_the_ghost_pair_tensor():
+    # N=16, m=4, n=4: the dense (N, N, S, S, n) tensor alone is 537 MB
+    gen = np.random.default_rng(36)
+    loss = gen.uniform(0.0, 1.0, size=(16, 4))
+    base = LearningProblem(loss, FiniteMeasure(gen.dirichlet(np.ones(4))), 4, bound=1.0)
+    prob = LearningProblem(base.loss, base.p_z, 4, bound=1.0, embedding=loss_embedding(base))
+    alg = gibbs_algorithm(prob, 1.0)
+    tracemalloc.start()
+    try:
+        report = bound_coupling(prob, alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(report.rhs)
+    assert peak < 64 * 2**20
+
+
+def test_coupling_refuses_too_many_ghost_pairs_before_allocating():
+    # product couplings fill all N^2 entries of every sample: 2187 * 256 support
+    # entries times 2187 ghosts times 7 draws is 8.6e9 > 2e8
+    gen = np.random.default_rng(37)
+    prob = LearningProblem(gen.uniform(0.0, 1.0, size=(16, 3)),
+                           FiniteMeasure(gen.dirichlet(np.ones(3))), 7, bound=1.0)
+    alg = gibbs_algorithm(prob, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="too many ghost pairs"):
+            bound_coupling(prob, alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +596,44 @@ def test_tail_transductive_ignoring_and_weights(small_problem, ignoring_alg):
         tail_transductive(small_problem, ignoring_alg, chain, 0.1,
                           level_weights=np.array([1.2, -0.2]))
 
+
+def dense_transductive_rhs(prob, chain, delta):
+    """Reference: tail_transductive's (ghost, train) rhs from the dense loop over
+    every (ghost, u, v) cell of each train sample."""
+    K = len(chain.couplings)
+    dsl2 = prob.empirical_sq_dists
+    rhs = np.zeros((prob.num_samples, prob.num_samples))
+    for joint, ref in zip(chain.couplings, chain.references):
+        inv, escape = _psi2_inv_ratio(joint, ref[None, :, :])
+        if escape:
+            return np.full_like(rhs, np.inf)
+        log_term = np.sqrt(np.log(2.0 / (delta / K)))
+        ref_dot = np.einsum("uv,suv->s", ref, dsl2)
+        rhs += np.sqrt(0.5 * (ref_dot[:, None] + ref_dot[None, :]))
+        for s in range(prob.num_samples):
+            d = np.sqrt(0.5 * (dsl2 + dsl2[s][None, :, :]))
+            rhs[:, s] += np.einsum("uv,guv->g", joint[s] * inv[s], d)
+            rhs[:, s] += log_term * np.einsum("uv,guv->g", joint[s], d)
+    return rhs * np.sqrt(96.0 / prob.n)
+
+
+def test_tail_transductive_matches_the_dense_loop():
+    gen = np.random.default_rng(38)
+    for _ in range(10):
+        prob = random_problem(gen)
+        q_w = FiniteMeasure(gen.dirichlet(np.ones(prob.num_hypotheses)))
+        for alg in algorithm_family(prob) + [ignore_algorithm(prob, row=q_w)]:
+            chain = chain_from_partitions(prob, alg, dyadic_partitions(prob.num_hypotheses))
+            contrast = alg.matrix - chain.kernels[0].matrix[0][None, :]
+            emp = prob.empirical_matrix
+            lhs = emp.T @ contrast.T - np.einsum("sw,ws->s", contrast, emp)[None, :]
+            p_pair = prob.sample_probs[:, None] * prob.sample_probs[None, :]
+            for delta in DELTAS:
+                report = tail_transductive(prob, alg, chain, delta)
+                dense = dense_transductive_rhs(prob, chain, delta)
+                np.testing.assert_allclose(report.details["per_pair_rhs"], dense,
+                                           rtol=1e-12, atol=0)
+                assert report.violation == float(p_pair[lhs > dense].sum())
 
 def test_tail_suite_holds_at_spec_deltas(small_problem):
     for alg in algorithm_family(small_problem):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from genbound import (FiniteMeasure, algorithm_from_json, cli, problem_from_json,
+from genbound import (FiniteMeasure, algorithm_from_json, cli, mc, problem_from_json,
                       transport)
 
 from conftest import random_problem
@@ -184,6 +184,25 @@ def test_tail_rows_and_delta_validation(tmp_path):
     assert cli.main(["tail", "--config", cfg, "--delta", "0"]) == 2
     assert cli.main(["tail", "--config", cfg, "--delta", "1.5"]) == 2
 
+
+def test_tail_mc_honours_workers_with_identical_stdout(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    counts = []
+    run_blocks = mc.run_blocks
+
+    def recorded(fn, n_tasks, workers=1):
+        counts.append(workers)
+        return run_blocks(fn, n_tasks, workers)
+
+    monkeypatch.setattr(mc, "run_blocks", recorded)
+    outs = []
+    for workers in ("1", "2"):
+        assert cli.main(["tail", "--config", cfg, "--mc-samples", "20000", "--seed", "4",
+                         "--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "mc" in outs[0]
+    assert counts == [1, 2]
 
 def test_ft_single_point_space(tmp_path):
     cfg = write_config(tmp_path, {"dist": [[0.0]]})
