@@ -37,7 +37,7 @@ bounds = [
     ("cmi", lambda a: bound_cmi(prob, a)),
     ("coupling", lambda a: bound_coupling(prob, a)),
     ("coupling_simplified", lambda a: bound_coupling_simplified(prob, a)),
-    ("wasserstein", lambda a: bound_wasserstein_geodesic(prob, a, steps=2)),
+    ("wasserstein", lambda a: bound_wasserstein_geodesic(prob, a)),
 ]
 
 for alg_name, alg in algorithms:

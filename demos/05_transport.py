@@ -50,9 +50,9 @@ prob = LearningProblem(loss, p_z, n=2, bound=1.0, embedding=loss_embedding(bare)
 alg = gibbs_algorithm(prob, 3.0)
 
 print("\ngeneralization bound along posterior-to-prior geodesics:")
-print("(constant speed makes the step sum independent of the refinement)")
-for steps in (1, 2, 4):
-    report = bound_wasserstein_geodesic(prob, alg, steps=steps)
-    print(f"  steps = {steps}: rhs = {report.rhs:.6f} "
-          f"(endpoint = {report.components['endpoint']:.6f}, "
-          f"steps = {report.components['steps']:.6f})")
+print("(constant speed makes the step sum independent of the refinement,")
+print(" so it is evaluated in closed form, without a step count)")
+report = bound_wasserstein_geodesic(prob, alg)
+print(f"  rhs = {report.rhs:.6f} "
+      f"(endpoint = {report.components['endpoint']:.6f}, "
+      f"steps = {report.components['steps']:.6f})")

@@ -9,13 +9,13 @@ chaining constructions, majorizing-measure bounds for expected suprema, and
 seeded Monte Carlo with counter-based substreams.
 """
 
-from .bounds import (BoundReport, ChainSpec, ProjectionChain, TailReport,
+from .bounds import (BoundReport, ChainSpec, TailReport,
                      bound_chain, bound_cmi, bound_coupling,
                      bound_coupling_simplified, bound_density, bound_mi,
                      bound_stochastic_chain, bound_wasserstein_geodesic,
                      chain_from_partitions, chain_metric, dyadic_partitions,
                      hypothesis_marginal, increment_check, loss_embedding,
-                     markov_slack, optimal_couplings, partition_chain,
+                     markov_slack, optimal_couplings,
                      tail_pac_bayes, tail_pointwise_check, tail_transductive)
 from .errors import (AbsoluteContinuityError, ConfigurationError, DomainError,
                      GenboundError, InvalidProcessError,

@@ -28,12 +28,12 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .errors import ConfigurationError, DomainError
-from .learning import (Algorithm, LearningProblem, delta_bound, exact_joint,
+from .learning import (Algorithm, LearningProblem, delta_bound, draw_pairs, exact_joint,
                        expected_gen, subgaussian_sigma, supersample_joint)
 from .measures import FiniteMeasure, MarkovKernel, mutual_information
 from .orlicz import psi_inv
 # plans come from LearningProblem.w2_plan; perfbench/smoke.py reads bounds.wasserstein
-from .transport import (EmbeddedSupport, TransportPlan, displacement_interpolation,  # noqa: F401
+from .transport import (DEDUP_DECIMALS, EmbeddedSupport, TransportPlan,  # noqa: F401
                         euclidean_cost, product_plan, wasserstein)
 
 COMPONENT_TOL = 1e-9
@@ -353,9 +353,9 @@ def bound_coupling_simplified(prob: LearningProblem, alg: Algorithm,
 class ChainSpec:
     """Interpolating kernels, per-sample step couplings, and step references.
 
-    kernels[0] must not depend on the sample (it is the prior end) and
-    kernels[-1] must be the algorithm itself; couplings[k][s] couples
-    (kernels[k+1] row s, kernels[k] row s). An optional metric switches
+    couplings[k][s] couples (kernels[k+1] row s, kernels[k] row s) and
+    kernels[-1] must be the algorithm itself; kernels[0] is the prior end, and
+    the bounds that need it sample-free check it. An optional metric switches
     bound_chain to its metric form.
     """
 
@@ -410,75 +410,38 @@ def _normalize_partition(part, size: int) -> np.ndarray:
     return label
 
 
-def _reps_from_labels(label: np.ndarray) -> np.ndarray:
-    reps = np.empty_like(label)
-    for j in np.unique(label):
-        members = np.nonzero(label == j)[0]
-        reps[members] = members.min()
-    return reps
-
-
-@dataclass(frozen=True)
-class ProjectionChain:
-    """Kernels from partition projections plus the representative maps."""
-
-    kernels: tuple
-    reps: tuple
-    labels: tuple
-
-
-def partition_chain(prob: LearningProblem, alg: Algorithm, partitions) -> ProjectionChain:
-    """Project the algorithm through a refining partition hierarchy.
+def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions,
+                          metric: np.ndarray | None = None) -> ChainSpec:
+    """Project the algorithm through a refining partition hierarchy, coarse to fine.
 
     Level k maps the drawn hypothesis to the lowest index of its cell, so the
     sample -> hypothesis -> level-k -> level-(k-1) chain is Markov by
-    construction; refinement is validated, not assumed.
+    construction; refinement is validated, not assumed. Couplings are the exact
+    joints of consecutive levels, references their sample mixtures.
     """
-    N = prob.num_hypotheses
+    N, S = prob.num_hypotheses, prob.num_samples
     labels = [_normalize_partition(p, N) for p in partitions]
     if not labels:
-        raise ConfigurationError("partition_chain: empty hierarchy")
+        raise ConfigurationError("chain_from_partitions: empty hierarchy")
+    # a cell's first index in label order is its lowest
+    reps = [first[inverse] for _, first, inverse in (
+        np.unique(lab, return_index=True, return_inverse=True) for lab in labels)]
     for k in range(1, len(labels)):
-        coarse, fine = labels[k - 1], labels[k]
-        for j in np.unique(fine):
-            if np.unique(coarse[fine == j]).size != 1:
-                raise ConfigurationError(
-                    f"partition_chain: level {k} does not refine level {k - 1}")
-    reps = [_reps_from_labels(lab) for lab in labels]
-    kernels = []
-    for rep in reps:
-        mat = np.zeros((prob.num_samples, N))
+        if np.any(labels[k - 1] != labels[k - 1][reps[k]]):
+            raise ConfigurationError(
+                f"chain_from_partitions: level {k} does not refine level {k - 1}")
+    kernels, couplings, references = [], [], []
+    for k, rep in enumerate(reps):
+        mat = np.zeros((S, N))
         np.add.at(mat.T, rep, alg.matrix.T)
         kernels.append(MarkovKernel(mat))
-    return ProjectionChain(kernels=tuple(kernels), reps=tuple(reps),
-                           labels=tuple(np.asarray(l) for l in labels))
-
-
-def _refinement_joint(prob: LearningProblem, alg: Algorithm, new_rep: np.ndarray,
-                      old_rep: np.ndarray) -> np.ndarray:
-    """joint[s, u, v] = P(newer-level representative u, older-level representative v | s)."""
-    N = prob.num_hypotheses
-    joint = np.zeros((prob.num_samples, N, N))
-    np.add.at(joint.transpose(1, 2, 0), (new_rep, old_rep), alg.matrix.T)
-    return joint
-
-
-def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions,
-                          metric: np.ndarray | None = None) -> ChainSpec:
-    """ChainSpec whose couplings are the exact partition-refinement joints and
-    whose references are the sample mixtures of those joints."""
-    pc = partition_chain(prob, alg, partitions)
-    if len(pc.kernels) < 2:
-        raise ConfigurationError("chain_from_partitions: need at least two levels")
-    root = pc.kernels[0].matrix
-    if np.abs(root - root[0]).max() > 1e-12:
-        raise ConfigurationError("chain_from_partitions: coarsest level must be sample-free")
-    couplings, references = [], []
-    for k in range(1, len(pc.kernels)):
-        joint = _refinement_joint(prob, alg, pc.reps[k], pc.reps[k - 1])
-        couplings.append(joint)
-        references.append(np.einsum("s,suv->uv", prob.sample_probs, joint))
-    return ChainSpec(kernels=pc.kernels, couplings=tuple(couplings),
+        if k:
+            # joint[s, u, v] = P(level-k representative u, level-(k-1) representative v | s)
+            joint = np.zeros((S, N, N))
+            np.add.at(joint.transpose(1, 2, 0), (rep, reps[k - 1]), alg.matrix.T)
+            couplings.append(joint)
+            references.append(np.einsum("s,suv->uv", prob.sample_probs, joint))
+    return ChainSpec(kernels=tuple(kernels), couplings=tuple(couplings),
                      references=tuple(references), metric=metric)
 
 
@@ -539,26 +502,23 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> Boun
                            escape_any, loss_form_rhs=loss.rhs)
 
 
-def markov_slack(prob: LearningProblem, alg: Algorithm, pc: ProjectionChain) -> float:
-    """Exact worst deviation of P(older level | newer level, sample) from being
-    sample-free; zero for genuine partition projections."""
-    worst = 0.0
-    for k in range(1, len(pc.kernels)):
-        joint = _refinement_joint(prob, alg, pc.reps[k], pc.reps[k - 1])
-        mix = np.einsum("s,suv->uv", prob.sample_probs, joint)
-        mix_new = mix.sum(axis=1)
-        for s in range(prob.num_samples):
-            if prob.sample_probs[s] == 0.0:
-                continue
-            row_new = joint[s].sum(axis=1)
-            for u in np.nonzero((row_new > 0) & (mix_new > 0))[0]:
-                worst = max(worst, float(np.abs(joint[s, u] / row_new[u]
-                                                - mix[u] / mix_new[u]).max()))
+def markov_slack(prob: LearningProblem, chain: ChainSpec) -> float:
+    """Exact worst deviation, over every step of the chain, of
+    P(older level | newer level, sample) from being sample-free; zero for
+    partition projections."""
+    p_s, worst = prob.sample_probs, 0.0
+    for joint in chain.couplings:
+        mix = np.einsum("s,suv->uv", p_s, joint)
+        row, mix_row = joint.sum(axis=2), mix.sum(axis=1)
+        s, u = np.nonzero((p_s[:, None] > 0) & (row > 0) & (mix_row[None, :] > 0))
+        if s.size:
+            gap = joint[s, u] / row[s, u][:, None] - mix[u] / mix_row[u][:, None]
+            worst = max(worst, float(np.abs(gap).max()))
     return worst
 
 
 def bound_stochastic_chain(prob: LearningProblem, alg: Algorithm,
-                           chain: ProjectionChain | list) -> BoundReport:
+                           chain: ChainSpec) -> BoundReport:
     """Chained divergence bound with a fresh prior draw at level zero.
 
     rhs = sqrt(2/n) sum_k E[ d(level_k, level_{k-1})
@@ -566,133 +526,85 @@ def bound_stochastic_chain(prob: LearningProblem, alg: Algorithm,
     with d = chain_metric; the mutual-information flavored variant
     sqrt(2/n) sum_k sqrt(E d^2) (sqrt(I(level_k ; sample)) + 2) is stored in
     details["mi_form_rhs"]. Both dominate the signed E[gen] when the finest
-    level equals the algorithm.
+    level equals the algorithm. The prior draw is prepended to the chain, which
+    must be Markov and may start at any level, a single one included.
     """
-    if not isinstance(chain, ProjectionChain):
-        raise ConfigurationError(
-            "bound_stochastic_chain: pass the ProjectionChain from partition_chain")
-    if markov_slack(prob, alg, chain) > 1e-9:
-        raise ConfigurationError("bound_stochastic_chain: chain is not Markov")
-    if np.abs(chain.kernels[-1].matrix - alg.matrix).max() > 1e-12:
-        raise ConfigurationError("bound_stochastic_chain: finest level must be the algorithm")
-
     d = chain_metric(prob)
     p_s = prob.sample_probs
     p_w = hypothesis_marginal(prob, alg).weights
+    first = chain.kernels[0].matrix[:, :, None] * p_w[None, None, :]  # independent prior draw
+    chain = ChainSpec((MarkovKernel.constant(FiniteMeasure(p_w), prob.num_samples),
+                       *chain.kernels), (first, *chain.couplings),
+                      (np.einsum("s,suv->uv", p_s, first), *chain.references))
+    _validate_chain(prob, alg, chain)
+    if markov_slack(prob, chain) > 1e-9:
+        raise ConfigurationError("bound_stochastic_chain: chain is not Markov")
     est = expected_gen(prob, alg)
-    N = prob.num_hypotheses
-
-    # kernel list with the independent prior draw prepended as level 0
-    kernels = [MarkovKernel.constant(FiniteMeasure(p_w), prob.num_samples)] + list(chain.kernels)
-
-    def sqrt_div_per_level(kernel: MarkovKernel) -> np.ndarray:
-        tab = p_s[:, None] * kernel.matrix
-        col = tab.sum(axis=0)
-        out = np.zeros(N)
-        for u in np.nonzero(col > 0)[0]:
-            # rounding can leave a divergence of -1e-17 when the conditional
-            # matches the sample law; clamp before the square root
-            out[u] = np.sqrt(max(0.0, float(rel_entr(tab[:, u] / col[u], p_s).sum())))
-        return out
-
-    def mutual_info(kernel: MarkovKernel) -> float:
-        tab = p_s[:, None] * kernel.matrix
-        val = float(rel_entr(tab, np.outer(tab.sum(axis=1), tab.sum(axis=0))).sum())
-        return max(0.0, val)
 
     form1_terms, form2_terms = [], []
-    for k in range(1, len(kernels)):
-        newk, oldk = kernels[k], kernels[k - 1]
-        if k == 1:
-            joints = newk.matrix[:, :, None] * p_w[None, None, :]  # independent prior draw
-        else:
-            joints = _refinement_joint(prob, alg, chain.reps[k - 1], chain.reps[k - 2])
-        sqrt_div = sqrt_div_per_level(newk)
-        form1_terms.append(float(np.einsum("s,suv,uv->", p_s, joints,
+    for kernel, joint in zip(chain.kernels[1:], chain.couplings):
+        tab = p_s[:, None] * kernel.matrix
+        col = tab.sum(axis=0)
+        # sqrt(D(sample law | level hypothesis u || sample law)); rounding can leave
+        # -1e-17 where the conditional is the sample law, so clamp at 0
+        div = rel_entr(tab / np.where(col > 0, col, 1.0), p_s[:, None]).sum(axis=0)
+        sqrt_div = np.sqrt(np.maximum(div, 0.0))
+        form1_terms.append(float(np.einsum("s,suv,uv->", p_s, joint,
                                            d * (sqrt_div[:, None] + 1.0))))
-        mix = np.einsum("s,suv->uv", p_s, joints)
-        form2_terms.append(float(np.sqrt((mix * d**2).sum())
-                                 * (np.sqrt(mutual_info(newk)) + 2.0)))
+        mix = np.einsum("s,suv->uv", p_s, joint)
+        mi = float(rel_entr(tab, np.outer(tab.sum(axis=1), col)).sum())
+        form2_terms.append(float(np.sqrt((mix * d**2).sum()) * (np.sqrt(max(0.0, mi)) + 2.0)))
 
     scale = np.sqrt(2.0 / prob.n)
     rhs = scale * sum(form1_terms)
     components = {f"step_{k + 1}": scale * t for k, t in enumerate(form1_terms)}
     return BoundReport("stochastic_chain", est.signed, float(rhs), "signed", components,
                        details={"mi_form_rhs": scale * sum(form2_terms),
-                                "levels": len(kernels) - 1})
+                                "levels": len(form1_terms)})
 
 
 # ---------------------------------------------------------------------------
 # transport-geodesic bound
 # ---------------------------------------------------------------------------
 
-def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm,
-                               steps: int = 1) -> BoundReport:
-    """Signed E[gen] <= sqrt(2/n) (2 E[W_2(posterior, marginal)] + sum over steps
-    of E[step length * sqrt(step divergence vs the sample mixture)]).
+def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm) -> BoundReport:
+    """Signed E[gen] <= sqrt(2/n) E_S[W_2(S) (2 + sqrt(D(plan_S || sum_s p_s plan_s)))].
 
-    Per sample, the posterior walks to the hypothesis marginal along its
-    displacement geodesic in the problem's Euclidean embedding; each uniform
-    step contributes its exact length times the root divergence of its
-    coupling against the mixture coupling.
+    Per sample, the posterior walks to the hypothesis marginal along the
+    displacement geodesic of its W_2-optimal plan. Split into any number of
+    uniform steps, every step couples its ends through the same plan atoms
+    moved by one injective map, so each step carries the same divergence
+    against the mixture coupling and the step lengths sum to W_2: the step
+    sum is the closed form above, whatever the number of steps. Hypotheses
+    whose embedded points agree to DEDUP_DECIMALS places are one atom.
     """
     emb = prob.embedding
     if emb is None:
         raise ConfigurationError("bound_wasserstein_geodesic: problem has no embedding")
-    if steps < 1:
-        raise ConfigurationError("bound_wasserstein_geodesic: steps >= 1")
     increment_check(prob, euclidean_cost(emb, emb).entries)
 
     q_w = hypothesis_marginal(prob, alg)
     p_s = prob.sample_probs
-    times = np.linspace(0.0, 1.0, steps + 1)
     est = expected_gen(prob, alg)
+    key = np.round(emb.points, DEDUP_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
+    atom = np.unique(key, axis=0, return_inverse=True)[1].reshape(-1)
+    merge = np.eye(atom.max() + 1)[atom]  # (hypothesis, atom) one-hot
 
-    live = np.nonzero(p_s > 0)[0]
-    geos, by_plan = {}, {}
-    for s in live:
-        dist, plan = prob.w2_plan(FiniteMeasure(alg.matrix[s]), q_w)
-        if id(plan) not in by_plan:
-            by_plan[id(plan)] = displacement_interpolation(plan, dist, emb, times)
-        geos[s] = by_plan[id(plan)]
-
-    expected_w2 = float(sum(p_s[s] * geos[s].distance for s in live))
-
-    step_sum = 0.0
-    for k in range(1, steps + 1):
-        # mixture of per-sample step couplings on a shared atom registry
-        registry: dict[tuple, int] = {}
-        keyed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for s in live:
-            geo = geos[s]
-            prev_pts = np.round(geo.points[k - 1].support.points[geo.atom_to_point[k - 1]], 12)
-            cur_pts = np.round(geo.points[k].support.points[geo.atom_to_point[k]], 12)
-            idx = np.empty(geo.atom_mass.size, dtype=np.int64)
-            for a in range(geo.atom_mass.size):
-                key = (tuple(prev_pts[a]), tuple(cur_pts[a]))
-                idx[a] = registry.setdefault(key, len(registry))
-            keyed[s] = (idx, geo.atom_mass)
-        mix = np.zeros(len(registry))
-        per_sample = {}
-        for s in live:
-            idx, mass = keyed[s]
-            vec = np.zeros(len(registry))
-            np.add.at(vec, idx, mass)
-            per_sample[s] = vec
-            mix += p_s[s] * vec
-        dt = times[k] - times[k - 1]
-        for s in live:
-            length = dt * geos[s].distance
-            if length == 0.0:
-                continue
-            div = float(rel_entr(per_sample[s], mix).sum())
-            step_sum += p_s[s] * length * np.sqrt(max(div, 0.0))
+    w2 = np.zeros(prob.num_samples)
+    plans = np.zeros((prob.num_samples, merge.shape[1], merge.shape[1]))
+    for s in np.nonzero(p_s > 0)[0]:
+        w2[s], plan = prob.w2_plan(FiniteMeasure(alg.matrix[s]), q_w)
+        plans[s] = merge.T @ plan.weights @ merge
+    mix = np.einsum("s,sab->ab", p_s, plans)
+    div = rel_entr(plans, mix[None]).sum(axis=(1, 2))
+    expected_w2 = float(p_s @ w2)
+    step_sum = float(p_s @ (w2 * np.sqrt(np.maximum(div, 0.0))))
 
     scale = np.sqrt(2.0 / prob.n)
     rhs = scale * (2.0 * expected_w2 + step_sum)
     return BoundReport("wasserstein_geodesic", est.signed, float(rhs), "signed",
                        {"endpoint": scale * 2.0 * expected_w2, "steps": scale * step_sum},
-                       details={"expected_w2": expected_w2, "n_steps": steps})
+                       details={"expected_w2": expected_w2})
 
 
 # ---------------------------------------------------------------------------
@@ -721,15 +633,9 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
     samples, seed = mc
     from . import mc as _mc
     sizes = _mc.block_sizes(samples)
-    powers = prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64)
 
     def one_block(b: int):
-        gen = _mc.substream(seed, b)
-        draws = gen.choice(prob.num_outcomes, size=(sizes[b], prob.n), p=prob.p_z.weights)
-        s_idx = draws @ powers
-        u = gen.random(sizes[b])
-        w_idx = (np.cumsum(alg.matrix[s_idx], axis=1) < u[:, None]).sum(axis=1)
-        w_idx = np.minimum(w_idx, prob.num_hypotheses - 1)
+        s_idx, w_idx = draw_pairs(prob, alg, seed, b, sizes[b])
         return exceed[s_idx, w_idx].sum()
 
     hits = sum(_mc.run_blocks(one_block, len(sizes), workers))

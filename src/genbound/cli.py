@@ -1,8 +1,9 @@
 """Command-line harness: seeded verification suites and batch bound reports.
 
-Exit codes: 0 all checks pass, 1 an inequality was violated, 2 configuration
-error. Outputs are byte-deterministic for a fixed seed and config, whatever
-the worker count.
+Exit codes: 0 all checks pass, 1 an inequality was violated, 2 bad input (a
+GenboundError or an unreadable file); any other exception is a bug and
+propagates. Outputs are byte-deterministic for a fixed seed and config,
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import bounds as bnd
 from . import suprema as sup
-from .errors import GenboundError
-from .learning import algorithm_from_json, expected_gen, problem_from_json
+from .errors import ConfigurationError, GenboundError, read_field
+from .learning import algorithm_from_json, expected_gen, gibbs_algorithm, problem_from_json
 from .measures import FiniteMeasure
 from .verify import SUITES, run_suite
 
@@ -90,24 +91,35 @@ def _load_config(path: str | None) -> dict:
         raise GenboundError("--config is required for this command")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise GenboundError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GenboundError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise GenboundError("config must be a JSON object")
+    return cfg
 
 
 def _entries(cfg: dict):
     problems = cfg.get("problems")
     if not isinstance(problems, list) or not problems:
         raise GenboundError("config needs a non-empty 'problems' list")
-    for obj in problems:
-        prob = problem_from_json(obj)
-        alg = algorithm_from_json(prob, obj.get("algorithm", {"kind": "gibbs", "beta": 1.0}))
+    for idx, obj in enumerate(problems):
+        try:
+            prob = problem_from_json(obj)
+            alg = read_field(obj, "algorithm", lambda a: algorithm_from_json(prob, a),
+                             None) or gibbs_algorithm(prob, 1.0)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"problems[{idx}]: {exc}") from exc
         yield prob, alg
 
 
-def _token_reports(prob, alg, token: str, delta: float):
+def _root_chain(prob, alg):
+    return bnd.chain_from_partitions(prob, alg, bnd.dyadic_partitions(prob.num_hypotheses))
+
+
+def _token_reports(prob, alg, token: str, delta: float, root_chain):
     if token == "thm1":
         return [bnd.bound_density(prob, alg)]
     if token == "mi":
@@ -117,19 +129,15 @@ def _token_reports(prob, alg, token: str, delta: float):
     if token == "coupling":
         return [bnd.bound_coupling(prob, alg), bnd.bound_coupling_simplified(prob, alg)]
     if token == "chain":
-        parts = bnd.dyadic_partitions(prob.num_hypotheses, include_root=True)
-        plain = bnd.chain_from_partitions(prob, alg, parts)
-        metric = replace(plain, metric=bnd.chain_metric(prob))
-        return [bnd.bound_chain(prob, alg, plain), bnd.bound_chain(prob, alg, metric)]
+        metric = replace(root_chain, metric=bnd.chain_metric(prob))
+        return [bnd.bound_chain(prob, alg, root_chain), bnd.bound_chain(prob, alg, metric)]
     if token == "stochain":
         parts = bnd.dyadic_partitions(prob.num_hypotheses, include_root=False)
-        return [bnd.bound_stochastic_chain(prob, alg, bnd.partition_chain(prob, alg, parts))]
+        return [bnd.bound_stochastic_chain(prob, alg, bnd.chain_from_partitions(prob, alg, parts))]
     if token == "wass":
-        return [bnd.bound_wasserstein_geodesic(prob, alg, steps=2)]
+        return [bnd.bound_wasserstein_geodesic(prob, alg)]
     if token == "transductive":
-        parts = bnd.dyadic_partitions(prob.num_hypotheses, include_root=True)
-        chain = bnd.chain_from_partitions(prob, alg, parts)
-        return [bnd.tail_transductive(prob, alg, chain, delta)]
+        return [bnd.tail_transductive(prob, alg, root_chain, delta)]
     raise GenboundError(f"unknown bound name {token!r}")
 
 
@@ -177,8 +185,11 @@ def cmd_bounds(args) -> int:
             raise GenboundError(f"unknown bound name {token!r}")
     rows, violated = [], False
     for prob, alg in _entries(cfg):
+        # the dyadic chain with its root, shared by the chain and transductive tokens
+        root_chain = (_root_chain(prob, alg) if {"chain", "transductive"} & set(tokens)
+                      else None)
         for token in sorted(set(tokens)):
-            for report in _token_reports(prob, alg, token, args.delta):
+            for report in _token_reports(prob, alg, token, args.delta, root_chain):
                 kind = getattr(report, "lhs_kind", None)
                 if args.mc_samples and kind in ("absolute", "signed"):
                     est = expected_gen(prob, alg, mode="mc", samples=args.mc_samples,
@@ -204,11 +215,9 @@ def cmd_tail(args) -> int:
     rows, violated = [], False
     for prob, alg in _entries(cfg):
         mc_arg = (args.mc_samples, seed) if args.mc_samples else None
-        parts = bnd.dyadic_partitions(prob.num_hypotheses, include_root=True)
-        chain = bnd.chain_from_partitions(prob, alg, parts)
         reports = [bnd.tail_pointwise_check(prob, alg, delta, mc=mc_arg, workers=args.workers),
                    bnd.tail_pac_bayes(prob, alg, delta),
-                   bnd.tail_transductive(prob, alg, chain, delta)]
+                   bnd.tail_transductive(prob, alg, _root_chain(prob, alg), delta)]
         for rep in reports:
             rows.append(_report_rows(prob, rep, seed, {
                 k: v for k, v in rep.details.items() if not isinstance(v, np.ndarray)}))
@@ -226,12 +235,13 @@ def cmd_ft(args) -> int:
         spaces = [cfg]
     rows, violated = [], False
     for idx, entry in enumerate(spaces):
-        space = sup.FiniteMetricSpace(entry["dist"])
-        p = float(entry.get("p", 2.0))
-        if entry.get("process") is not None:
-            proc = sup.process_from_json(space, entry["process"])
-        else:
-            proc = sup.gaussian_from_metric(space, p)
+        try:
+            space = read_field(entry, "dist", sup.FiniteMetricSpace)
+            p = read_field(entry, "p", float, 2.0)
+            proc = read_field(entry, "process", lambda obj: sup.process_from_json(space, obj),
+                              None) or sup.gaussian_from_metric(space, p)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"spaces[{idx}]: {exc}") from exc
         if args.mu_mode == "uniform":
             mu = FiniteMeasure.uniform(space.size)
         else:
@@ -295,11 +305,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
+        if getattr(args, "mc_samples", 0) < 0:
+            raise GenboundError("--mc-samples must be nonnegative")
         return COMMANDS[args.command](args)
-    except GenboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, OSError) as exc:
+    except (GenboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,5 @@
-"""Semantic exception hierarchy shared across the package."""
+"""Semantic exception hierarchy shared across the package, and the config
+field reader that turns malformed input into a ConfigurationError."""
 
 
 class GenboundError(Exception):
@@ -23,3 +24,22 @@ class UnsupportedGeometryError(GenboundError, ValueError):
 
 class InvalidProcessError(GenboundError, ValueError):
     """A stochastic process fails its increment or centering requirements."""
+
+
+_REQUIRED = object()
+
+
+def read_field(obj, name: str, convert, default=_REQUIRED):
+    """convert(obj[name]) for one field of a JSON config object. A missing or
+    null field gives `default` if one is given; any other failure, convert's
+    TypeError or ValueError included, is a ConfigurationError naming the field."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"expected an object with field {name!r}")
+    if obj.get(name) is None and default is not _REQUIRED:
+        return default
+    if name not in obj:
+        raise ConfigurationError(f"field {name!r} is missing")
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"field {name!r}: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp, rel_entr
 
 from . import mc
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, read_field
 from .measures import FiniteMeasure, JointMeasure, MarkovKernel
 from .orlicz import DiscreteRandomVariable, orlicz_norm
 from .transport import EmbeddedSupport, TransportPlan, euclidean_cost, wasserstein
@@ -204,18 +204,13 @@ class LearningProblem:
 def problem_from_json(obj) -> LearningProblem:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    try:
-        loss = np.asarray(obj["loss"], dtype=float)
-        p_z = FiniteMeasure(obj["p_z"])
-        n = int(obj["n"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"problem JSON missing field: {exc}") from exc
-    if loss.shape != (int(obj["N"]), int(obj["m"])):
+    loss = read_field(obj, "loss", lambda v: np.asarray(v, dtype=float))
+    if loss.shape != (read_field(obj, "N", int), read_field(obj, "m", int)):
         raise ConfigurationError("problem JSON: loss shape disagrees with declared N x m")
-    emb = None
-    if obj.get("embedding") is not None:
-        emb = EmbeddedSupport(np.asarray(obj["embedding"]["points"], dtype=float))
-    return LearningProblem(loss, p_z, n, bound=obj.get("bound"), embedding=emb)
+    emb = read_field(obj, "embedding", lambda v: EmbeddedSupport(
+        read_field(v, "points", lambda pts: np.asarray(pts, dtype=float))), None)
+    return LearningProblem(loss, read_field(obj, "p_z", FiniteMeasure), read_field(obj, "n", int),
+                           bound=read_field(obj, "bound", float, None), embedding=emb)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +276,10 @@ def ignore_algorithm(prob: LearningProblem, row: FiniteMeasure | None = None) ->
 def algorithm_from_json(prob: LearningProblem, obj) -> Algorithm:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    kind = obj.get("kind")
-    prior = FiniteMeasure(obj["prior"]) if obj.get("prior") is not None else None
+    kind = read_field(obj, "kind", str, None)
+    prior = read_field(obj, "prior", FiniteMeasure, None)
     if kind == "gibbs":
-        return gibbs_algorithm(prob, float(obj.get("beta", 1.0)), prior)
+        return gibbs_algorithm(prob, read_field(obj, "beta", float, 1.0), prior)
     if kind == "erm":
         return erm_algorithm(prob)
     if kind == "ignore":
@@ -318,6 +313,21 @@ class GenEstimate:
     stderr_absolute: float | None = None
 
 
+def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, block: int,
+               size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample and hypothesis indices of one Monte Carlo block.
+
+    Substream `block` of `seed` draws the n outcomes of each sample from p_z,
+    then one uniform per draw picks the hypothesis from the algorithm's row.
+    """
+    gen = mc.substream(seed, block)
+    draws = gen.choice(prob.num_outcomes, size=(size, prob.n), p=prob.p_z.weights)
+    s_idx = draws @ (prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64))
+    u = gen.random(size)
+    w_idx = (np.cumsum(alg.matrix[s_idx], axis=1) < u[:, None]).sum(axis=1)
+    return s_idx, np.minimum(w_idx, prob.num_hypotheses - 1)
+
+
 def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
                  samples: int | None = None, seed: int | None = None,
                  workers: int = 1, cap: int = ENUMERATION_CAP) -> GenEstimate:
@@ -341,17 +351,9 @@ def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
         raise ConfigurationError("expected_gen: mc mode needs samples and seed")
 
     sizes = mc.block_sizes(samples)
-    p_z = prob.p_z.weights
-    powers = prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64)
 
     def one_block(b: int):
-        gen = mc.substream(seed, b)
-        draws = gen.choice(prob.num_outcomes, size=(sizes[b], prob.n), p=p_z)
-        s_idx = draws @ powers
-        rows = alg.matrix[s_idx]
-        u = gen.random(sizes[b])
-        w_idx = (np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1)
-        w_idx = np.minimum(w_idx, prob.num_hypotheses - 1)
+        s_idx, w_idx = draw_pairs(prob, alg, seed, b, sizes[b])
         vals = prob.gen_matrix[w_idx, s_idx]
         return vals.sum(), np.abs(vals).sum(), (vals**2).sum()
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mc
 from .errors import (ConfigurationError, DomainError, InvalidProcessError,
-                     UnsupportedGeometryError)
+                     UnsupportedGeometryError, read_field)
 from .measures import FiniteMeasure, MarkovKernel
 from .orlicz import psi
 
@@ -146,12 +146,13 @@ def tabulated_process(space: FiniteMetricSpace, paths, weights, p: float = 2.0) 
 
 def process_from_json(space: FiniteMetricSpace, text: str) -> ProcessSpec:
     obj = json.loads(text) if isinstance(text, str) else text
-    kind = obj.get("kind")
+    kind = read_field(obj, "kind", str, None)
+    p = read_field(obj, "p", float, 2.0)
     if kind == "gaussian":
-        return gaussian_process(space, obj["cov"], float(obj.get("p", 2.0)))
+        return gaussian_process(space, read_field(obj, "cov", np.asarray), p)
     if kind == "tabulated":
-        return tabulated_process(space, obj["paths"], obj["weights"],
-                                 float(obj.get("p", 2.0)))
+        return tabulated_process(space, read_field(obj, "paths", np.asarray),
+                                 read_field(obj, "weights", np.asarray), p)
     raise ConfigurationError(f"unknown process kind: {kind!r}")
 
 

@@ -17,7 +17,7 @@ from genbound import (FiniteMeasure, FiniteMetricSpace, Selector,
                       dyadic_partitions, erm_algorithm, expected_sup_mc,
                       ft_bound, ft_sup_bound, gaussian_from_metric, geodesic,
                       gibbs_algorithm, ignore_algorithm, optimize_mu,
-                      partition_chain, run_suite, supersample_joint,
+                      run_suite, supersample_joint,
                       tail_pac_bayes, tail_pointwise_check, tail_transductive,
                       wasserstein)
 from genbound.transport import EmbeddedSupport, euclidean_cost
@@ -44,8 +44,8 @@ def _expectation_reports(prob, alg):
     yield bound_chain(prob, alg, chain_from_partitions(
         prob, alg, parts, metric=chain_metric(prob)))
     yield bound_stochastic_chain(prob, alg,
-                                 partition_chain(prob, alg, parts_leaf))
-    yield bound_wasserstein_geodesic(prob, alg, steps=2)
+                                 chain_from_partitions(prob, alg, parts_leaf))
+    yield bound_wasserstein_geodesic(prob, alg)
 
 
 def test_criterion_01_decorrelation_suite():
@@ -104,7 +104,7 @@ def test_criterion_05_data_ignoring_zero_cases():
         alg = ignore_algorithm(prob, row=row)
         worst = max(worst,
                     abs(bound_coupling(prob, alg).rhs),
-                    abs(bound_wasserstein_geodesic(prob, alg, steps=2).rhs),
+                    abs(bound_wasserstein_geodesic(prob, alg).rhs),
                     abs(bound_cmi(prob, alg).details["cmi"]))
     ok = worst <= 1e-12
     _report(5, ok, f"coupling rhs, transport rhs, and conditional information "

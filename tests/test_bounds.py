@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 from genbound import (ChainSpec, ConfigurationError, DiscreteRandomVariable,
                       DomainError, FiniteMeasure, LearningProblem, MarkovKernel,
@@ -14,10 +15,10 @@ from genbound import (ChainSpec, ConfigurationError, DiscreteRandomVariable,
                       expected_gen, gibbs_algorithm, hypothesis_marginal,
                       ignore_algorithm, increment_check, kl_divergence,
                       loss_embedding, markov_slack, mutual_information,
-                      optimal_couplings, orlicz_norm, partition_chain,
-                      subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
-                      tail_transductive)
+                      optimal_couplings, orlicz_norm, subgaussian_sigma,
+                      tail_pac_bayes, tail_pointwise_check, tail_transductive)
 from genbound.bounds import _coupling_and_reference, _coupling_arrays, _psi2_inv_ratio
+from genbound.transport import displacement_interpolation
 
 from conftest import algorithm_family, random_problem
 
@@ -429,29 +430,80 @@ def test_problem_tables_are_cached_and_read_only(small_problem, gibbs_alg):
     assert plans[0] is prob.w2_plan(row, q_w)[1]
 
 
-def test_partition_chain_markov_and_validation(small_problem, gibbs_alg):
+@pytest.mark.parametrize("partitions", [
+    [[[0, 1], [1, 2, 3]]],  # cells overlap
+    [[[0, 1], [2]]],  # hypothesis 3 sits in no cell
+    [np.array([0, 0, 1])],  # label array of the wrong length
+    [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])],  # second level does not refine
+    [],  # empty hierarchy
+])
+def test_chain_from_partitions_rejects_bad_hierarchies(small_problem, gibbs_alg, partitions):
+    with pytest.raises(ConfigurationError):
+        chain_from_partitions(small_problem, gibbs_alg, partitions)
+
+
+def test_partition_hierarchy_is_markov_and_validated(small_problem, gibbs_alg):
     parts = dyadic_partitions(small_problem.num_hypotheses, include_root=False)
-    pc = partition_chain(small_problem, gibbs_alg, parts)
-    assert markov_slack(small_problem, gibbs_alg, pc) <= 1e-12
-    assert np.allclose(pc.kernels[-1].matrix, gibbs_alg.matrix)
+    chain = chain_from_partitions(small_problem, gibbs_alg, parts)
+    assert markov_slack(small_problem, chain) <= 1e-12
+    assert np.array_equal(chain.kernels[-1].matrix, gibbs_alg.matrix)
     non_refining = [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]
     with pytest.raises(ConfigurationError):
-        partition_chain(small_problem, gibbs_alg, non_refining)
+        chain_from_partitions(small_problem, gibbs_alg, non_refining)
 
 
-def test_stochastic_chain_requires_projection_chain(small_problem, gibbs_alg):
-    parts = dyadic_partitions(small_problem.num_hypotheses)
-    spec = chain_from_partitions(small_problem, gibbs_alg, parts)
-    with pytest.raises(ConfigurationError):
-        bound_stochastic_chain(small_problem, gibbs_alg, spec)
+def product_chain(prob, alg):
+    """Coarsest dyadic projection, then the algorithm, coupled independently per
+    sample: the older level's law given the newer one still depends on the sample."""
+    coarse = chain_from_partitions(prob, alg, dyadic_partitions(
+        prob.num_hypotheses, include_root=False)).kernels[0]
+    joint = alg.matrix[:, :, None] * coarse.matrix[:, None, :]
+    return ChainSpec((coarse, alg.kernel), (joint,),
+                     (np.einsum("s,suv->uv", prob.sample_probs, joint),))
+
+
+def looped_markov_slack(prob, chain):
+    """Reference: markov_slack as a loop over (sample, newer-level hypothesis)."""
+    worst = 0.0
+    for joint in chain.couplings:
+        mix = np.einsum("s,suv->uv", prob.sample_probs, joint)
+        mix_new = mix.sum(axis=1)
+        for s in range(prob.num_samples):
+            if prob.sample_probs[s] == 0.0:
+                continue
+            row_new = joint[s].sum(axis=1)
+            for u in np.nonzero((row_new > 0) & (mix_new > 0))[0]:
+                worst = max(worst, float(np.abs(joint[s, u] / row_new[u]
+                                                - mix[u] / mix_new[u]).max()))
+    return worst
+
+
+def test_markov_slack_matches_the_loop():
+    gen = np.random.default_rng(42)
+    for _ in range(10):
+        prob = random_problem(gen)
+        for alg in algorithm_family(prob):
+            for parts in (dyadic_partitions(prob.num_hypotheses, include_root=False),
+                          dyadic_partitions(prob.num_hypotheses)):
+                chain = chain_from_partitions(prob, alg, parts)
+                assert markov_slack(prob, chain) == looped_markov_slack(prob, chain)
+            chain = product_chain(prob, alg)
+            assert markov_slack(prob, chain) == looped_markov_slack(prob, chain)
+
+
+def test_stochastic_chain_rejects_a_non_markov_chain(small_problem, gibbs_alg):
+    chain = product_chain(small_problem, gibbs_alg)
+    assert markov_slack(small_problem, chain) > 1e-3
+    with pytest.raises(ConfigurationError, match="not Markov"):
+        bound_stochastic_chain(small_problem, gibbs_alg, chain)
 
 
 def test_stochastic_chain_single_level_oracle(small_problem, gibbs_alg):
     # one level, the identity partition: the bound reduces to a prior-draw
     # term computable directly from the joint law
     prob, alg = small_problem, gibbs_alg
-    pc = partition_chain(prob, alg, [np.arange(prob.num_hypotheses)])
-    report = bound_stochastic_chain(prob, alg, pc)
+    chain = chain_from_partitions(prob, alg, [np.arange(prob.num_hypotheses)])
+    report = bound_stochastic_chain(prob, alg, chain)
     assert report.details["levels"] == 1
 
     d = chain_metric(prob)
@@ -479,15 +531,17 @@ def test_stochastic_chain_single_level_oracle(small_problem, gibbs_alg):
 def test_stochastic_chain_ignoring_drops_divergence(small_problem, ignoring_alg):
     prob, alg = small_problem, ignoring_alg
     parts = dyadic_partitions(prob.num_hypotheses, include_root=False)
-    pc = partition_chain(prob, alg, parts)
-    report = bound_stochastic_chain(prob, alg, pc)
+    report = bound_stochastic_chain(prob, alg, chain_from_partitions(prob, alg, parts))
     d = chain_metric(prob)
     p_w = hypothesis_marginal(prob, alg).weights
+    # each level maps a hypothesis to the lowest index of its cell
+    reps = [np.array([np.nonzero(lab == lab[w])[0].min() for w in range(len(lab))])
+            for lab in parts]
     # level 1: independent draw of the coarsest projection against the prior;
     # deeper levels couple projections of the same draw; divergences vanish
-    total = float(np.einsum("w,v,wv->", p_w, p_w, d[pc.reps[0]]))
-    for k in range(1, len(pc.reps)):
-        new_rep, old_rep = pc.reps[k], pc.reps[k - 1]
+    total = float(np.einsum("w,v,wv->", p_w, p_w, d[reps[0]]))
+    for k in range(1, len(reps)):
+        new_rep, old_rep = reps[k], reps[k - 1]
         total += float((p_w * d[new_rep, old_rep]).sum())
     expect = math.sqrt(2.0 / prob.n) * total
     assert abs(report.rhs - expect) < 1e-12
@@ -499,8 +553,7 @@ def test_stochastic_chain_random_slack():
         prob = random_problem(gen)
         for alg in algorithm_family(prob):
             parts = dyadic_partitions(prob.num_hypotheses, include_root=False)
-            pc = partition_chain(prob, alg, parts)
-            report = bound_stochastic_chain(prob, alg, pc)
+            report = bound_stochastic_chain(prob, alg, chain_from_partitions(prob, alg, parts))
             assert report.rhs - report.lhs >= -1e-9
             assert report.details["mi_form_rhs"] - report.lhs >= -1e-9
 
@@ -512,7 +565,7 @@ def test_stochastic_chain_random_slack():
 def test_wasserstein_ignoring_is_exactly_zero():
     gen = np.random.default_rng(40)
     prob = random_problem(gen)
-    report = bound_wasserstein_geodesic(prob, ignore_algorithm(prob), steps=2)
+    report = bound_wasserstein_geodesic(prob, ignore_algorithm(prob))
     assert report.rhs == 0.0
     assert report.details["expected_w2"] == 0.0
 
@@ -523,17 +576,69 @@ def test_wasserstein_requires_embedding():
         bound_wasserstein_geodesic(prob, erm_algorithm(prob))
 
 
+def step_registry_geodesic(prob, alg, steps):
+    """Reference: the geodesic bound's (endpoint, steps) terms summed over a uniform
+    split of every per-sample displacement geodesic. Each step's couplings live on
+    a shared registry of (start, end) atom coordinates rounded to 12 places."""
+    q_w = hypothesis_marginal(prob, alg)
+    p_s = prob.sample_probs
+    times = np.linspace(0.0, 1.0, steps + 1)
+    live = np.nonzero(p_s > 0)[0]
+    geos = {}
+    for s in live:
+        dist, plan = prob.w2_plan(FiniteMeasure(alg.matrix[s]), q_w)
+        geos[s] = displacement_interpolation(plan, dist, prob.embedding, times)
+    expected_w2 = float(sum(p_s[s] * geos[s].distance for s in live))
+    step_sum = 0.0
+    for k in range(1, steps + 1):
+        registry, keyed = {}, {}
+        for s in live:
+            geo = geos[s]
+            prev = np.round(geo.points[k - 1].support.points[geo.atom_to_point[k - 1]], 12)
+            cur = np.round(geo.points[k].support.points[geo.atom_to_point[k]], 12)
+            keyed[s] = [registry.setdefault((tuple(a), tuple(b)), len(registry))
+                        for a, b in zip(prev, cur)]
+        mix, vecs = np.zeros(len(registry)), {}
+        for s in live:
+            vecs[s] = np.zeros(len(registry))
+            np.add.at(vecs[s], keyed[s], geos[s].atom_mass)
+            mix += p_s[s] * vecs[s]
+        for s in live:
+            length = (times[k] - times[k - 1]) * geos[s].distance
+            if length > 0.0:
+                div = float(rel_entr(vecs[s], mix).sum())
+                step_sum += p_s[s] * length * np.sqrt(max(div, 0.0))
+    scale = np.sqrt(2.0 / prob.n)
+    return scale * 2.0 * expected_w2, scale * step_sum
+
+
+def assert_geodesic_matches_step_registry(prob, alg):
+    report = bound_wasserstein_geodesic(prob, alg)
+    for steps in (1, 2, 4):
+        endpoint, step_term = step_registry_geodesic(prob, alg, steps)
+        assert abs(report.components["endpoint"] - endpoint) <= 1e-12 * endpoint
+        assert abs(report.components["steps"] - step_term) <= 1e-12 * step_term
+    return report
+
+
 def test_wasserstein_step_counts_and_slack():
     gen = np.random.default_rng(41)
     for _ in range(5):
         prob = random_problem(gen)
         for alg in algorithm_family(prob):
-            for steps in (1, 2, 4):
-                report = bound_wasserstein_geodesic(prob, alg, steps=steps)
-                assert report.details["n_steps"] == steps
-                assert report.rhs - report.lhs >= -1e-9
-                assert abs(report.components["endpoint"]
-                           + report.components["steps"] - report.rhs) < 1e-9
+            report = assert_geodesic_matches_step_registry(prob, alg)
+            assert report.rhs - report.lhs >= -1e-9
+            assert abs(report.components["endpoint"]
+                       + report.components["steps"] - report.rhs) < 1e-9
+
+
+def test_wasserstein_merges_hypotheses_at_one_point():
+    loss = np.array([[0.2, 0.7, 0.4], [0.9, 0.1, 0.5], [0.2, 0.7, 0.4], [0.6, 0.3, 0.8]])
+    plain = LearningProblem(loss, FiniteMeasure([0.5, 0.3, 0.2]), n=2, bound=1.0)
+    prob = LearningProblem(loss, FiniteMeasure([0.5, 0.3, 0.2]), n=2, bound=1.0,
+                           embedding=loss_embedding(plain))
+    for alg in algorithm_family(prob):
+        assert_geodesic_matches_step_registry(prob, alg)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,38 @@ def test_corrupt_config_exits_two(tmp_path):
     assert cli.main(["bounds", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_config_missing_field_exits_two_naming_it(tmp_path, capsys):
+    entry = problem_entry()
+    del entry["N"]
+    cfg = write_config(tmp_path, {"problems": [problem_entry(), entry]})
+    assert cli.main(["bounds", "--config", cfg, "--bounds", "thm1"]) == 2
+    assert "problems[1]: field 'N' is missing" in capsys.readouterr().err
+    bad_beta = problem_entry(algorithm={"kind": "gibbs", "beta": "hot"})
+    cfg = write_config(tmp_path, {"problems": [bad_beta]})
+    assert cli.main(["tail", "--config", cfg]) == 2
+    assert "problems[0]: field 'algorithm': field 'beta'" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"spaces": [{"dist": [[0.0]], "process": {"kind": "gaussian"}}]})
+    assert cli.main(["ft", "--config", cfg]) == 2
+    assert "spaces[0]: field 'process': field 'cov' is missing" in capsys.readouterr().err
+
+
+def test_negative_mc_samples_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    for command in ("bounds", "tail"):
+        assert cli.main([command, "--config", cfg, "--mc-samples", "-5"]) == 2
+        assert "--mc-samples must be nonnegative" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_an_input_error(tmp_path, monkeypatch):
+    def broken(prob, alg):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli.bnd, "bound_mi", broken)
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["bounds", "--config", cfg, "--bounds", "mi"])
+
+
 def test_bounds_full_sweep_and_csv_shape(tmp_path):
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
     out = tmp_path / "rows.csv"
