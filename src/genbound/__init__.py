@@ -40,7 +40,7 @@ from .suprema import (FiniteMetricSpace, ProcessSpec, Selector, ball_mass,
 from .transport import (CostMatrix, EmbeddedSupport, Geodesic, GeodesicPoint,
                         TransportPlan, consecutive_couplings, diagonal_plan,
                         displacement_interpolation, euclidean_cost, geodesic,
-                        product_plan, wasserstein)
+                        product_plan, wasserstein, wasserstein_batch)
 from .verify import (SuiteResult, run_golden_suite, run_lemma_suite,
                      run_psi_suite, run_suite, run_transport_suite)
 

@@ -32,9 +32,9 @@ from .learning import (Algorithm, LearningProblem, delta_bound, draw_pairs, exac
                        expected_gen, subgaussian_sigma, supersample_joint)
 from .measures import FiniteMeasure, MarkovKernel, mutual_information
 from .orlicz import psi_inv
-# plans come from LearningProblem.w2_plan; perfbench/smoke.py reads bounds.wasserstein
+# plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
 from .transport import (DEDUP_DECIMALS, EmbeddedSupport, TransportPlan,  # noqa: F401
-                        euclidean_cost, product_plan, wasserstein)
+                        euclidean_cost, wasserstein)
 
 COMPONENT_TOL = 1e-9
 
@@ -226,34 +226,32 @@ def bound_cmi(prob: LearningProblem, alg: Algorithm) -> BoundReport:
 # coupling bounds
 # ---------------------------------------------------------------------------
 
-def optimal_couplings(prob: LearningProblem, alg: Algorithm,
-                      q_w: FiniteMeasure) -> list[TransportPlan]:
-    """Per-sample W_2-optimal plan between the posterior row and q_w.
+def optimal_couplings(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure) -> np.ndarray:
+    """Per-sample W_2-optimal plans pi[s] between the posterior row and q_w.
 
     Falls back to product couplings without an embedding. Plans come from
-    the problem's plan cache, so each distinct row is solved once.
+    the problem's plan table, so each distinct row is solved once.
     """
-    rows = [FiniteMeasure(row) for row in alg.matrix]
     if prob.embedding is None:
-        return [product_plan(row, q_w) for row in rows]
-    return [prob.w2_plan(row, q_w)[1] for row in rows]
+        return alg.matrix[:, :, None] * q_w.weights[None, None, :]
+    return prob.w2_plans(alg.matrix, q_w)[1]
 
 
 def _coupling_arrays(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure,
                      couplings) -> np.ndarray:
     S, N = prob.num_samples, prob.num_hypotheses
-    arr = np.empty((S, N, N))
     if len(couplings) != S:
         raise ConfigurationError("need one coupling per sample")
-    for s, plan in enumerate(couplings):
-        w = plan.weights if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
-        if w.shape != (N, N):
-            raise ConfigurationError("coupling shape mismatch")
-        if (np.abs(w.sum(axis=1) - alg.matrix[s]).max() > 1e-9
-                or np.abs(w.sum(axis=0) - q_w.weights).max() > 1e-9):
-            raise ConfigurationError(f"coupling at sample {s} has wrong marginals")
-        arr[s] = w
-    return arr
+    arrays = [np.asarray(c.weights if isinstance(c, TransportPlan) else c, dtype=float)
+              for c in couplings]
+    if any(w.shape != (N, N) for w in arrays):
+        raise ConfigurationError("coupling shape mismatch")
+    pi = np.stack(arrays)
+    bad = ((np.abs(pi.sum(axis=2) - alg.matrix).max(axis=1) > 1e-9)
+           | (np.abs(pi.sum(axis=1) - q_w.weights).max(axis=1) > 1e-9))
+    if bad.any():
+        raise ConfigurationError(f"coupling at sample {int(np.argmax(bad))} has wrong marginals")
+    return pi
 
 
 def _coupling_and_reference(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | None,
@@ -590,11 +588,10 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm) -> BoundRe
     atom = np.unique(key, axis=0, return_inverse=True)[1].reshape(-1)
     merge = np.eye(atom.max() + 1)[atom]  # (hypothesis, atom) one-hot
 
-    w2 = np.zeros(prob.num_samples)
-    plans = np.zeros((prob.num_samples, merge.shape[1], merge.shape[1]))
-    for s in np.nonzero(p_s > 0)[0]:
-        w2[s], plan = prob.w2_plan(FiniteMeasure(alg.matrix[s]), q_w)
-        plans[s] = merge.T @ plan.weights @ merge
+    live = p_s > 0
+    dist, plan_stack = prob.w2_plans(alg.matrix, q_w)
+    w2 = np.where(live, dist, 0.0)
+    plans = np.where(live[:, None, None], merge.T @ plan_stack @ merge, 0.0)
     mix = np.einsum("s,sab->ab", p_s, plans)
     div = rel_entr(plans, mix[None]).sum(axis=(1, 2))
     expected_w2 = float(p_s @ w2)

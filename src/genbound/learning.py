@@ -22,7 +22,7 @@ from . import mc
 from .errors import ConfigurationError, DomainError, read_field
 from .measures import FiniteMeasure, JointMeasure, MarkovKernel
 from .orlicz import DiscreteRandomVariable, orlicz_norm
-from .transport import EmbeddedSupport, TransportPlan, euclidean_cost, wasserstein
+from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
 
 ENUMERATION_CAP = 10**6
 
@@ -168,22 +168,31 @@ class LearningProblem:
         return out
 
     @cached_property
-    def _w2_plans(self) -> dict:
+    def _w2_tables(self) -> dict:
         return {}
 
-    def w2_plan(self, source: FiniteMeasure, target: FiniteMeasure) -> tuple[float, TransportPlan]:
-        """W_2 distance and optimal plan between two laws on the embedding.
+    def w2_plans(self, matrix: np.ndarray, target: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
+        """W_2 distances (S,) and optimal plans (S, N, N) from each row of an
+        (S, N) posterior matrix to `target` on the embedding.
 
-        Each pair of weight vectors is solved once per problem; the coupling
-        and geodesic bounds all read their plans from here.
+        The distinct rows are solved as one batch, once per (matrix, target)
+        per problem; the coupling and geodesic bounds all read this table.
         """
         if self.embedding is None:
-            raise ConfigurationError("w2_plan: problem has no embedding")
-        key = (source.weights.tobytes(), target.weights.tobytes())
-        if key not in self._w2_plans:
+            raise ConfigurationError("w2_plans: problem has no embedding")
+        if matrix.shape != (self.num_samples, self.num_hypotheses):
+            raise ConfigurationError("w2_plans: matrix must be (samples, hypotheses)")
+        key = (matrix.tobytes(), target.weights.tobytes())
+        if key not in self._w2_tables:
+            rows, inverse = np.unique(matrix, axis=0, return_inverse=True)
             cost = euclidean_cost(self.embedding, self.embedding)
-            self._w2_plans[key] = wasserstein(source, target, cost, p=2.0)
-        return self._w2_plans[key]
+            solved = wasserstein_batch([(FiniteMeasure(r), target, cost) for r in rows], p=2.0)
+            inverse = inverse.reshape(-1)
+            dist = np.array([d for d, _ in solved])[inverse]
+            plans = np.stack([plan.weights for _, plan in solved])[inverse]
+            dist.flags.writeable = plans.flags.writeable = False
+            self._w2_tables[key] = (dist, plans)
+        return self._w2_tables[key]
 
     def sample_index(self, sample) -> int:
         digits = np.asarray(sample, dtype=np.int64)

@@ -2,7 +2,7 @@
 
 Distances come from a linear program solved with HiGHS; at the package's
 desk scale (<= 64 atoms a side) that is exact, deterministic, and returns a
-vertex plan. Geodesics are displacement interpolations of an optimal plan
+vertex plan. Many pairs are solved together as the blocks of one LP. Geodesics are displacement interpolations of an optimal plan
 between two measures sharing one Euclidean support.
 """
 
@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, DomainError, UnsupportedGeometryError
@@ -21,6 +22,9 @@ from .measures import FiniteMeasure
 
 PLAN_MARGINAL_TOL = 1e-9
 DEDUP_DECIMALS = 12
+# HiGHS takes about 1.2 kB per LP variable, and past 2**11 variables an LP
+# solves barely faster per variable, so batches are cut there to bound memory
+LP_CHUNK_VARS = 2**11
 
 
 @dataclass(frozen=True)
@@ -122,34 +126,71 @@ def diagonal_plan(mu: FiniteMeasure) -> TransportPlan:
 
 def wasserstein(mu: FiniteMeasure, nu: FiniteMeasure, cost: CostMatrix,
                 p: float = 1.0) -> tuple[float, TransportPlan]:
-    """W_p distance and an optimal plan, by exact LP.
+    """W_p distance and an optimal plan, by exact LP (one block of wasserstein_batch)."""
+    return wasserstein_batch([(mu, nu, cost)], p)[0]
 
-    Minimizes <pi, cost^p> over couplings of (mu, nu) and returns the p-th
-    root. HiGHS is run at its tightest accepted feasibility tolerance (1e-10,
-    inside PLAN_MARGINAL_TOL) so the returned plan passes its own validation.
+
+def wasserstein_batch(pairs, p: float = 1.0) -> list[tuple[float, TransportPlan]]:
+    """W_p distance and an optimal plan for every (mu, nu, cost) in `pairs`.
+
+    Each pair minimizes <pi, cost^p> over couplings of (mu, nu). The pairs are
+    independent blocks of one block-diagonal LP, so a whole batch costs one
+    HiGHS call per LP_CHUNK_VARS variables instead of one call per pair; the
+    fixed cost of a call dwarfs the solve at these sizes. HiGHS is run at its
+    tightest accepted feasibility tolerance (1e-10, inside PLAN_MARGINAL_TOL)
+    so every returned plan passes its own validation.
     """
     if p < 1.0:
         raise DomainError(f"wasserstein: p >= 1 required, got {p}")
-    m, n = mu.support_size, nu.support_size
-    if cost.entries.shape != (m, n):
-        raise ConfigurationError("wasserstein: cost shape does not match supports")
-    c = (cost.entries**p).ravel()
-    # the transportation system has rank m + n - 1; keeping all m + n rows
-    # makes HiGHS presolve declare instances with atoms below its feasibility
-    # tolerance infeasible, so the redundant last column constraint is dropped
-    a_eq = np.zeros((m + n - 1, m * n))
-    for i in range(m):
-        a_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n - 1):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    pairs = list(pairs)
+    out: list[tuple[float, TransportPlan]] = []
+    lo = 0
+    while lo < len(pairs):
+        hi, size = lo + 1, pairs[lo][2].entries.size
+        while hi < len(pairs) and size + pairs[hi][2].entries.size <= LP_CHUNK_VARS:
+            size += pairs[hi][2].entries.size
+            hi += 1
+        out.extend(_solve_blocks(pairs[lo:hi], p))
+        lo = hi
+    return out
+
+
+def _solve_blocks(pairs, p: float) -> list[tuple[float, TransportPlan]]:
+    # the transportation system of an m x n block has rank m + n - 1; keeping
+    # all m + n rows makes HiGHS presolve declare instances with atoms below
+    # its feasibility tolerance infeasible, so each block drops its redundant
+    # last column constraint
+    costs, rows, cols, b_eq = [], [], [], []
+    row0 = col0 = 0
+    for mu, nu, cost in pairs:
+        m, n = mu.support_size, nu.support_size
+        if cost.entries.shape != (m, n):
+            raise ConfigurationError("wasserstein: cost shape does not match supports")
+        var = np.arange(m * n)
+        i, j = np.divmod(var, n)
+        keep = j < n - 1
+        rows += [row0 + i, row0 + m + j[keep]]
+        cols += [col0 + var, col0 + var[keep]]
+        costs.append((cost.entries**p).ravel())
+        b_eq += [mu.weights, nu.weights[:-1]]
+        row0 += m + n - 1
+        col0 += m * n
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    a_eq = csr_array((np.ones(rows.size), (rows, cols)), shape=(row0, col0))
+    res = linprog(np.concatenate(costs), A_eq=a_eq, b_eq=np.concatenate(b_eq), bounds=(0.0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
     if not res.success:
-        raise ConfigurationError(f"wasserstein: LP failed: {res.message}")
-    plan = TransportPlan(res.x.reshape(m, n), mu, nu)
-    return float(res.fun) ** (1.0 / p), plan
+        # a transport LP between validated measures is feasible and bounded
+        raise RuntimeError(f"wasserstein: LP failed: {res.message}")
+    out, col0 = [], 0
+    for (mu, nu, cost), c_block in zip(pairs, costs):
+        x = res.x[col0:col0 + c_block.size]
+        col0 += c_block.size
+        plan = TransportPlan(x.reshape(cost.entries.shape), mu, nu)
+        # round-off in x can leave a zero optimum a hair below 0
+        out.append((max(float(c_block @ x), 0.0) ** (1.0 / p), plan))
+    return out
 
 
 # ---------------------------------------------------------------------------

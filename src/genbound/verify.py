@@ -9,6 +9,7 @@ every quantity here is a finite sum.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -21,7 +22,9 @@ from .measures import (FiniteMeasure, JointMeasure, MarkovKernel,
                        kl_divergence, mutual_information)
 from .orlicz import (StepFunction, check_psi_kl, check_psi_properties,
                      check_sum_to_integral, decorrelation_terms)
-from .transport import EmbeddedSupport, euclidean_cost, geodesic, wasserstein
+# perfbench/smoke.py reads verify.wasserstein
+from .transport import (EmbeddedSupport, euclidean_cost, geodesic, wasserstein,  # noqa: F401
+                        wasserstein_batch)
 
 DEFAULT_TOL = 1e-12
 
@@ -216,48 +219,62 @@ def run_transport_suite(trials: int, seed: int, tol: float = 1e-6) -> SuiteResul
     checks and relative (to the endpoint distance) for constant speed.
     """
     gen = mc.substream(seed, 3)
-    worst = _Worst()
-    for i in range(trials):
+    draws = []
+    for _ in range(trials):
         size = int(gen.integers(2, 7))
         dim = int(gen.integers(1, 4))
         emb = EmbeddedSupport(gen.normal(0.0, 1.0, size=(size, dim)))
-        cost = euclidean_cost(emb, emb)
         mu = _random_measure(gen, size)
         nu = _random_measure(gen, size)
         kappa = _random_measure(gen, size)
         p = float(gen.choice((1.0, 2.0)))
+        times = np.linspace(0.0, 1.0, int(gen.integers(3, 6)))
+        draws.append((emb, mu, nu, kappa, p, times))
+
+    # every LP but the geodesics' own goes into one batch per p: per trial,
+    # five metric LPs at its p, then one W_2 LP per pair of geodesic times
+    batches: dict = {1.0: [], 2.0: []}
+    slots = []
+    for emb, mu, nu, kappa, p, times in draws:
+        geo = geodesic(mu, nu, emb, times)
+        cost = euclidean_cost(emb, emb)
+        metric = len(batches[p])
+        batches[p] += [(a, b, cost)
+                       for a, b in ((mu, mu), (mu, nu), (nu, mu), (mu, kappa), (kappa, nu))]
+        segments = len(batches[2.0])
+        batches[2.0] += [_segment_lp(geo.points[a], geo.points[b])
+                         for a, b in itertools.combinations(range(len(times)), 2)]
+        slots.append((geo, metric, segments))
+    solved = {p: wasserstein_batch(pairs, p) for p, pairs in batches.items()}
+
+    worst = _Worst()
+    for i, (draw, (geo, metric, segments)) in enumerate(zip(draws, slots)):
+        emb, mu, nu, kappa, p, times = draw
         case = {"trial": i, "p": p, "points": emb.points.tolist(),
                 "mu": mu.weights.tolist(), "nu": nu.weights.tolist()}
-
-        d_self, _ = wasserstein(mu, mu, cost, p)
+        (d_self, _), (d_uv, plan), (d_vu, _), (d_uk, _), (d_kv, _) = solved[p][metric:metric + 5]
         worst.update(abs(d_self), {**case, "side": "identity"})
-        d_uv, plan = wasserstein(mu, nu, cost, p)
-        d_vu, _ = wasserstein(nu, mu, cost, p)
         worst.update(abs(d_uv - d_vu), {**case, "side": "symmetry"})
-        d_uk, _ = wasserstein(mu, kappa, cost, p)
-        d_kv, _ = wasserstein(kappa, nu, cost, p)
         worst.update(d_uv - (d_uk + d_kv), {**case, "side": "triangle"})
         worst.update(np.abs(plan.weights.sum(axis=1) - mu.weights).max(),
                      {**case, "side": "marginal_src"})
         worst.update(np.abs(plan.weights.sum(axis=0) - nu.weights).max(),
                      {**case, "side": "marginal_dst"})
-
-        times = np.linspace(0.0, 1.0, int(gen.integers(3, 6)))
-        geo = geodesic(mu, nu, emb, times)
-        for a in range(len(times)):
-            for b in range(a + 1, len(times)):
-                pa, pb = geo.points[a], geo.points[b]
-                pooled = np.vstack([pa.support.points, pb.support.points])
-                big = EmbeddedSupport(pooled)
-                seg_cost = euclidean_cost(big, big)
-                wa = np.concatenate([pa.measure.weights, np.zeros(pb.measure.support_size)])
-                wb = np.concatenate([np.zeros(pa.measure.support_size), pb.measure.weights])
-                d_ab, _ = wasserstein(FiniteMeasure(wa), FiniteMeasure(wb), seg_cost, 2.0)
-                target = (times[b] - times[a]) * geo.distance
-                rel = abs(d_ab - target) / max(1.0, geo.distance)
-                worst.update(rel, {**case, "side": "constant_speed",
-                                   "pair": [float(times[a]), float(times[b])]})
+        pairs = itertools.combinations(range(len(times)), 2)
+        for (a, b), (d_ab, _) in zip(pairs, solved[2.0][segments:]):
+            target = (times[b] - times[a]) * geo.distance
+            rel = abs(d_ab - target) / max(1.0, geo.distance)
+            worst.update(rel, {**case, "side": "constant_speed",
+                               "pair": [float(times[a]), float(times[b])]})
     return worst.result("transport", trials, tol)
+
+
+def _segment_lp(pa, pb) -> tuple:
+    """W_2 LP between two geodesic points, on their pooled support."""
+    big = EmbeddedSupport(np.vstack([pa.support.points, pb.support.points]))
+    wa = np.concatenate([pa.measure.weights, np.zeros(pb.measure.support_size)])
+    wb = np.concatenate([np.zeros(pa.measure.support_size), pb.measure.weights])
+    return FiniteMeasure(wa), FiniteMeasure(wb), euclidean_cost(big, big)
 
 
 SUITES = {"lemma": run_lemma_suite, "psi": run_psi_suite,

@@ -18,7 +18,7 @@ from genbound import (ChainSpec, ConfigurationError, DiscreteRandomVariable,
                       optimal_couplings, orlicz_norm, subgaussian_sigma,
                       tail_pac_bayes, tail_pointwise_check, tail_transductive)
 from genbound.bounds import _coupling_and_reference, _coupling_arrays, _psi2_inv_ratio
-from genbound.transport import displacement_interpolation
+from genbound.transport import TransportPlan, displacement_interpolation
 
 from conftest import algorithm_family, random_problem
 
@@ -424,10 +424,13 @@ def test_problem_tables_are_cached_and_read_only(small_problem, gibbs_alg):
         assert getattr(prob, name) is table
         assert not table.flags.writeable
     q_w = hypothesis_marginal(prob, gibbs_alg)
-    row = FiniteMeasure(gibbs_alg.matrix[0])
-    assert prob.w2_plan(row, q_w) is prob.w2_plan(FiniteMeasure(gibbs_alg.matrix[0]), q_w)
-    plans = optimal_couplings(prob, gibbs_alg, q_w)
-    assert plans[0] is prob.w2_plan(row, q_w)[1]
+    table = prob.w2_plans(gibbs_alg.matrix, q_w)
+    assert prob.w2_plans(gibbs_alg.matrix.copy(), hypothesis_marginal(prob, gibbs_alg)) is table
+    dist, plans = table
+    assert dist.shape == (prob.num_samples,)
+    assert plans.shape == (prob.num_samples, prob.num_hypotheses, prob.num_hypotheses)
+    assert not dist.flags.writeable and not plans.flags.writeable
+    assert optimal_couplings(prob, gibbs_alg, q_w) is plans
 
 
 @pytest.mark.parametrize("partitions", [
@@ -584,10 +587,11 @@ def step_registry_geodesic(prob, alg, steps):
     p_s = prob.sample_probs
     times = np.linspace(0.0, 1.0, steps + 1)
     live = np.nonzero(p_s > 0)[0]
+    dist, plans = prob.w2_plans(alg.matrix, q_w)
     geos = {}
     for s in live:
-        dist, plan = prob.w2_plan(FiniteMeasure(alg.matrix[s]), q_w)
-        geos[s] = displacement_interpolation(plan, dist, prob.embedding, times)
+        plan = TransportPlan(plans[s], FiniteMeasure(alg.matrix[s]), q_w)
+        geos[s] = displacement_interpolation(plan, dist[s], prob.embedding, times)
     expected_w2 = float(sum(p_s[s] * geos[s].distance for s in live))
     step_sum = 0.0
     for k in range(1, steps + 1):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from genbound import (FiniteMeasure, algorithm_from_json, cli, mc, problem_from_json,
                       transport)
@@ -159,23 +160,55 @@ def test_bounds_mc_noise_is_not_a_violation(tmp_path, small_problem):
             assert row["mode"] == "mc" and float(row["rhs"]) == 0.0
 
 
-def test_bounds_solve_one_lp_per_distinct_posterior_row(tmp_path, monkeypatch):
+def count_linprog_calls(monkeypatch) -> list:
+    """Patch transport.linprog to record the variable count of every call."""
+    calls = []
+    linprog = transport.linprog
+
+    def counted(c, *args, **kwargs):
+        calls.append(len(c))
+        return linprog(c, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counted)
+    return calls
+
+
+def test_bounds_solve_one_lp_per_target_law(tmp_path, monkeypatch):
     entry = problem_entry(seed=5)
     prob = problem_from_json(entry)
     alg = algorithm_from_json(prob, entry["algorithm"])
     rows = {FiniteMeasure(row).weights.tobytes() for row in alg.matrix}
-    calls = []
-    linprog = transport.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(transport, "linprog", counted)
+    calls = count_linprog_calls(monkeypatch)
     cfg = write_config(tmp_path, {"problems": [entry]})
     assert cli.main(["bounds", "--config", cfg, "--bounds", "coupling,chain,wass",
                      "--out", str(tmp_path / "rows.csv")]) == 0
-    assert len(calls) == len(rows)
+    assert calls == [len(rows) * prob.num_hypotheses**2]
+
+
+def test_verify_transport_batches_its_lps(monkeypatch, capsys):
+    calls = count_linprog_calls(monkeypatch)
+    trials = 4
+    assert cli.main(["verify", "--suite", "transport", "--trials", str(trials),
+                     "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    # one LP per geodesic, then one batch per p, cut into chunks that hold
+    # more than half of LP_CHUNK_VARS each, except the last of each batch
+    batched = calls[trials:]
+    assert 0 < len(batched) <= 2 + sum(batched) // (transport.LP_CHUNK_VARS // 2)
+    assert max(batched) <= transport.LP_CHUNK_VARS
+
+
+def test_lp_solver_failure_is_not_an_input_error(tmp_path, monkeypatch):
+    # a transport LP between validated measures is always feasible, so a
+    # failed solve is a fault of the program, not exit 2 for bad input
+    def failing(*args, **kwargs):
+        return OptimizeResult(success=False, status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(transport, "linprog", failing)
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    with pytest.raises(RuntimeError, match="LP failed"):
+        cli.main(["bounds", "--config", cfg, "--bounds", "wass",
+                  "--out", str(tmp_path / "rows.csv")])
 
 
 def test_bounds_repeat_runs_are_byte_identical(tmp_path):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import linprog
+
 from genbound import (ConfigurationError, EmbeddedSupport, FiniteMeasure,
                       TransportPlan, consecutive_couplings, diagonal_plan,
-                      displacement_interpolation, euclidean_cost, geodesic,
-                      product_plan, run_transport_suite, wasserstein)
+                      displacement_interpolation, euclidean_cost, geodesic, mc,
+                      product_plan, run_transport_suite, transport, verify,
+                      wasserstein, wasserstein_batch)
 from genbound.transport import PLAN_MARGINAL_TOL
 
 
@@ -203,3 +206,129 @@ def test_displacement_interpolation_of_the_lp_plan_is_the_geodesic():
         assert np.array_equal(a.support.points, b.support.points)
     with pytest.raises(ConfigurationError):
         displacement_interpolation(plan, dist, line(0.0, 1.0), times)
+
+
+def dense_wasserstein(mu, nu, cost, p):
+    """Reference: one LP per pair with a dense A_eq, the redundant last column
+    constraint dropped; the distance is the solver's objective to the 1/p."""
+    m, n = mu.support_size, nu.support_size
+    a_eq = np.zeros((m + n - 1, m * n))
+    for i in range(m):
+        a_eq[i, i * n:(i + 1) * n] = 1.0
+    for j in range(n - 1):
+        a_eq[m + j, j::n] = 1.0
+    b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
+    res = linprog((cost.entries**p).ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return float(res.fun) ** (1.0 / p)
+
+
+def mixed_batch(gen, count):
+    """Pairs of unequal sizes, 1-atom measures and zero-mass atoms included."""
+    pairs = []
+    for k in range(count):
+        m, n = (1, 1) if k == 0 else (int(gen.integers(1, 7)), int(gen.integers(1, 7)))
+        dim = int(gen.integers(1, 4))
+        a = EmbeddedSupport(gen.normal(size=(m, dim)))
+        b = EmbeddedSupport(gen.normal(size=(n, dim)))
+        wa, wb = gen.dirichlet(np.ones(m)), gen.dirichlet(np.ones(n))
+        if m > 1 and k % 3 == 0:
+            wa[gen.integers(0, m)] = 0.0
+        if n > 1 and k % 4 == 1:
+            wb[gen.integers(0, n)] = 0.0
+        pairs.append((FiniteMeasure(wa / wa.sum()), FiniteMeasure(wb / wb.sum()),
+                      euclidean_cost(a, b)))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_wasserstein_batch_matches_one_dense_lp_per_pair(p):
+    pairs = mixed_batch(np.random.default_rng(int(10 * p)), 40)
+    solved = wasserstein_batch(pairs, p)
+    assert len(solved) == len(pairs)
+    for (mu, nu, cost), (d, plan) in zip(pairs, solved):
+        assert abs(d - dense_wasserstein(mu, nu, cost, p)) <= 1e-12
+        assert plan.weights.shape == cost.entries.shape
+        assert np.abs(plan.weights.sum(axis=1) - mu.weights).max() <= PLAN_MARGINAL_TOL
+        assert np.abs(plan.weights.sum(axis=0) - nu.weights).max() <= PLAN_MARGINAL_TOL
+        assert wasserstein(mu, nu, cost, p)[0] == pytest.approx(d, abs=1e-12)
+
+
+def test_wasserstein_batch_splits_large_batches(monkeypatch):
+    pairs = mixed_batch(np.random.default_rng(5), 30)
+    whole = wasserstein_batch(pairs, 2.0)
+    calls = []
+    linprog_ = transport.linprog
+
+    def counted(c, *args, **kwargs):
+        calls.append(len(c))
+        return linprog_(c, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counted)
+    monkeypatch.setattr(transport, "LP_CHUNK_VARS", 64)
+    split = wasserstein_batch(pairs, 2.0)
+    assert len(calls) > 1 and sum(calls) == sum(c.entries.size for _, _, c in pairs)
+    assert max(calls) <= 64
+    for (d1, _), (d2, _) in zip(whole, split):
+        assert abs(d1 - d2) <= 1e-12
+    calls.clear()
+    assert wasserstein_batch([], 2.0) == [] and calls == []
+
+
+def per_lp_transport_suite(trials, seed, tol=1e-6):
+    """Reference: the transport suite with one LP per wasserstein call, each
+    trial's checks made as soon as its LPs are solved."""
+    gen = mc.substream(seed, 3)
+    worst = verify._Worst()
+    for i in range(trials):
+        size = int(gen.integers(2, 7))
+        dim = int(gen.integers(1, 4))
+        emb = EmbeddedSupport(gen.normal(0.0, 1.0, size=(size, dim)))
+        cost = euclidean_cost(emb, emb)
+        mu = verify._random_measure(gen, size)
+        nu = verify._random_measure(gen, size)
+        kappa = verify._random_measure(gen, size)
+        p = float(gen.choice((1.0, 2.0)))
+        case = {"trial": i, "p": p, "points": emb.points.tolist(),
+                "mu": mu.weights.tolist(), "nu": nu.weights.tolist()}
+
+        d_self, _ = wasserstein(mu, mu, cost, p)
+        worst.update(abs(d_self), {**case, "side": "identity"})
+        d_uv, plan = wasserstein(mu, nu, cost, p)
+        d_vu, _ = wasserstein(nu, mu, cost, p)
+        worst.update(abs(d_uv - d_vu), {**case, "side": "symmetry"})
+        d_uk, _ = wasserstein(mu, kappa, cost, p)
+        d_kv, _ = wasserstein(kappa, nu, cost, p)
+        worst.update(d_uv - (d_uk + d_kv), {**case, "side": "triangle"})
+        worst.update(np.abs(plan.weights.sum(axis=1) - mu.weights).max(),
+                     {**case, "side": "marginal_src"})
+        worst.update(np.abs(plan.weights.sum(axis=0) - nu.weights).max(),
+                     {**case, "side": "marginal_dst"})
+
+        times = np.linspace(0.0, 1.0, int(gen.integers(3, 6)))
+        geo = geodesic(mu, nu, emb, times)
+        for a in range(len(times)):
+            for b in range(a + 1, len(times)):
+                pa, pb = geo.points[a], geo.points[b]
+                pooled = np.vstack([pa.support.points, pb.support.points])
+                big = EmbeddedSupport(pooled)
+                seg_cost = euclidean_cost(big, big)
+                wa = np.concatenate([pa.measure.weights, np.zeros(pb.measure.support_size)])
+                wb = np.concatenate([np.zeros(pa.measure.support_size), pb.measure.weights])
+                d_ab, _ = wasserstein(FiniteMeasure(wa), FiniteMeasure(wb), seg_cost, 2.0)
+                target = (times[b] - times[a]) * geo.distance
+                rel = abs(d_ab - target) / max(1.0, geo.distance)
+                worst.update(rel, {**case, "side": "constant_speed",
+                                   "pair": [float(times[a]), float(times[b])]})
+    return worst.result("transport", trials, tol)
+
+
+@pytest.mark.parametrize("seed", list(range(32)) + [384069])
+def test_batched_transport_suite_matches_the_per_lp_suite(seed):
+    got, want = run_transport_suite(4, seed), per_lp_transport_suite(4, seed)
+    assert got.passed == want.passed
+    assert got.checks == want.checks
+    assert got.worst_case_input == want.worst_case_input
+    assert abs(got.max_violation - want.max_violation) <= 1e-12
