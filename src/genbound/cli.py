@@ -246,7 +246,7 @@ def cmd_ft(args) -> int:
             mu = FiniteMeasure.uniform(space.size)
         else:
             mu, _ = sup.optimize_mu(FiniteMeasure.uniform(space.size), space, p,
-                                    method=args.mu_mode, seed=seed)
+                                    method=args.mu_mode)
         bound = sup.ft_sup_bound(mu, space, p)
         est, stderr = sup.expected_sup_mc(proc, space, sup.Selector("argmax"),
                                           args.mc_samples, seed, workers=args.workers)

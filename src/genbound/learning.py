@@ -159,11 +159,9 @@ class LearningProblem:
         N = self.num_hypotheses
         law = FiniteMeasure(self.sample_probs)
         out = np.zeros((N, N))
-        for u in range(N):
-            for v in range(N):
-                if u != v:
-                    sums = self.n * (self.gen_matrix[v] - self.gen_matrix[u])
-                    out[u, v] = orlicz_norm(DiscreteRandomVariable(sums, law), 2.0)
+        for u, v in zip(*np.triu_indices(N, 1)):  # the norm of -X is the norm of X
+            sums = self.n * (self.gen_matrix[v] - self.gen_matrix[u])
+            out[u, v] = out[v, u] = orlicz_norm(DiscreteRandomVariable(sums, law), 2.0)
         out.flags.writeable = False
         return out
 
@@ -300,14 +298,13 @@ def algorithm_from_json(prob: LearningProblem, obj) -> Algorithm:
 # exact joints and expectations
 # ---------------------------------------------------------------------------
 
-def exact_joint(prob: LearningProblem, alg: Algorithm,
-                cap: int = ENUMERATION_CAP) -> JointMeasure:
+def exact_joint(prob: LearningProblem, alg: Algorithm) -> JointMeasure:
     """Joint law of (sample index, hypothesis index); m^n * N cells, capped."""
     _check_alg_shape(prob, alg.kernel)
     cells = prob.num_samples * prob.num_hypotheses
-    if cells > cap:
-        raise ConfigurationError(
-            f"exact_joint: {cells} cells exceed the cap {cap}; use the Monte Carlo path")
+    if cells > ENUMERATION_CAP:
+        raise ConfigurationError(f"exact_joint: {cells} cells exceed the cap "
+                                 f"{ENUMERATION_CAP}; use the Monte Carlo path")
     return JointMeasure(prob.sample_probs[:, None] * alg.matrix)
 
 
@@ -339,7 +336,7 @@ def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, block: int,
 
 def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
                  samples: int | None = None, seed: int | None = None,
-                 workers: int = 1, cap: int = ENUMERATION_CAP) -> GenEstimate:
+                 workers: int = 1) -> GenEstimate:
     """E[gen] and E|gen| over the joint of (sample, hypothesis).
 
     mode="exact" enumerates; mode="mc" averages gen over counter-based
@@ -348,7 +345,7 @@ def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
     """
     _check_alg_shape(prob, alg.kernel)
     if mode == "exact":
-        if prob.num_samples * prob.num_hypotheses > cap:
+        if prob.num_samples * prob.num_hypotheses > ENUMERATION_CAP:
             raise ConfigurationError("expected_gen: cap exceeded; use mode='mc'")
         joint = prob.sample_probs[:, None] * alg.matrix
         signed = float((joint * prob.gen_matrix.T).sum())
@@ -444,17 +441,16 @@ class SupersampleLaw:
         return np.sqrt((delta[train, ghost] ** 2).sum(axis=1))
 
 
-def supersample_joint(prob: LearningProblem, alg: Algorithm,
-                      cap: int = ENUMERATION_CAP) -> SupersampleLaw:
+def supersample_joint(prob: LearningProblem, alg: Algorithm) -> SupersampleLaw:
     """Exact supersample law: ghost/train pair, independent uniform signs,
     hypothesis drawn from the algorithm fed with the sign-selected mix."""
     _check_alg_shape(prob, alg.kernel)
     S = prob.num_samples
     n_signs = 2**prob.n
     cells = S * S * n_signs * prob.num_hypotheses
-    if cells > cap:
+    if cells > ENUMERATION_CAP:
         raise ConfigurationError(
-            f"supersample_joint: {cells} cells exceed the cap {cap}")
+            f"supersample_joint: {cells} cells exceed the cap {ENUMERATION_CAP}")
 
     signs = np.array(list(itertools.product((-1, 1), repeat=prob.n)), dtype=np.int64)
     powers = prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64)

@@ -20,11 +20,11 @@ def substream(seed: int, task: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_sizes(samples: int, block: int = BLOCK) -> list[int]:
+def block_sizes(samples: int) -> list[int]:
     if samples <= 0:
         raise ValueError("samples must be positive")
-    full, rem = divmod(samples, block)
-    return [block] * full + ([rem] if rem else [])
+    full, rem = divmod(samples, BLOCK)
+    return [BLOCK] * full + ([rem] if rem else [])
 
 
 def run_blocks(fn, n_tasks: int, workers: int = 1) -> list:

@@ -24,21 +24,28 @@ NEG_TOL = 1e-12
 
 
 def _clean_weights(w, what: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
+    """Validate probability vectors along the last axis in one pass; an error
+    on a stack of rows names the first bad row."""
+    w = np.ascontiguousarray(w, dtype=float)
     if w.size == 0:
         raise ConfigurationError(f"{what}: empty support")
-    if not np.all(np.isfinite(w)):
-        raise ConfigurationError(f"{what}: non-finite weights")
-    if w.min() < -NEG_TOL:
-        raise ConfigurationError(f"{what}: negative weight {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if abs(total - 1.0) > DRIFT_TOL:
-        raise ConfigurationError(f"{what}: mass {total!r} drifts from 1 beyond {DRIFT_TOL}")
-    if total != 1.0:
-        w = w / total
-    w.flags.writeable = False
-    return w
+    rows = w.reshape(-1, w.shape[-1])
+    low = rows.min(axis=1)
+    rows = np.maximum(rows, 0.0)
+    total = rows.sum(axis=1)  # not finite for a row with nan or +inf entries
+    drift = np.abs(total - 1.0)
+    if not (drift.max() <= DRIFT_TOL and low.min() >= -NEG_TOL):  # also taken on nan
+        for bad, text in ((~np.isfinite(total) | np.isneginf(low), lambda i: "non-finite weights"),
+                          (low < -NEG_TOL, lambda i: f"negative weight {low[i]:.3e}"),
+                          (drift > DRIFT_TOL, lambda i: f"mass {float(total[i])!r} drifts "
+                                                        f"from 1 beyond {DRIFT_TOL}")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                where = what if w.ndim == 1 else f"{what} row {i}"
+                raise ConfigurationError(f"{where}: {text(i)}")
+    out = (rows / total[:, None]).reshape(w.shape)  # x / 1.0 is x, bit for bit
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,19 +95,17 @@ class MarkovKernel:
     matrix: np.ndarray
 
     def __init__(self, rows) -> None:
-        if isinstance(rows, np.ndarray) and rows.ndim == 2:
-            mat = np.stack([_clean_weights(r, "MarkovKernel row") for r in rows])
+        rows = rows if isinstance(rows, np.ndarray) else list(rows)
+        if len(rows) == 0:
+            raise ConfigurationError("MarkovKernel: no rows")
+        if all(isinstance(r, FiniteMeasure) for r in rows):
+            if len({r.support_size for r in rows}) != 1:
+                raise ConfigurationError("MarkovKernel: rows have mixed support sizes")
+            mat = np.stack([r.weights for r in rows])  # validated already
         else:
-            rows = list(rows)
-            if not rows:
-                raise ConfigurationError("MarkovKernel: no rows")
-            if all(isinstance(r, FiniteMeasure) for r in rows):
-                sizes = {r.support_size for r in rows}
-                if len(sizes) != 1:
-                    raise ConfigurationError("MarkovKernel: rows have mixed support sizes")
-                mat = np.stack([r.weights for r in rows])
-            else:
-                mat = np.stack([_clean_weights(r, "MarkovKernel row") for r in rows])
+            mat = _clean_weights(np.asarray(rows, dtype=float), "MarkovKernel")
+        if mat.ndim != 2:
+            raise ConfigurationError("MarkovKernel: rows must be vectors")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

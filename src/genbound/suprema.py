@@ -8,9 +8,11 @@ Carlo enters only to estimate the expected supremum it must dominate.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +51,11 @@ class FiniteMetricSpace:
             raise ConfigurationError("FiniteMetricSpace: negative distance")
         d = np.maximum((d + d.T) / 2.0, 0.0)
         np.fill_diagonal(d, 0.0)
-        slack = d[:, None, :] + d[None, :, :] - d[:, :, None]  # d(u,w)+d(v,w)-d(u,v)
-        if slack.min() < -METRIC_TOL:
+        # slack[u, v, w] = d(u,w) + d(v,w) - d(u,v), streamed over rows u in
+        # blocks of at most 4 MiB, so with the sum's temporary at most 8 MiB live
+        step = max(1, 2**19 // d.size)
+        if min((d[lo:lo + step, None, :] + d[None, :, :] - d[lo:lo + step, :, None]).min()
+               for lo in range(0, d.shape[0], step)) < -METRIC_TOL:
             raise ConfigurationError("FiniteMetricSpace: triangle inequality fails")
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)
@@ -62,6 +67,16 @@ class FiniteMetricSpace:
     @property
     def diam(self) -> float:
         return float(self.dist.max())
+
+    @cached_property
+    def ball_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, lengths): order[t] sorts dist[t] stably; lengths[t, j] is the
+        next sorted radius (diam after the last) minus radius j, so a tie's
+        right-continuous ball mass sits on its last atom, the others get 0."""
+        order = np.argsort(self.dist, axis=1, kind="stable")
+        lengths = np.diff(np.take_along_axis(self.dist, order, axis=1), axis=1, append=self.diam)
+        order.flags.writeable = lengths.flags.writeable = False
+        return order, lengths
 
     def to_json(self) -> str:
         return json.dumps({"dist": self.dist.tolist()})
@@ -187,7 +202,7 @@ def _mu_weights(mu) -> np.ndarray:
     if isinstance(mu, FiniteMeasure):
         return mu.weights
     w = np.asarray(mu, dtype=float)
-    if w.ndim != 1 or w.min() < 0.0 or w.sum() > 1.0 + 1e-9:
+    if w.ndim != 1 or not (w.min() >= 0.0 and w.sum() <= 1.0 + 1e-9):  # rejects nan too
         raise ConfigurationError("mu must be a probability or subprobability vector")
     return w
 
@@ -204,41 +219,38 @@ def ball_mass(mu, space: FiniteMetricSpace, t: int, eps: float) -> float:
     return float(w[space.dist[t] <= eps].sum())
 
 
+def _center_integrals(mu, space: FiniteMetricSpace, p: float, caller: str) -> np.ndarray:
+    """(T,) step sums I_t = sum_j lengths[t, j] * max(log 1/M[t, j], 0)^{1/p},
+    M[t, j] the mu-mass of the ball of radius j around t; +inf for a center
+    whose mass-zero balls span a step of positive length."""
+    if p < 1.0:
+        raise DomainError(f"{caller}: p >= 1 required")
+    w = _mu_weights(mu)
+    if w.size != space.size:
+        raise ConfigurationError(f"{caller}: size mismatch")
+    order, lengths = space.ball_steps
+    masses = np.cumsum(w[order], axis=1)
+    live, empty = lengths > 0, masses <= 0.0
+    # cumsum rounding can push the full mass a hair above 1, which would
+    # send the log negative and the fractional power to nan
+    vals = np.maximum(np.log(1.0 / np.where(live & ~empty, masses, 1.0)), 0.0) ** (1.0 / p)
+    return np.where((live & empty).any(axis=1), np.inf, (lengths * vals).sum(axis=1))
+
+
 def majorizing_integral(mu, nu: FiniteMeasure, space: FiniteMetricSpace,
                         p: float) -> float:
     """sum_t nu_t * integral_0^diam (log 1/mu(B(t, eps)))^{1/p} d eps, exactly.
 
     The ball mass as a function of eps is a right-continuous step function
     jumping only at the distances from t, so each inner integral is a finite
-    sum over those breakpoints; +inf when a nu-atom sees mass-zero balls over
-    an interval of positive length.
+    sum over the steps of `space.ball_steps`; +inf when a nu-atom sees
+    mass-zero balls over an interval of positive length.
     """
-    if p < 1.0:
-        raise DomainError("majorizing_integral: p >= 1 required")
-    w = _mu_weights(mu)
-    if w.size != space.size or nu.support_size != space.size:
+    if nu.support_size != space.size:
         raise ConfigurationError("majorizing_integral: size mismatch")
-    diam = space.diam
-    if diam == 0.0:
-        return 0.0
-    total = 0.0
-    for t in np.nonzero(nu.weights > 0)[0]:
-        order = np.argsort(space.dist[t], kind="stable")
-        radii = space.dist[t][order]
-        masses = np.cumsum(w[order])  # mass of B(t, radii[j])
-        # collapse duplicate radii to their final (right-continuous) mass
-        keep = np.nonzero(np.diff(radii, append=np.inf) > 0)[0]
-        radii, masses = radii[keep], masses[keep]
-        upper = np.minimum(np.append(radii[1:], diam), diam)
-        lengths = np.maximum(upper - np.minimum(radii, diam), 0.0)
-        live = lengths > 0
-        if np.any(live & (masses <= 0.0)):
-            return float("inf")
-        # cumsum rounding can push the full mass a hair above 1, which would
-        # send the log negative and the fractional power to nan
-        vals = np.maximum(np.log(1.0 / masses[live]), 0.0) ** (1.0 / p)
-        total += float(nu.weights[t] * (lengths[live] @ vals))
-    return total
+    integrals = _center_integrals(mu, space, p, "majorizing_integral")
+    seen = nu.weights > 0
+    return float(nu.weights[seen] @ integrals[seen])
 
 
 def ft_bound(mu, nu: FiniteMeasure, space: FiniteMetricSpace, p: float) -> float:
@@ -255,10 +267,7 @@ def ft_bound(mu, nu: FiniteMeasure, space: FiniteMetricSpace, p: float) -> float
 def ft_sup_bound(mu, space: FiniteMetricSpace, p: float) -> float:
     """Selector-free form: the worst single-center integral replaces the
     nu-average, dominating ft_bound for every selector law."""
-    worst = 0.0
-    for t in range(space.size):
-        worst = max(worst, majorizing_integral(mu, FiniteMeasure.point_mass(t, space.size),
-                                               space, p))
+    worst = max(0.0, float(_center_integrals(mu, space, p, "ft_sup_bound").max()))
     return float(2.0 ** (2.0 / p) * 4.0 * (2.0 * space.diam + worst))
 
 
@@ -371,42 +380,30 @@ def _floor(weights: np.ndarray) -> FiniteMeasure:
 
 
 def _simplex_lattice(size: int, resolution: int):
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-    for comp in rec([], resolution, size):
-        yield np.asarray(comp, dtype=float) / resolution
+    # stars and bars: lexicographic compositions of `resolution` into `size` parts
+    for bars in itertools.combinations(range(resolution + size - 1), size - 1):
+        yield (np.diff([-1, *bars, resolution + size - 1]) - 1) / resolution
 
 
 def _integral_gradient(weights: np.ndarray, nu: FiniteMeasure,
                        space: FiniteMetricSpace, p: float) -> np.ndarray:
-    # d/d mu_j of the step-sum integral; the (log 1/M)^{1/p-1} factor is
-    # clamped away from its M -> 1 singularity, which only flattens the
-    # gradient where the integrand is already zero.
-    grad = np.zeros(space.size)
-    for t in np.nonzero(nu.weights > 0)[0]:
-        order = np.argsort(space.dist[t], kind="stable")
-        radii = space.dist[t][order]
-        masses = np.cumsum(weights[order])
-        keep = np.nonzero(np.diff(radii, append=np.inf) > 0)[0]
-        radii, masses = radii[keep], masses[keep]
-        upper = np.minimum(np.append(radii[1:], space.diam), space.diam)
-        lengths = np.maximum(upper - np.minimum(radii, space.diam), 0.0)
-        for j, (r, m, length) in enumerate(zip(radii, masses, lengths)):
-            if length == 0.0 or m <= 0.0:
-                continue
-            log_term = max(np.log(1.0 / m), 1e-12)
-            coeff = -nu.weights[t] * length * (1.0 / p) * log_term ** (1.0 / p - 1.0) / m
-            members = order[:keep[j] + 1]
-            grad[members] += coeff
-    return grad
+    # d/d mu_j of the step-sum integral: step (t, j) feeds every atom of its
+    # ball, i.e. sorted positions <= j, hence the reverse cumsum along j. The
+    # (log 1/M)^{1/p-1} factor is clamped away from its M -> 1 singularity,
+    # which only flattens the gradient where the integrand is already zero.
+    order, lengths = space.ball_steps
+    masses = np.cumsum(weights[order], axis=1)
+    live = (lengths > 0) & (masses > 0.0)
+    m = np.where(live, masses, 1.0)
+    log_term = np.maximum(np.log(1.0 / m), 1e-12)
+    coeff = np.where(live, lengths * (1.0 / p) * log_term ** (1.0 / p - 1.0) / m, 0.0)
+    per_center = np.empty_like(coeff)
+    np.put_along_axis(per_center, order, np.cumsum(coeff[:, ::-1], axis=1)[:, ::-1], axis=1)
+    return -(nu.weights @ per_center)
 
 
 def optimize_mu(nu: FiniteMeasure, space: FiniteMetricSpace, p: float,
-                method: str = "grid", iters: int = 200, seed: int = 0,
+                method: str = "grid", iters: int = 200,
                 resolution: int = 8) -> tuple[FiniteMeasure, float]:
     """Search for a majorizing measure; never returns worse than uniform.
 

@@ -191,7 +191,7 @@ def test_criterion_09_expected_supremum_bound():
         est, stderr = expected_sup_mc(proc, space, Selector("argmax"),
                                       10**5, int(gen.integers(2**31)))
         mc_ok = mc_ok and est <= bound + 4.0 * stderr
-        _, val = optimize_mu(uniform, space, 2.0, method="eg", iters=60, seed=0)
+        _, val = optimize_mu(uniform, space, 2.0, method="eg", iters=60)
         opt_ok = opt_ok and val <= ft_bound(uniform, uniform, space, 2.0) + 1e-9
     elapsed = time.perf_counter() - start
     ok = mc_ok and opt_ok and elapsed < 120.0

@@ -423,6 +423,7 @@ def test_problem_tables_are_cached_and_read_only(small_problem, gibbs_alg):
         table = getattr(prob, name)
         assert getattr(prob, name) is table
         assert not table.flags.writeable
+    assert np.array_equal(prob.pair_norms, prob.pair_norms.T)
     q_w = hypothesis_marginal(prob, gibbs_alg)
     table = prob.w2_plans(gibbs_alg.matrix, q_w)
     assert prob.w2_plans(gibbs_alg.matrix.copy(), hypothesis_marginal(prob, gibbs_alg)) is table

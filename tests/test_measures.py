@@ -23,6 +23,42 @@ def test_measure_normalizes_drift():
     assert m.weights.sum() == 1.0
 
 
+def per_row_clean(w):
+    """One-vector validation, as kernels once ran it row by row."""
+    w = np.clip(np.asarray(w, dtype=float), 0.0, None)
+    total = w.sum()
+    assert abs(total - 1.0) <= 1e-9
+    return w / total if total != 1.0 else w
+
+
+def test_kernel_validates_its_rows_in_one_pass():
+    gen = np.random.default_rng(5)
+    for _ in range(2000):
+        rows, cols = gen.integers(1, 20), gen.integers(1, 300)
+        mat = gen.dirichlet(np.ones(cols), size=rows)
+        off = gen.random((rows, cols)) < 0.05
+        off[np.arange(rows), mat.argmax(axis=1)] = False
+        mat[off] = 0.0
+        mat /= mat.sum(axis=1, keepdims=True)
+        mat *= 1.0 + gen.uniform(-5e-10, 5e-10, size=(rows, 1))  # drift to renormalize
+        mat[off] = -1e-14  # LP round-off to clip
+        if gen.random() < 0.2:
+            mat = np.asfortranarray(mat)
+        want = np.stack([per_row_clean(r) for r in mat])
+        assert MarkovKernel(mat).matrix.tobytes() == want.tobytes()
+        assert MarkovKernel(mat.tolist()).matrix.tobytes() == want.tobytes()
+
+
+def test_kernel_errors_name_the_first_bad_row():
+    good = [0.5, 0.5]
+    for bad, words in (([np.nan, 1.0], "non-finite"), ([-0.1, 1.1], "negative"),
+                       ([0.5, 0.6], "drifts")):
+        with pytest.raises(ConfigurationError, match=rf"row 2: .*{words}"):
+            MarkovKernel(np.array([good, good, bad, bad]))
+    with pytest.raises(ConfigurationError):
+        MarkovKernel(np.array([0.5, 0.5]))  # one vector is not a kernel
+
+
 def test_point_mass_and_uniform():
     assert FiniteMeasure.point_mass(1, 3).weights.tolist() == [0.0, 1.0, 0.0]
     assert np.allclose(FiniteMeasure.uniform(4).weights, 0.25)
