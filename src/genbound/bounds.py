@@ -25,12 +25,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import ConfigurationError, DomainError
 from .learning import (Algorithm, LearningProblem, delta_bound, draw_pairs, exact_joint,
                        expected_gen, subgaussian_sigma, supersample_joint)
-from .measures import FiniteMeasure, MarkovKernel, mutual_information
+from .measures import FiniteMeasure, MarkovKernel, mutual_information, rel_entr
 from .orlicz import psi_inv
 # plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
 from .transport import (DEDUP_DECIMALS, EmbeddedSupport, TransportPlan,  # noqa: F401
@@ -466,7 +465,8 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> Boun
 
     Without a metric, each step contributes its loss-based decorrelation and
     reference terms under sqrt(48/n); with chain.metric set, the metric form
-    under sqrt(2/n) is reported instead (the loss form moves to details).
+    under sqrt(2/n) is reported instead; the loss-form report moves to
+    details["loss_form"], its rhs to details["loss_form_rhs"].
     """
     _validate_chain(prob, alg, chain)
     est = expected_gen(prob, alg)
@@ -497,7 +497,7 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> Boun
         steps.append(scale * (cross + float((ref * metric).sum())))
     return _escaped_report("chain_metric", est.signed, "signed", sum(steps),
                            {f"step_{k + 1}": step for k, step in enumerate(steps)},
-                           escape_any, loss_form_rhs=loss.rhs)
+                           escape_any, loss_form_rhs=loss.rhs, loss_form=loss)
 
 
 def markov_slack(prob: LearningProblem, chain: ChainSpec) -> float:

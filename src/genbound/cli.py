@@ -129,8 +129,8 @@ def _token_reports(prob, alg, token: str, delta: float, root_chain):
     if token == "coupling":
         return [bnd.bound_coupling(prob, alg), bnd.bound_coupling_simplified(prob, alg)]
     if token == "chain":
-        metric = replace(root_chain, metric=bnd.chain_metric(prob))
-        return [bnd.bound_chain(prob, alg, root_chain), bnd.bound_chain(prob, alg, metric)]
+        metric = bnd.bound_chain(prob, alg, replace(root_chain, metric=bnd.chain_metric(prob)))
+        return [metric.details["loss_form"], metric]
     if token == "stochain":
         parts = bnd.dyadic_partitions(prob.num_hypotheses, include_root=False)
         return [bnd.bound_stochastic_chain(prob, alg, bnd.chain_from_partitions(prob, alg, parts))]
@@ -188,12 +188,14 @@ def cmd_bounds(args) -> int:
         # the dyadic chain with its root, shared by the chain and transductive tokens
         root_chain = (_root_chain(prob, alg) if {"chain", "transductive"} & set(tokens)
                       else None)
+        est = None  # one Monte Carlo estimate per problem, shared by every report
         for token in sorted(set(tokens)):
             for report in _token_reports(prob, alg, token, args.delta, root_chain):
                 kind = getattr(report, "lhs_kind", None)
                 if args.mc_samples and kind in ("absolute", "signed"):
-                    est = expected_gen(prob, alg, mode="mc", samples=args.mc_samples,
-                                       seed=seed, workers=args.workers)
+                    if est is None:
+                        est = expected_gen(prob, alg, mode="mc", samples=args.mc_samples,
+                                           seed=seed, workers=args.workers)
                     lhs = est.absolute if kind == "absolute" else est.signed
                     stderr = (est.stderr_absolute if kind == "absolute"
                               else est.stderr_signed)

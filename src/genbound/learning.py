@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
 
 from . import mc
 from .errors import ConfigurationError, DomainError, read_field
-from .measures import FiniteMeasure, JointMeasure, MarkovKernel
+from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, rel_entr
 from .orlicz import DiscreteRandomVariable, orlicz_norm
 from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
 

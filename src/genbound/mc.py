@@ -7,8 +7,6 @@ results bitwise identical no matter how many workers ran the tasks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 BLOCK = 8192
@@ -31,6 +29,8 @@ def run_blocks(fn, n_tasks: int, workers: int = 1) -> list:
     """Evaluate fn(task_index) for every task; output list is in task order."""
     if workers <= 1:
         return [fn(b) for b in range(n_tasks)]
+    from concurrent.futures import ThreadPoolExecutor  # imported for worker pools only
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n_tasks)))
 

@@ -2,7 +2,9 @@
 
 Everything here is exact desk-scale probability: weights are plain numpy
 arrays, all divergences are in nats, ``0 * log 0 = 0`` by convention, and
-``+inf`` is a first-class value wherever absolute continuity fails.
+``+inf`` is a first-class value wherever absolute continuity fails. The two
+elementwise kernels, ``rel_entr`` and ``logsumexp``, are numpy ports of the
+scipy.special functions of the same names, so nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import ConfigurationError
 
@@ -21,6 +22,53 @@ DRIFT_TOL = 1e-9
 MASS_TOL = 1e-12
 # Individual weights may be negative by at most this (LP round-off); they are clipped.
 NEG_TOL = 1e-12
+_TINY = np.finfo(float).tiny
+
+
+def rel_entr(x, y) -> np.ndarray:
+    """Elementwise x log(x/y): 0 where x = 0 <= y, +inf where x > 0 = y.
+
+    Same branches as scipy.special.rel_entr, so a sum of tiny terms keeps its
+    cancellation: x log1p((x-y)/y) when 0.5 < x/y < 2, x log(x/y) otherwise,
+    and x (log x - log y) when x/y underflows or overflows. Negative entries
+    give +inf; inputs are weights, so nan is not supported.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    live = (x > 0.0) & (y > 0.0)
+    with np.errstate(all="ignore"):
+        ratio = x / y
+        out = np.where((ratio > 0.5) & (ratio < 2.0), x * np.log1p((x - y) / y),
+                       x * np.log(ratio))
+        far = live & ~((ratio > _TINY) & (ratio < np.inf))
+        if far.any():
+            out = np.where(far, x * (np.log(x) - np.log(y)), out)
+    if not live.all():
+        out = np.where(live, out, np.where((x == 0.0) & (y >= 0.0), 0.0, np.inf))
+    return out
+
+
+def logsumexp(a, axis=None, keepdims: bool = False, b=None) -> np.ndarray:
+    """log(sum(b * exp(a))) over `axis`, as scipy.special.logsumexp computes it
+    for real input and nonnegative b: the max terms (and entries with b = 0)
+    leave the shifted sum, which is then taken as log1p(s/m) + log(m) + a_max;
+    a non-finite result falls back to the direct log-sum."""
+    a = np.asarray(a, dtype=float)
+    if b is not None:
+        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    with np.errstate(all="ignore"):
+        direct = np.log((np.exp(a) if b is None else b * np.exp(a)).sum(axis=axis, keepdims=True))
+        if b is not None:
+            a = np.where(b == 0, -np.inf, a)
+        a_max = a.max(axis=axis, keepdims=True)
+        top = a == a_max
+        m = (top if b is None else b * top).sum(axis=axis, keepdims=True, dtype=float)
+        shifted = np.exp(np.where(top, -np.inf, a) - a_max)
+        s = (shifted if b is None else b * shifted).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    out = np.where(np.isfinite(out), out, direct)
+    return out if keepdims else out.squeeze(axis=axis)
 
 
 def _clean_weights(w, what: str) -> np.ndarray:
@@ -189,8 +237,6 @@ def kl_divergence(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     """Relative entropy D(mu || nu) in nats; +inf when mu is not << nu."""
     if mu.support_size != nu.support_size:
         raise ConfigurationError("kl_divergence: support size mismatch")
-    # rel_entr implements x log(x/y) with the 0 log 0 = 0 convention and
-    # returns inf exactly on the mass-escape cells.
     return float(rel_entr(mu.weights, nu.weights).sum())
 
 
@@ -208,13 +254,8 @@ def conditional_divergence(p: MarkovKernel, q: MarkovKernel, base: FiniteMeasure
         raise ConfigurationError("conditional_divergence: kernel shape mismatch")
     if p.input_size != base.support_size:
         raise ConfigurationError("conditional_divergence: base size mismatch")
-    total = 0.0
-    for u in range(p.input_size):
-        b = base.weights[u]
-        if b == 0.0:
-            continue  # null conditioning sets contribute nothing, even if D = inf there
-        total += b * float(rel_entr(p.matrix[u], q.matrix[u]).sum())
-    return float(total)
+    live = base.weights > 0.0  # null conditioning sets contribute nothing, even if D = inf there
+    return float(base.weights[live] @ rel_entr(p.matrix[live], q.matrix[live]).sum(axis=1))
 
 
 def conditional_mutual_information(joint_xyz) -> float:
@@ -225,13 +266,7 @@ def conditional_mutual_information(joint_xyz) -> float:
     flat = _clean_weights(w.ravel(), "conditional_mutual_information")
     w = flat.reshape(w.shape)
     p_z = w.sum(axis=(0, 1))
-    total = 0.0
-    for z in range(w.shape[2]):
-        pz = p_z[z]
-        if pz == 0.0:
-            continue
-        slab = w[:, :, z] / pz
-        px = slab.sum(axis=1)
-        py = slab.sum(axis=0)
-        total += pz * float(rel_entr(slab, np.outer(px, py)).sum())
-    return float(total)
+    live = p_z > 0.0
+    slabs = w[:, :, live] / p_z[live]  # the law of (X, Y) given each live z
+    indep = slabs.sum(axis=1)[:, None, :] * slabs.sum(axis=0)[None, :, :]
+    return float(p_z[live] @ rel_entr(slabs, indep).sum(axis=(0, 1)))

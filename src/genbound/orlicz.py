@@ -13,11 +13,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import logsumexp
 
 from .errors import AbsoluteContinuityError, ConfigurationError, DomainError
-from .measures import FiniteMeasure, kl_divergence
+from .measures import FiniteMeasure, kl_divergence, logsumexp
 
 NORM_REL_TOL = 1e-10
 # Above this value of x^p, exp(x^p) leaves float64; the property grid switches
@@ -247,6 +245,8 @@ def check_sum_to_integral(f, r: float, terms: int) -> tuple[float, float, float]
             raise DomainError("f must be positive on (0, 1]")
         if any(vals[i] < vals[i + 1] - 1e-12 for i in range(len(vals) - 1)):
             raise DomainError("f must be nonincreasing on (0, 1]")
+        from scipy import integrate  # imported here only: a plain callable needs quad
+
         with warnings.catch_warnings():
             warnings.simplefilter("error", integrate.IntegrationWarning)
             try:

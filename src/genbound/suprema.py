@@ -28,6 +28,8 @@ CENTER_TOL = 1e-9
 # the sharp gaussian calibration: E[exp(G^2/d^2)] = 2 exactly at Var = (3/8) d^2
 GAUSSIAN_VAR_RATIO = 3.0 / 8.0
 MU_FLOOR = 1e-6
+# (draw, pair) entries per block of tabulated_process's increment check: 8 MiB
+PAIR_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -142,19 +144,26 @@ def tabulated_process(space: FiniteMetricSpace, paths, weights, p: float = 2.0) 
     mean = w.weights @ x
     if np.abs(mean).max() > CENTER_TOL * scale:
         raise InvalidProcessError("tabulated_process: process is not centered")
-    for u in range(space.size):
-        for v in range(u + 1, space.size):
-            gaps = np.abs(x[:, u] - x[:, v])
-            d = space.dist[u, v]
-            if d == 0.0:
-                if gaps[w.weights > 0].max(initial=0.0) > 0.0:
-                    raise InvalidProcessError(
-                        "tabulated_process: distinct values at zero distance")
-                continue
-            moment = float(w.weights @ psi(gaps / d, p))
-            if moment > 1.0 + INCREMENT_TOL:
-                raise InvalidProcessError(
-                    f"tabulated_process: increment moment {moment} > 1 at pair ({u}, {v})")
+    # pairs go in lexicographic blocks, so an error names the first bad (u, v);
+    # massless draws are dropped: one that overflows psi_p made a moment nan
+    live = w.weights > 0.0
+    xl, wl = x[live], w.weights[live]
+    us, vs = np.triu_indices(space.size, 1)
+    step = max(1, PAIR_BLOCK // xl.shape[0])
+    for lo in range(0, us.size, step):
+        u, v = us[lo:lo + step], vs[lo:lo + step]
+        d = space.dist[u, v]
+        gaps = np.abs(xl[:, u] - xl[:, v])
+        zero = d == 0.0
+        glued = zero & (gaps.max(axis=0) > 0.0)
+        bad = glued | (~zero & (wl @ psi(gaps / np.where(zero, 1.0, d), p) > 1.0 + INCREMENT_TOL))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if glued[i]:
+                raise InvalidProcessError("tabulated_process: distinct values at zero distance")
+            moment = float(wl @ psi(np.abs(xl[:, u[i]] - xl[:, v[i]]) / d[i], p))
+            raise InvalidProcessError(
+                f"tabulated_process: increment moment {moment} > 1 at pair ({u[i]}, {v[i]})")
     x.flags.writeable = False
     return ProcessSpec(kind="tabulated", p=float(p), paths=x, weights=w.weights)
 

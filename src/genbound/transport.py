@@ -2,8 +2,10 @@
 
 Distances come from a linear program solved with HiGHS; at the package's
 desk scale (<= 64 atoms a side) that is exact, deterministic, and returns a
-vertex plan. Many pairs are solved together as the blocks of one LP. Geodesics are displacement interpolations of an optimal plan
-between two measures sharing one Euclidean support.
+vertex plan. Many pairs are solved together as the blocks of one LP.
+Geodesics are displacement interpolations of an optimal plan between two
+measures sharing one Euclidean support. scipy (HiGHS and the sparse
+constraint matrix) is imported on the first LP, not with the package.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from dataclasses import dataclass, field
 import json
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, DomainError, UnsupportedGeometryError
 from .measures import FiniteMeasure
@@ -83,7 +82,10 @@ class CostMatrix:
 def euclidean_cost(a: EmbeddedSupport, b: EmbeddedSupport) -> CostMatrix:
     if a.dim != b.dim:
         raise UnsupportedGeometryError("euclidean_cost: embeddings live in different dimensions")
-    return CostMatrix(cdist(a.points, b.points))
+    sq = np.zeros((a.size, b.size))
+    for k in range(a.dim):  # one coordinate at a time: scipy's cdist summation order
+        sq += (a.points[:, None, k] - b.points[None, :, k]) ** 2
+    return CostMatrix(np.sqrt(sq))
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,13 @@ def product_plan(mu: FiniteMeasure, nu: FiniteMeasure) -> TransportPlan:
 
 def diagonal_plan(mu: FiniteMeasure) -> TransportPlan:
     return TransportPlan(np.diag(mu.weights), mu, mu)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def wasserstein(mu: FiniteMeasure, nu: FiniteMeasure, cost: CostMatrix,
@@ -175,6 +184,8 @@ def _solve_blocks(pairs, p: float) -> list[tuple[float, TransportPlan]]:
         b_eq += [mu.weights, nu.weights[:-1]]
         row0 += m + n - 1
         col0 += m * n
+    from scipy.sparse import csr_array
+
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     a_eq = csr_array((np.ones(rows.size), (rows, cols)), shape=(row0, col0))
     res = linprog(np.concatenate(costs), A_eq=a_eq, b_eq=np.concatenate(b_eq), bounds=(0.0, None),

@@ -191,17 +191,12 @@ def run_golden_suite(trials: int, seed: int, tol: float = 1e-9) -> SuiteResult:
             p_y_given_z = np.where(p_z[None, :] > 0,
                                    p_yz / np.where(p_z[None, :] > 0, p_z[None, :], 1.0),
                                    1.0 / ny)
-        lhs2 = 0.0
-        for xi in range(nx):
-            for zi in range(nz):
-                if p_xz[xi, zi] > 0:
-                    lhs2 += p_xz[xi, zi] * kl_divergence(
-                        FiniteMeasure(p_y_given_xz[xi, :, zi]), FiniteMeasure(q_rows[zi]))
-        cond_kl = 0.0
-        for zi in range(nz):
-            if p_z[zi] > 0:
-                cond_kl += p_z[zi] * kl_divergence(
-                    FiniteMeasure(p_y_given_z[:, zi]), FiniteMeasure(q_rows[zi]))
+        # D(P_{Y|XZ} || Q_{Y|Z} | P_XZ), one kernel row per (x, z)
+        lhs2 = conditional_divergence(
+            MarkovKernel(p_y_given_xz.transpose(0, 2, 1).reshape(nx * nz, ny)),
+            MarkovKernel(np.tile(q_rows, (nx, 1))), FiniteMeasure(p_xz.ravel()))
+        cond_kl = conditional_divergence(MarkovKernel(p_y_given_z.T), MarkovKernel(q_rows),
+                                         FiniteMeasure(p_z))
         rhs2 = conditional_mutual_information(jxyz) + cond_kl
         resid2 = abs(lhs2 - rhs2) if np.isfinite(lhs2) or np.isfinite(rhs2) else 0.0
         if np.isfinite(lhs2) != np.isfinite(rhs2):

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +146,104 @@ def test_bounds_mc_mode_marks_rows(tmp_path):
     assert rc == 0
     (row,) = read_rows(str(out))
     assert row["mode"] == "mc"
+
+
+def test_bounds_mc_draws_once_per_problem(tmp_path, monkeypatch):
+    # every absolute and signed report of a problem shares one estimate; the
+    # draws are keyed by seed, so each row equals the row of its token alone
+    entries = [problem_entry(seed=2), problem_entry(seed=3)]
+    cfg = write_config(tmp_path, {"problems": entries})
+    draws = []
+    expected_gen = cli.expected_gen
+
+    def counted(prob, alg, mode="exact", **kwargs):
+        draws.append(mode)
+        return expected_gen(prob, alg, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "expected_gen", counted)
+    tokens = "thm1,mi,cmi,coupling,chain,stochain,wass"
+    base = ["--config", cfg, "--mc-samples", "3000", "--seed", "5"]
+    out = tmp_path / "rows.csv"
+    assert cli.main(["bounds", *base, "--bounds", tokens, "--out", str(out)]) == 0
+    assert draws.count("mc") == len(entries)
+    together = read_rows(str(out))
+    alone = []
+    for token in tokens.split(","):
+        assert cli.main(["bounds", *base, "--bounds", token, "--out", str(out)]) == 0
+        alone += read_rows(str(out))
+    assert {row["mode"] for row in together} == {"mc"}
+    text = [json.dumps(row, sort_keys=True) for row in together]
+    assert sorted(text) == sorted(json.dumps(row, sort_keys=True) for row in alone)
+
+
+def test_chain_token_computes_each_step_once(monkeypatch):
+    entry = problem_entry(seed=4)
+    prob = problem_from_json(entry)
+    alg = algorithm_from_json(prob, entry["algorithm"])
+    chain = cli._root_chain(prob, alg)
+    plain = cli.bnd.bound_chain(prob, alg, chain)
+    steps = []
+    step_terms = cli.bnd._chain_step_terms
+
+    def counted(*args):
+        steps.append(1)
+        return step_terms(*args)
+
+    monkeypatch.setattr(cli.bnd, "_chain_step_terms", counted)
+    loss, metric = cli._token_reports(prob, alg, "chain", 0.05, chain)
+    assert len(steps) == len(chain.couplings)
+    assert loss == plain
+    assert metric.bound_name == "chain_metric"
+    assert metric.details["loss_form_rhs"] == plain.rhs
+
+
+# Run in a fresh interpreter: argv[1] is a JSON list of (label, cli argv);
+# prints, per label, the scipy modules loaded once that command has run.
+IMPORT_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import genbound
+seen = {"import genbound": scipy_modules()}
+from genbound import cli
+seen["import genbound.cli"] = scipy_modules()
+for label, argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    seen[label] = scipy_modules() if code == 0 else f"exit {code}"
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    space = write_config(tmp_path, {"dist": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                             [2.0, 1.0, 0.0]]}, "space.json")
+    numpy_only = [
+        ("bounds", ["bounds", "--config", cfg, "--bounds",
+                    "thm1,mi,cmi,chain,stochain,transductive"]),
+        ("tail", ["tail", "--config", cfg]),
+        ("tail mc", ["tail", "--config", cfg, "--mc-samples", "500"]),
+        ("ft eg", ["ft", "--config", space, "--mu-mode", "eg", "--mc-samples", "500"]),
+        ("verify lemma", ["verify", "--suite", "lemma", "--trials", "20"]),
+        ("verify golden", ["verify", "--suite", "golden", "--trials", "20"])]
+    with_lp = [("coupling", ["bounds", "--config", cfg, "--bounds", "coupling"]),
+               ("wass", ["bounds", "--config", cfg, "--bounds", "wass"]),
+               ("verify transport", ["verify", "--suite", "transport", "--trials", "2"])]
+    runs = [(label, argv + ["--out", str(tmp_path / "out")]) for label, argv in
+            numpy_only + with_lp]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    seen = json.loads(proc.stdout)
+    for label in ["import genbound", "import genbound.cli"] + [lb for lb, _ in numpy_only]:
+        assert seen[label] == [], label
+    # the first LP imports the solver; the commands that need one still run
+    assert "scipy.optimize" in seen["coupling"]
+    assert all(isinstance(seen[label], list) for label, _ in with_lp)
 
 
 def test_bounds_mc_noise_is_not_a_violation(tmp_path, small_problem):

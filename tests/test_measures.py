@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from genbound import (ConfigurationError, FiniteMeasure, JointMeasure,
                       MarkovKernel, conditional_divergence,
                       conditional_mutual_information, kl_divergence,
                       mutual_information, product)
+from genbound.measures import logsumexp, rel_entr
 
 
 def test_measure_rejects_bad_weights():
@@ -203,3 +205,56 @@ def test_cmi_brute_force_triple_sum():
                     expect += w[x, y, z] * math.log(
                         w[x, y, z] * pz[z] / (pxz[x, z] * pyz[y, z]))
     assert abs(conditional_mutual_information(w) - expect) < 1e-12
+
+
+def test_cmi_skips_null_slabs():
+    gen = np.random.default_rng(7)
+    w = gen.dirichlet(np.ones(12)).reshape(2, 2, 3)
+    w[:, :, 1] = 0.0
+    w /= w.sum()
+    assert abs(conditional_mutual_information(w)
+               - conditional_mutual_information(w[:, :, [0, 2]])) < 1e-15
+
+
+def test_rel_entr_matches_scipy_on_every_branch():
+    gen = np.random.default_rng(8)
+    base = gen.dirichlet(np.ones(64))
+    cases = {
+        "near-1 ratio": (base, base * (1.0 + gen.uniform(-1e-7, 1e-7, 64))),
+        "plain ratio": (base, gen.dirichlet(np.ones(64))),
+        "subnormal ratio": (np.array([1e-300, 3e-301, 1e-300]), np.array([1e10, 1e12, 1e30])),
+        "overflowing ratio": (np.array([1e300, 1e200]), np.array([1e-10, 1e-120])),
+        "x = 0": (np.zeros(3), np.array([0.2, 0.0, 0.8])),
+        "y = 0": (np.array([0.3, 0.7]), np.zeros(2)),
+        "mixed zeros": (np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.5, 0.0, 0.5, 0.0])),
+        "2-d broadcast": (gen.dirichlet(np.ones(5), size=3), gen.dirichlet(np.ones(5))),
+    }
+    for name, (x, y) in cases.items():
+        got, want = rel_entr(x, y), special.rel_entr(x, y)
+        assert got.shape == want.shape, name
+        assert np.array_equal(np.isinf(got), np.isinf(want)), name
+        assert np.array_equal(got == 0.0, want == 0.0), name
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0, err_msg=name)
+
+
+def test_logsumexp_matches_scipy():
+    gen = np.random.default_rng(9)
+    # Gibbs logits: a log prior with a null atom, minus beta * n * training risk
+    prior = gen.dirichlet(np.ones(6))
+    prior[2] = 0.0
+    with np.errstate(divide="ignore"):
+        logits = np.log(prior)[None, :] - 40.0 * gen.uniform(size=(30, 6))
+    logits[4] = logits[4, 0]  # a row of ties but for the null atom
+    logits[4, 2] = -np.inf
+    got = logsumexp(logits, axis=1, keepdims=True)
+    want = special.logsumexp(logits, axis=1, keepdims=True)
+    assert got.shape == want.shape == (30, 1)
+    np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+    # weighted 1-d input: a zero weight drops its term, however large
+    g = gen.uniform(0.0, 3.0, size=8) ** 2
+    b = gen.dirichlet(np.ones(8))
+    b[[1, 5]] = 0.0
+    g[5] = 1e4
+    got, want = logsumexp(g, b=b), special.logsumexp(g, b=b)
+    assert np.ndim(got) == 0
+    np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)

@@ -11,7 +11,9 @@ from genbound import (ConfigurationError, FiniteMeasure, FiniteMetricSpace,
                       ft_bound, ft_sup_bound, gaussian_from_metric,
                       gaussian_process, majorizing_integral, optimize_mu,
                       process_from_json, tabulated_process, telescoping_check)
-from genbound.suprema import _integral_gradient
+from genbound import suprema
+from genbound.orlicz import psi
+from genbound.suprema import INCREMENT_TOL, _integral_gradient
 
 VAR_RATIO = 3.0 / 8.0
 
@@ -298,6 +300,63 @@ def test_tabulated_process_validation():
                           np.array([0.5, 0.5]))
     proc = safe_tabulated(line_space(0.0, 0.4, 1.0))
     assert proc.kind == "tabulated"
+
+
+def loop_increment_check(space, x, weights, p):
+    """Reference: the pair-by-pair increment check, in lexicographic pair order.
+
+    Draws of mass zero are dropped first: kept, an overflowing one made the
+    moment 0 * inf = nan, and a nan moment passed the check.
+    """
+    weights = FiniteMeasure(weights).weights
+    x, weights = x[weights > 0], weights[weights > 0]
+    for u in range(space.size):
+        for v in range(u + 1, space.size):
+            gaps = np.abs(x[:, u] - x[:, v])
+            d = space.dist[u, v]
+            if d == 0.0:
+                if gaps[weights > 0].max(initial=0.0) > 0.0:
+                    raise InvalidProcessError(
+                        "tabulated_process: distinct values at zero distance")
+                continue
+            moment = float(weights @ psi(gaps / d, p))
+            if moment > 1.0 + INCREMENT_TOL:
+                raise InvalidProcessError(
+                    f"tabulated_process: increment moment {moment} > 1 at pair ({u}, {v})")
+
+
+def test_tabulated_increment_check_matches_the_pair_loop(monkeypatch):
+    monkeypatch.setattr(suprema, "PAIR_BLOCK", 7)  # a few pairs per block
+    gen = np.random.default_rng(21)
+    verdicts = set()
+    for _ in range(400):
+        size, draws = int(gen.integers(2, 9)), int(gen.integers(1, 6))
+        coords = gen.uniform(0.0, 1.0, size=size)
+        glued = gen.random() < 0.3
+        if glued:
+            coords[-1] = coords[0]
+        space = line_space(*coords)
+        weights = FiniteMeasure(gen.dirichlet(np.ones(draws))).weights
+        if draws > 1 and gen.random() < 0.3:
+            weights = FiniteMeasure(np.concatenate([[0.0], weights[1:] / weights[1:].sum()])).weights
+        x = gen.normal(0.0, gen.uniform(0.01, 0.5), size=(draws, size))
+        if glued and gen.random() < 0.5:
+            x[:, -1] = x[:, 0]
+        x -= weights @ x
+        p = float(gen.choice([1.0, 2.0, 3.0]))
+        try:
+            loop_increment_check(space, x, weights, p)
+            want = None
+        except InvalidProcessError as exc:
+            want = str(exc)
+        try:
+            tabulated_process(space, x, weights, p)
+            got = None
+        except InvalidProcessError as exc:
+            got = str(exc)
+        assert got == want
+        verdicts.add(want and want.split(" ")[1])
+    assert verdicts == {None, "distinct", "increment"}
 
 
 def test_process_json_roundtrip():
