@@ -32,7 +32,7 @@ for t, point in zip(path.times, path.points):
     print(f"  t = {t:.2f}: {atoms}")
 
 speeds = []
-for k, step_plan in enumerate(consecutive_couplings(path, plan)):
+for k, step_plan in enumerate(consecutive_couplings(path)):
     dt = path.times[k + 1] - path.times[k]
     step_cost = euclidean_cost(path.points[k].support, path.points[k + 1].support)
     w2_step = np.sqrt((step_plan.weights * step_cost.entries ** 2).sum())

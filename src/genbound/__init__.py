@@ -4,8 +4,8 @@ Finite learning problems are enumerated outright, so every bound's left-hand
 side is a sum, not an estimate; the package then evaluates each bound's
 right-hand side with explicit constants and reports the slack. Supporting
 layers: an Orlicz psi_p calculus with a decorrelation inequality, exact
-discrete optimal transport with displacement geodesics, supersample and
-chaining constructions, majorizing-measure bounds for expected suprema, and
+discrete optimal transport with displacement geodesics, chaining
+constructions, majorizing-measure bounds for expected suprema, and
 seeded Monte Carlo with counter-based substreams.
 """
 
@@ -20,11 +20,10 @@ from .bounds import (BoundReport, ChainSpec, TailReport,
 from .errors import (AbsoluteContinuityError, ConfigurationError, DomainError,
                      GenboundError, InvalidProcessError,
                      UnsupportedGeometryError)
-from .learning import (Algorithm, GenEstimate, LearningProblem, SupersampleLaw,
+from .learning import (Algorithm, GenEstimate, LearningProblem,
                        algorithm_from_json, delta_bound, erm_algorithm,
                        exact_joint, expected_gen, gibbs_algorithm,
-                       ignore_algorithm, problem_from_json, subgaussian_sigma,
-                       supersample_joint)
+                       ignore_algorithm, problem_from_json, subgaussian_sigma)
 from .measures import (FiniteMeasure, JointMeasure, MarkovKernel,
                        conditional_divergence, conditional_mutual_information,
                        kl_divergence, mutual_information, product)

@@ -21,14 +21,15 @@ of an exception, so sweeps over many problems never die halfway.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .learning import (Algorithm, LearningProblem, delta_bound, draw_pairs, exact_joint,
-                       expected_gen, subgaussian_sigma, supersample_joint)
+from .learning import (ENUMERATION_CAP, Algorithm, LearningProblem, delta_bound, draw_pairs,
+                       exact_joint, expected_gen, subgaussian_sigma)
 from .measures import FiniteMeasure, MarkovKernel, mutual_information, rel_entr
 from .orlicz import psi_inv
 # plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
@@ -193,26 +194,54 @@ def bound_mi(prob: LearningProblem, alg: Algorithm,
                        details={"sigma": sig, "mutual_information": mi})
 
 
+def _supersample_index(prob: LearningProblem) -> np.ndarray:
+    """(S^2, 2^n) index of the training sample that each sign vector selects
+    from each ghost/train pair.
+
+    Pair t = ghost * S + train; sign vectors run lexicographically over
+    {-1, +1}^n with -1 first, and +1 keeps the train draw.
+    """
+    S = prob.num_samples
+    powers = prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64)
+    ghost_digits = prob.samples[:, None, :]  # (S, 1, n)
+    train_digits = prob.samples[None, :, :]  # (1, S, n)
+    index = np.empty((S * S, 2**prob.n), dtype=np.int64)
+    for e, keep_train in enumerate(itertools.product((False, True), repeat=prob.n)):
+        pick = np.where(keep_train, train_digits, ghost_digits)  # (S, S, n)
+        index[:, e] = (pick @ powers).reshape(-1)
+    return index
+
+
 def bound_cmi(prob: LearningProblem, alg: Algorithm) -> BoundReport:
     """E|gen| <= sqrt(24 E[delta^2] (I(W; signs | pair) + 4) / n).
 
-    Also evaluates the finer per-pair form
+    The supersample is exact: an independent ghost/train pair, uniform
+    signs, and the hypothesis drawn from the algorithm fed with the
+    sign-selected mix. Also evaluates the finer per-pair form
     (sqrt(12)/n) E[ ||delta(pair)||_2 (psi_2^{-1}(density vs sign-marginal) + 1) ]
     and records it in details["fine_rhs"], along with the n log 2 ceiling check.
     """
-    law = supersample_joint(prob, alg)
+    S = prob.num_samples
+    cells = S * S * 2**prob.n * prob.num_hypotheses
+    if cells > ENUMERATION_CAP:
+        raise ConfigurationError(
+            f"bound_cmi: {cells} supersample cells exceed the cap {ENUMERATION_CAP}")
+    est = expected_gen(prob, alg)  # checks the kernel shape before the gather below
+    rows = alg.matrix[_supersample_index(prob)]  # (S^2, 2^n, N)
+    p_pair = (prob.sample_probs[:, None] * prob.sample_probs[None, :]).reshape(-1)
     delta = delta_bound(prob)
     pz = prob.p_z.weights
     delta_sq_mean = float(pz @ delta**2 @ pz)
-    cmi = law.cmi()
-    est = expected_gen(prob, alg)
+    avg = np.broadcast_to(rows.mean(axis=1, keepdims=True), rows.shape)
+    cmi = float((p_pair[:, None] * rel_entr(rows, avg).sum(axis=2)).mean(axis=1).sum())
     rhs = float(np.sqrt(24.0 * delta_sq_mean * (cmi + 4.0) / prob.n))
 
     # finer route: density of the sign-conditional row against its sign-marginal
-    avg = law.conditional.mean(axis=1, keepdims=True)
-    inv, _ = _psi2_inv_ratio(law.conditional, np.broadcast_to(avg, law.conditional.shape))
-    per_pair = (law.conditional * (inv + 1.0)).sum(axis=2).mean(axis=1)  # over signs, then w
-    fine = float(np.sqrt(12.0) / prob.n * (law.p_tilde * law.delta_l2(delta) * per_pair).sum())
+    inv, _ = _psi2_inv_ratio(rows, avg)
+    per_pair = (rows * (inv + 1.0)).sum(axis=2).mean(axis=1)  # over w, then signs
+    ghost, train = np.divmod(np.arange(S * S), S)
+    delta_l2 = np.sqrt((delta[prob.samples[train], prob.samples[ghost]] ** 2).sum(axis=1))
+    fine = float(np.sqrt(12.0) / prob.n * (p_pair * delta_l2 * per_pair).sum())
 
     ceiling = prob.n * np.log(2.0)
     return BoundReport("cmi", est.absolute, rhs, "absolute", {"total": rhs},
@@ -656,9 +685,8 @@ def tail_pac_bayes(prob: LearningProblem, alg: Algorithm, delta: float,
         q_w = hypothesis_marginal(prob, alg)
     inv, _ = _psi2_inv_ratio(alg.matrix, q_w.weights[None, :])
     lhs = (alg.matrix * np.abs(prob.gen_matrix.T)).sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        density_term = np.where((alg.matrix > 0) & np.isinf(inv), np.inf,
-                                alg.matrix * np.where(np.isinf(inv), 0.0, inv)).sum(axis=1)
+    # inv is +inf only where alg.matrix > 0, so no 0 * inf arises
+    density_term = (alg.matrix * inv).sum(axis=1)
     rhs = np.sqrt(24.0 * sig**2 / prob.n) * (density_term + 1.0 + np.sqrt(np.log(2.0 / delta)))
     bad = lhs > rhs
     violation = float(prob.sample_probs[bad].sum())

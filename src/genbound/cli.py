@@ -292,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in (pv, pb, pt, pf):
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--out", default=None)
+    for sub in (pb, pt, pf):
         sub.add_argument("--workers", type=int, default=1)
     return parser
 
@@ -309,6 +310,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "mc_samples", 0) < 0:
             raise GenboundError("--mc-samples must be nonnegative")
+        if getattr(args, "trials", 1) < 1:
+            raise GenboundError("--trials must be at least 1")
         return COMMANDS[args.command](args)
     except (GenboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

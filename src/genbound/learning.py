@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mc
 from .errors import ConfigurationError, DomainError, read_field
-from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, rel_entr
+from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp
 from .orlicz import DiscreteRandomVariable, orlicz_norm
 from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
 
@@ -370,101 +370,6 @@ def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
     absolute, se_abs = mc.mean_and_stderr(tot_abs, tot_sq, samples)
     return GenEstimate(signed, absolute, "mc", samples=samples, seed=seed,
                        stderr_signed=se_signed, stderr_absolute=se_abs)
-
-
-# ---------------------------------------------------------------------------
-# supersample construction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupersampleLaw:
-    """Exact law of (paired samples, signs, hypothesis).
-
-    Index conventions: tilde index t = ghost_index * m^n + sample_index;
-    sign index e enumerates {-1, +1}^n lexicographically with -1 first.
-    conditional[t, e] is the hypothesis row fed with the sign-selected mix,
-    and p_tilde[t] the probability of the pair.
-    """
-
-    prob: LearningProblem = field(compare=False)
-    p_tilde: np.ndarray = field(compare=False)
-    conditional: np.ndarray = field(compare=False)
-    train_index: np.ndarray = field(compare=False)
-    signs: np.ndarray = field(compare=False)
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.p_tilde.size)
-
-    def sw_marginal(self) -> np.ndarray:
-        """Marginal law of (realized training sample, hypothesis), (m^n, N).
-
-        The realized sample is the sign-selected mix, not the pair label, so
-        aggregation has to follow train_index; the result must coincide with
-        the plain joint of the problem by exchangeability of each pair.
-        """
-        out = np.zeros((self.prob.num_samples, self.prob.num_hypotheses))
-        n_signs = self.signs.shape[0]
-        for e in range(n_signs):
-            np.add.at(out, self.train_index[:, e],
-                      (self.p_tilde[:, None] / n_signs) * self.conditional[:, e, :])
-        return out
-
-    def cmi(self) -> float:
-        """I(hypothesis ; signs | paired samples), exact, in nats."""
-        avg = self.conditional.mean(axis=1, keepdims=True)
-        kl = rel_entr(self.conditional, np.broadcast_to(avg, self.conditional.shape)).sum(axis=2)
-        return float((self.p_tilde[:, None] * kl).mean(axis=1).sum())
-
-    def signed_gen(self) -> float:
-        """E[gen] through the sign representation; equals the enumerated value."""
-        S = self.prob.num_samples
-        ghost = np.arange(self.n_pairs) // S
-        train = np.arange(self.n_pairs) % S
-        # per-draw ghost-minus-train loss differences for every (w, pair, i)
-        diff = (self.prob.loss[:, self.prob.samples[ghost]]
-                - self.prob.loss[:, self.prob.samples[train]])
-        total = 0.0
-        n_signs = self.signs.shape[0]
-        for e in range(n_signs):
-            contrib = (diff * self.signs[e][None, None, :]).sum(axis=2) / self.prob.n
-            w_rows = self.conditional[:, e, :]
-            total += (self.p_tilde * (w_rows * contrib.T).sum(axis=1)).sum() / n_signs
-        return float(total)
-
-    def delta_l2(self, delta: np.ndarray) -> np.ndarray:
-        """Per-pair l2 norm of the vector of per-draw delta values."""
-        S = self.prob.num_samples
-        ghost = self.prob.samples[np.arange(self.n_pairs) // S]
-        train = self.prob.samples[np.arange(self.n_pairs) % S]
-        return np.sqrt((delta[train, ghost] ** 2).sum(axis=1))
-
-
-def supersample_joint(prob: LearningProblem, alg: Algorithm) -> SupersampleLaw:
-    """Exact supersample law: ghost/train pair, independent uniform signs,
-    hypothesis drawn from the algorithm fed with the sign-selected mix."""
-    _check_alg_shape(prob, alg.kernel)
-    S = prob.num_samples
-    n_signs = 2**prob.n
-    cells = S * S * n_signs * prob.num_hypotheses
-    if cells > ENUMERATION_CAP:
-        raise ConfigurationError(
-            f"supersample_joint: {cells} cells exceed the cap {ENUMERATION_CAP}")
-
-    signs = np.array(list(itertools.product((-1, 1), repeat=prob.n)), dtype=np.int64)
-    powers = prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64)
-    ghost_digits = prob.samples[:, None, :]  # (S, 1, n)
-    train_digits = prob.samples[None, :, :]  # (1, S, n)
-
-    train_index = np.empty((S * S, n_signs), dtype=np.int64)
-    for e in range(n_signs):
-        pick = np.where(signs[e] == 1, train_digits, ghost_digits)  # (S, S, n)
-        train_index[:, e] = (pick @ powers).reshape(-1)
-
-    conditional = alg.matrix[train_index]  # (S*S, n_signs, N)
-    p_tilde = (prob.sample_probs[:, None] * prob.sample_probs[None, :]).reshape(-1)
-    return SupersampleLaw(prob=prob, p_tilde=p_tilde, conditional=conditional,
-                          train_index=train_index, signs=signs)
 
 
 # ---------------------------------------------------------------------------

@@ -125,20 +125,14 @@ def _psi_gap_factored(x: float, p: float, item: str) -> float:
     # Both factor exactly: with a = e^{x^p/2} and b = e^{x^p/4},
     #   square:  (a-1)^2 - (a^2-1)           = -2 (a-1)
     #   product: x (b-1) - 2^{1/p} (b^2-1)   = (b-1) (x - 2^{1/p} (b+1))
-    # Every factor is well scaled; mpmath supplies the huge exponentials and
-    # float() saturates to -inf with the correct sign.
-    import mpmath as mp
-
-    with mp.workdps(30):
-        xm, pm = mp.mpf(x), mp.mpf(p)
+    # Every factor is well scaled; past float range both saturate to -inf.
+    with np.errstate(over="ignore"):
         if item == "square":
-            gap = -2 * mp.expm1(xm**pm / 2)
-        elif item == "product":
-            quarter = mp.expm1(xm**pm / 4)
-            gap = quarter * (xm - 2 ** (1 / pm) * (quarter + 2))
-        else:
-            raise ValueError(item)
-        return float(gap)
+            return float(-2.0 * np.expm1(x**p / 2.0))
+        if item == "product":
+            quarter = np.expm1(x**p / 4.0)
+            return float(quarter * (x - 2 ** (1 / p) * (quarter + 2.0)))
+    raise ValueError(item)
 
 
 def check_psi_properties(grid) -> list[PsiPropertyResult]:

@@ -218,15 +218,14 @@ class GeodesicPoint:
 class Geodesic:
     """Interpolation points plus the atom bookkeeping needed for couplings.
 
-    atom_pairs holds the (i, j) indices of the nonzero plan cells, atom_mass
-    their masses, and atom_to_point[k][a] the index of atom a inside the
-    deduplicated support at time k.
+    atom_mass holds the masses of the nonzero plan cells (the atoms), and
+    atom_to_point[k][a] the index of atom a inside the deduplicated support
+    at time k.
     """
 
     times: tuple
     points: tuple
     plan: TransportPlan = field(compare=False)
-    atom_pairs: np.ndarray = field(compare=False)
     atom_mass: np.ndarray = field(compare=False)
     atom_to_point: tuple = field(compare=False)
     distance: float
@@ -278,19 +277,16 @@ def displacement_interpolation(plan: TransportPlan, distance: float, emb: Embedd
         points.append(GeodesicPoint(FiniteMeasure(merged), EmbeddedSupport(uniq)))
         members.append(inverse)
     return Geodesic(times=tuple(float(x) for x in t), points=tuple(points), plan=plan,
-                    atom_pairs=np.stack([ii, jj], axis=1), atom_mass=mass,
-                    atom_to_point=tuple(members), distance=distance)
+                    atom_mass=mass, atom_to_point=tuple(members), distance=distance)
 
 
-def consecutive_couplings(geo: Geodesic, plan: TransportPlan) -> list[TransportPlan]:
-    """Couplings between consecutive geodesic points, induced by the plan's atoms.
+def consecutive_couplings(geo: Geodesic) -> list[TransportPlan]:
+    """Couplings between consecutive geodesic points, induced by the atoms of
+    the plan the geodesic was produced from.
 
     These are W_2-optimal for each step (atoms travel in straight lines at
-    constant speed). The plan must be the one the geodesic was produced from.
+    constant speed).
     """
-    if plan is not geo.plan and not (plan.weights.shape == geo.plan.weights.shape
-                                     and np.array_equal(plan.weights, geo.plan.weights)):
-        raise ConfigurationError("consecutive_couplings: plan does not match geodesic provenance")
     out = []
     for k in range(1, len(geo.times)):
         prev, cur = geo.points[k - 1], geo.points[k]

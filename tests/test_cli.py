@@ -56,10 +56,6 @@ def test_verify_all_suites(tmp_path):
     assert all(item["passed"] for item in payload)
 
 
-def test_verify_zero_trials_is_vacuous():
-    assert cli.main(["verify", "--suite", "lemma", "--trials", "0"]) == 0
-
-
 def test_verify_unknown_suite_exits_two():
     assert cli.main(["verify", "--suite", "mystery"]) == 2
 
@@ -96,6 +92,19 @@ def test_negative_mc_samples_exits_two(tmp_path, capsys):
     for command in ("bounds", "tail"):
         assert cli.main([command, "--config", cfg, "--mc-samples", "-5"]) == 2
         assert "--mc-samples must be nonnegative" in capsys.readouterr().err
+
+
+def test_verify_refuses_fewer_than_one_trial(capsys):
+    # zero trials ran zero checks and reported passed with max_violation -Infinity
+    for trials in ("0", "-3"):
+        assert cli.main(["verify", "--suite", "lemma", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials must be at least 1" in captured.err and captured.out == ""
+
+
+def test_verify_takes_no_workers_option(capsys):
+    assert cli.main(["verify", "--suite", "psi", "--trials", "5", "--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, monkeypatch):
@@ -198,18 +207,20 @@ def test_chain_token_computes_each_step_once(monkeypatch):
 
 
 # Run in a fresh interpreter: argv[1] is a JSON list of (label, cli argv);
-# prints, per label, the scipy modules loaded once that command has run.
+# prints, per label, the scipy modules loaded once that command has run, and
+# under "mpmath" the mpmath modules loaded after every command.
 IMPORT_PROBE = """
 import json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def modules(top):
+    return sorted(m for m in sys.modules if m.split(".")[0] == top)
 import genbound
-seen = {"import genbound": scipy_modules()}
+seen = {"import genbound": modules("scipy")}
 from genbound import cli
-seen["import genbound.cli"] = scipy_modules()
+seen["import genbound.cli"] = modules("scipy")
 for label, argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    seen[label] = scipy_modules() if code == 0 else f"exit {code}"
+    seen[label] = modules("scipy") if code == 0 else f"exit {code}"
+seen["mpmath"] = modules("mpmath")
 print(json.dumps(seen))
 """
 
@@ -225,6 +236,7 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
         ("tail mc", ["tail", "--config", cfg, "--mc-samples", "500"]),
         ("ft eg", ["ft", "--config", space, "--mu-mode", "eg", "--mc-samples", "500"]),
         ("verify lemma", ["verify", "--suite", "lemma", "--trials", "20"]),
+        ("verify psi", ["verify", "--suite", "psi", "--trials", "20"]),
         ("verify golden", ["verify", "--suite", "golden", "--trials", "20"])]
     with_lp = [("coupling", ["bounds", "--config", cfg, "--bounds", "coupling"]),
                ("wass", ["bounds", "--config", cfg, "--bounds", "wass"]),
@@ -244,6 +256,7 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
     # the first LP imports the solver; the commands that need one still run
     assert "scipy.optimize" in seen["coupling"]
     assert all(isinstance(seen[label], list) for label, _ in with_lp)
+    assert seen["mpmath"] == []
 
 
 def test_bounds_mc_noise_is_not_a_violation(tmp_path, small_problem):

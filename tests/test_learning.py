@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ import pytest
 from genbound import (Algorithm, DomainError, FiniteMeasure, LearningProblem,
                       MarkovKernel, algorithm_from_json, delta_bound,
                       erm_algorithm, exact_joint, expected_gen,
-                      gibbs_algorithm, ignore_algorithm, mutual_information,
-                      orlicz_norm, problem_from_json, subgaussian_sigma,
-                      supersample_joint)
+                      bound_cmi, gibbs_algorithm, ignore_algorithm, mutual_information,
+                      orlicz_norm, problem_from_json, subgaussian_sigma)
+from genbound.bounds import _psi2_inv_ratio, _supersample_index
+from genbound.measures import rel_entr
 from genbound.orlicz import DiscreteRandomVariable
 
 from conftest import algorithm_family, random_problem
@@ -207,44 +210,135 @@ def test_expected_gen_mc_deterministic_across_workers(small_problem, gibbs_alg):
     assert one.absolute == many.absolute
 
 
-def test_supersample_shapes(small_problem, gibbs_alg):
-    law = supersample_joint(small_problem, gibbs_alg)
-    s = small_problem.num_samples
-    assert law.p_tilde.shape == (s * s,)
-    assert law.conditional.shape == (s * s, 4, 4)
-    assert law.train_index.shape == (s * s, 4)
-    assert law.signs.shape == (4, 2)
-    assert abs(law.p_tilde.sum() - 1.0) < 1e-12
-    assert law.n_pairs == s * s
+@dataclass(frozen=True)
+class ReferenceSupersample:
+    """Dense exact law of (ghost/train pair, signs, hypothesis): the plain
+    construction that bound_cmi evaluates without building this object.
+
+    Pair t = ghost * S + train; sign index e runs lexicographically over
+    {-1, +1}^n with -1 first, and +1 keeps the train draw. conditional[t, e]
+    is the hypothesis row fed with the sign-selected mix, p_tilde[t] the
+    probability of the pair.
+    """
+
+    prob: LearningProblem
+    p_tilde: np.ndarray
+    conditional: np.ndarray
+    train_index: np.ndarray
+    signs: np.ndarray
+
+    @classmethod
+    def build(cls, prob, alg):
+        S = prob.num_samples
+        signs = np.array(list(itertools.product((-1, 1), repeat=prob.n)), dtype=np.int64)
+        powers = prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64)
+        ghost_digits = prob.samples[:, None, :]  # (S, 1, n)
+        train_digits = prob.samples[None, :, :]  # (1, S, n)
+        train_index = np.empty((S * S, len(signs)), dtype=np.int64)
+        for e in range(len(signs)):
+            pick = np.where(signs[e] == 1, train_digits, ghost_digits)  # (S, S, n)
+            train_index[:, e] = (pick @ powers).reshape(-1)
+        p_tilde = (prob.sample_probs[:, None] * prob.sample_probs[None, :]).reshape(-1)
+        return cls(prob, p_tilde, alg.matrix[train_index], train_index, signs)
+
+    def sw_marginal(self) -> np.ndarray:
+        """Law of (realized training sample, hypothesis), (m^n, N); the
+        realized sample is the sign-selected mix, so it follows train_index."""
+        out = np.zeros((self.prob.num_samples, self.prob.num_hypotheses))
+        n_signs = self.signs.shape[0]
+        for e in range(n_signs):
+            np.add.at(out, self.train_index[:, e],
+                      (self.p_tilde[:, None] / n_signs) * self.conditional[:, e, :])
+        return out
+
+    def cmi(self) -> float:
+        """I(hypothesis ; signs | paired samples), in nats."""
+        avg = self.conditional.mean(axis=1, keepdims=True)
+        kl = rel_entr(self.conditional, np.broadcast_to(avg, self.conditional.shape)).sum(axis=2)
+        return float((self.p_tilde[:, None] * kl).mean(axis=1).sum())
+
+    def signed_gen(self) -> float:
+        """E[gen] through the sign representation."""
+        S = self.prob.num_samples
+        ghost = np.arange(self.p_tilde.size) // S
+        train = np.arange(self.p_tilde.size) % S
+        # per-draw ghost-minus-train loss differences for every (w, pair, i)
+        diff = (self.prob.loss[:, self.prob.samples[ghost]]
+                - self.prob.loss[:, self.prob.samples[train]])
+        total = 0.0
+        n_signs = self.signs.shape[0]
+        for e in range(n_signs):
+            contrib = (diff * self.signs[e][None, None, :]).sum(axis=2) / self.prob.n
+            w_rows = self.conditional[:, e, :]
+            total += (self.p_tilde * (w_rows * contrib.T).sum(axis=1)).sum() / n_signs
+        return float(total)
+
+    def fine_rhs(self) -> float:
+        """(sqrt(12)/n) E[ ||delta(pair)||_2 (psi_2^{-1}(density vs sign-marginal) + 1) ]."""
+        S = self.prob.num_samples
+        delta = delta_bound(self.prob)
+        ghost = self.prob.samples[np.arange(self.p_tilde.size) // S]
+        train = self.prob.samples[np.arange(self.p_tilde.size) % S]
+        delta_l2 = np.sqrt((delta[train, ghost] ** 2).sum(axis=1))
+        avg = self.conditional.mean(axis=1, keepdims=True)
+        inv, _ = _psi2_inv_ratio(self.conditional, np.broadcast_to(avg, self.conditional.shape))
+        per_pair = (self.conditional * (inv + 1.0)).sum(axis=2).mean(axis=1)
+        return float(np.sqrt(12.0) / self.prob.n * (self.p_tilde * delta_l2 * per_pair).sum())
+
+
+def test_supersample_index_matches_reference():
+    gen = np.random.default_rng(5)
+    for _ in range(30):
+        prob = random_problem(gen)
+        ref = ReferenceSupersample.build(prob, gibbs_algorithm(prob, 1.0))
+        got = _supersample_index(prob)
+        assert got.dtype == ref.train_index.dtype
+        assert np.array_equal(got, ref.train_index)
+
+
+def test_bound_cmi_matches_reference_bits():
+    # random problems, plus a zero-mass outcome so some pairs have probability 0
+    gen = np.random.default_rng(6)
+    probs = [random_problem(gen) for _ in range(25)]
+    loss = gen.uniform(size=(3, 3))
+    probs.append(LearningProblem(loss, FiniteMeasure([0.6, 0.0, 0.4]), n=2, bound=1.0))
+    for prob in probs:
+        rows = gen.dirichlet(np.ones(prob.num_hypotheses), size=prob.num_samples)
+        rows[rows < 0.1] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        for alg in algorithm_family(prob) + [Algorithm(MarkovKernel(rows), kind="table")]:
+            ref = ReferenceSupersample.build(prob, alg)
+            details = bound_cmi(prob, alg).details
+            assert details["cmi"] == ref.cmi()
+            assert details["fine_rhs"] == ref.fine_rhs()
 
 
 def test_supersample_marginal_recovers_exact_joint(small_problem, gibbs_alg):
-    law = supersample_joint(small_problem, gibbs_alg)
+    law = ReferenceSupersample.build(small_problem, gibbs_alg)
     joint = exact_joint(small_problem, gibbs_alg)
     assert np.allclose(law.sw_marginal(), joint.weights, atol=1e-12)
 
 
 def test_supersample_ignoring_cmi_zero(small_problem, ignoring_alg):
-    law = supersample_joint(small_problem, ignoring_alg)
-    assert law.cmi() == 0.0
+    assert bound_cmi(small_problem, ignoring_alg).details["cmi"] == 0.0
 
 
 def test_supersample_cmi_ceiling(small_problem):
     ceiling = small_problem.n * math.log(2.0)
     for alg in algorithm_family(small_problem):
-        assert supersample_joint(small_problem, alg).cmi() <= ceiling + 1e-12
+        assert bound_cmi(small_problem, alg).details["cmi"] <= ceiling + 1e-12
 
 
 def test_supersample_xor_cmi_hand_value():
     # n=1 ERM on the xor problem: the sign leaks only when the two halves
     # of the supersample differ, which happens with probability one half
-    law = supersample_joint(xor_problem(), erm_algorithm(xor_problem()))
-    assert abs(law.cmi() - 0.5 * math.log(2.0)) < 1e-12
+    cmi = bound_cmi(xor_problem(), erm_algorithm(xor_problem())).details["cmi"]
+    assert abs(cmi - 0.5 * math.log(2.0)) < 1e-12
 
 
 def test_supersample_signed_gen_matches_exact(small_problem):
     for alg in algorithm_family(small_problem):
-        law = supersample_joint(small_problem, alg)
+        law = ReferenceSupersample.build(small_problem, alg)
         est = expected_gen(small_problem, alg)
         assert abs(law.signed_gen() - est.signed) < 1e-12
 

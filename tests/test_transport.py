@@ -130,7 +130,7 @@ def test_consecutive_couplings_two_diracs():
     emb = line(0.0, 1.0)
     geo = geodesic(FiniteMeasure([1.0, 0.0]), FiniteMeasure([0.0, 1.0]),
                    emb, np.linspace(0.0, 1.0, 4))
-    plans = consecutive_couplings(geo, geo.plan)
+    plans = consecutive_couplings(geo)
     assert len(plans) == 3
     for plan in plans:
         assert plan.weights.size == 1
@@ -143,7 +143,7 @@ def test_consecutive_couplings_single_step_recovers_plan():
     mu = FiniteMeasure(gen.dirichlet(np.ones(3)))
     nu = FiniteMeasure(gen.dirichlet(np.ones(3)))
     geo = geodesic(mu, nu, emb, np.array([0.0, 1.0]))
-    (step,) = consecutive_couplings(geo, geo.plan)
+    (step,) = consecutive_couplings(geo)
     # atoms may be merged or reordered; compare total mass moved per squared cost
     orig = geo.plan
     cost_orig = orig.cost(euclidean_cost(emb, emb), 2.0)
@@ -158,20 +158,11 @@ def test_consecutive_couplings_constant_speed_costs():
     nu = FiniteMeasure(gen.dirichlet(np.ones(3)))
     times = np.linspace(0.0, 1.0, 5)
     geo = geodesic(mu, nu, emb, times)
-    plans = consecutive_couplings(geo, geo.plan)
+    plans = consecutive_couplings(geo)
     for k, plan in enumerate(plans):
         c = euclidean_cost(geo.points[k].support, geo.points[k + 1].support)
         expect = (times[k + 1] - times[k]) * geo.distance
         assert abs(plan.cost(c, 2.0) - expect) < 1e-8
-
-
-def test_consecutive_couplings_rejects_foreign_plan():
-    emb = line(0.0, 1.0)
-    mu, nu = FiniteMeasure([0.5, 0.5]), FiniteMeasure([0.2, 0.8])
-    geo = geodesic(mu, nu, emb, np.array([0.0, 0.5, 1.0]))
-    foreign = product_plan(mu, nu)
-    with pytest.raises(ConfigurationError):
-        consecutive_couplings(geo, foreign)
 
 
 def test_plan_clips_lp_round_off_and_rejects_real_negative_mass():
