@@ -30,7 +30,7 @@ from .measures import (FiniteMeasure, JointMeasure, MarkovKernel,
 from .orlicz import (DecorrelationTerms, DiscreteRandomVariable,
                      PsiPropertyResult, StepFunction, check_psi_kl,
                      check_psi_properties, check_sum_to_integral,
-                     decorrelation_terms, orlicz_norm, psi, psi_inv)
+                     decorrelation_terms, orlicz_norm, orlicz_norms, psi, psi_inv)
 from .suprema import (FiniteMetricSpace, ProcessSpec, Selector, ball_mass,
                       expected_sup_mc, ft_bound, ft_sup_bound,
                       gaussian_from_metric, gaussian_process,

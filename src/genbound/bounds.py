@@ -728,7 +728,11 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     lhs = emp.T @ contrast.T - np.einsum("sw,ws->s", contrast, emp)[None, :]  # (ghost, train)
 
     dsl2 = prob.empirical_sq_dists  # (S, N, N)
-    rhs = np.zeros((S, S))  # (ghost, train)
+    # a train column reads only its sample's dsl2 and coupling rows: one per distinct byte key
+    first = {}
+    reps, inverse = np.unique([first.setdefault(b"".join(t[s].tobytes() for t in (
+        dsl2, *chain.couplings)), s) for s in range(S)], return_inverse=True)
+    rhs = np.zeros((S, reps.size))  # (ghost, distinct train column)
     for k in range(K):
         joint, ref = chain.couplings[k], chain.references[k]
         inv, escape = _psi2_inv_ratio(joint, ref[None, :, :])
@@ -737,15 +741,15 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
             break
         log_term = np.sqrt(np.log(2.0 / (p_k[k] * delta)))
         ref_dot = np.einsum("uv,suv->s", ref, dsl2)  # <ref, d^2> per half
-        rhs += np.sqrt(0.5 * (ref_dot[:, None] + ref_dot[None, :]))
+        rhs += np.sqrt(0.5 * (ref_dot[:, None] + ref_dot[None, reps]))
         # the pair distance mixes both halves inside a sqrt: loop the train half,
         # over the joint's support (a dyadic level k has at most 2^k per sample)
-        for s in range(S):
+        for col, s in enumerate(reps):
             u, v = np.nonzero(joint[s])
             d = np.sqrt(0.5 * (dsl2[:, u, v] + dsl2[s, u, v]))  # (ghost, support)
-            rhs[:, s] += d @ (joint[s, u, v] * inv[s, u, v])
-            rhs[:, s] += log_term * (d @ joint[s, u, v])
-    rhs *= np.sqrt(96.0 / prob.n)
+            rhs[:, col] += d @ (joint[s, u, v] * inv[s, u, v])
+            rhs[:, col] += log_term * (d @ joint[s, u, v])
+    rhs = rhs[:, inverse] * np.sqrt(96.0 / prob.n)
 
     bad = lhs > rhs
     violation = float((p_s[:, None] * p_s[None, :])[bad].sum())

@@ -20,7 +20,7 @@ import numpy as np
 from . import mc
 from .errors import ConfigurationError, DomainError, read_field
 from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp
-from .orlicz import DiscreteRandomVariable, orlicz_norm
+from .orlicz import orlicz_norms
 from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
 
 ENUMERATION_CAP = 10**6
@@ -95,10 +95,11 @@ class LearningProblem:
 
     @cached_property
     def empirical_matrix(self) -> np.ndarray:
-        """emp[w, s] = training risk of hypothesis w on sample s."""
+        """emp[w, s] = training risk of hypothesis w on sample s; draws are averaged
+        in sorted order, so samples of one type get bit-identical columns."""
         out = np.empty((self.num_hypotheses, self.num_samples))
         for start in range(0, self.num_samples, 65536):
-            block = self.samples[start:start + 65536]
+            block = np.sort(self.samples[start:start + 65536], axis=1)
             out[:, start:start + 65536] = self.loss[:, block].mean(axis=2)
         out.flags.writeable = False
         return out
@@ -132,11 +133,12 @@ class LearningProblem:
 
     @cached_property
     def empirical_sq_dists(self) -> np.ndarray:
-        """dsl2[s, u, v] = (1/n) sum_i (loss(u, z_i) - loss(v, z_i))^2."""
+        """dsl2[s, u, v] = (1/n) sum_i (loss(u, z_i) - loss(v, z_i))^2, draws in
+        sorted order like empirical_matrix."""
         g = self.loss_differences  # (N, N, m)
         out = np.empty((self.num_samples, self.num_hypotheses, self.num_hypotheses))
         for start in range(0, self.num_samples, 4096):
-            block = self.samples[start:start + 4096]
+            block = np.sort(self.samples[start:start + 4096], axis=1)
             out[start:start + 4096] = (g[:, :, block] ** 2).mean(axis=3).transpose(2, 0, 1)
         out.flags.writeable = False
         return out
@@ -156,11 +158,13 @@ class LearningProblem:
         diagonal is zero and never compared.
         """
         N = self.num_hypotheses
-        law = FiniteMeasure(self.sample_probs)
+        u, v = np.triu_indices(N, 1)  # the norm of -X is the norm of X
+        law, step = FiniteMeasure(self.sample_probs), max(1, 2**20 // self.num_samples)
         out = np.zeros((N, N))
-        for u, v in zip(*np.triu_indices(N, 1)):  # the norm of -X is the norm of X
-            sums = self.n * (self.gen_matrix[v] - self.gen_matrix[u])
-            out[u, v] = out[v, u] = orlicz_norm(DiscreteRandomVariable(sums, law), 2.0)
+        for i in range(0, u.size, step):  # blocks of at most 2^20 sums (8 MiB) per bisection
+            a, b = u[i:i + step], v[i:i + step]
+            out[a, b] = out[b, a] = orlicz_norms(self.n * (self.gen_matrix[b] - self.gen_matrix[a]),
+                                                 law, 2.0)
         out.flags.writeable = False
         return out
 

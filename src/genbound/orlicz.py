@@ -9,6 +9,7 @@ measure inequality that the bounds are built from.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -73,34 +74,30 @@ class DiscreteRandomVariable:
 
 
 def orlicz_norm(x: DiscreteRandomVariable, p: float) -> float:
-    """Luxemburg norm inf{c > 0 : E[psi_p(|X|/c)] <= 1} of a finite variable.
+    """Luxemburg norm inf{c > 0 : E[psi_p(|X|/c)] <= 1} of a finite variable."""
+    return float(orlicz_norms(x.values[None, :], x.law, p)[0])
 
-    The psi-moment is decreasing in c, E <= 1 at c_hi = max|X|/psi_inv(1) and
-    E >= 1 at c_lo = max|X|/psi_inv(1/min positive mass), so [c_lo, c_hi] is a
-    guaranteed bracket; plain bisection to relative tolerance NORM_REL_TOL.
-    """
+
+def orlicz_norms(values: np.ndarray, law: FiniteMeasure, p: float) -> np.ndarray:
+    """orlicz_norm of each row of an (R, atoms) table of finite values under one law:
+    the psi-moment decreases in c, E <= 1 at max|X|/psi_inv(1) and E >= 1 at
+    max|X|/psi_inv(1/min positive mass), and one bisection runs over all rows, each
+    stopping at relative width NORM_REL_TOL. Zero-mass atoms drop; a zero row is 0."""
     if p < 1.0:
         raise DomainError(f"orlicz_norm needs p >= 1, got {p}")
-    mass = x.law.weights
-    live = mass > 0.0
-    vals = np.abs(x.values[live])
-    mass = mass[live]
-    vmax = vals.max()
-    if vmax == 0.0:
-        return 0.0
-
-    def moment(c: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(mass @ np.expm1((vals / c) ** p))
-
+    live = law.weights > 0.0
+    vals, mass = np.abs(values[:, live]), law.weights[live]
+    vmax = vals.max(axis=1)
     lo = vmax / psi_inv(1.0 / mass.min(), p)
     hi = vmax / psi_inv(1.0, p)
-    while hi - lo > NORM_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if moment(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+    rows = np.flatnonzero(hi - lo > NORM_REL_TOL * hi)
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        with np.errstate(over="ignore"):
+            below = np.expm1((vals[rows] / mid[:, None]) ** p) @ mass <= 1.0
+        hi[rows[below]] = mid[below]
+        lo[rows[~below]] = mid[~below]
+        rows = rows[hi[rows] - lo[rows] > NORM_REL_TOL * hi[rows]]
     return hi
 
 
@@ -127,10 +124,10 @@ def _psi_gap_factored(x: float, p: float, item: str) -> float:
     #   product: x (b-1) - 2^{1/p} (b^2-1)   = (b-1) (x - 2^{1/p} (b+1))
     # Every factor is well scaled; past float range both saturate to -inf.
     with np.errstate(over="ignore"):
-        if item == "square":
-            return float(-2.0 * np.expm1(x**p / 2.0))
+        if item == "square":  # numpy's power saturates where x**p would raise
+            return float(-2.0 * np.expm1(np.float64(x) ** p / 2.0))
         if item == "product":
-            quarter = np.expm1(x**p / 4.0)
+            quarter = np.expm1(np.float64(x) ** p / 4.0)
             return float(quarter * (x - 2 ** (1 / p) * (quarter + 2.0)))
     raise ValueError(item)
 
@@ -149,24 +146,28 @@ def check_psi_properties(grid) -> list[PsiPropertyResult]:
     worst = {item: (-np.inf, ()) for item in ("square", "product", "power", "shift")}
 
     def consider(item: str, gap: float, args: tuple) -> None:
-        if gap > worst[item][0]:
-            worst[item] = (gap, args)
+        if gap > worst[item][0] or not worst[item][1]:  # the first point always counts
+            worst[item] = (float(gap), args)
 
     for x, p, q in grid:
         x, p, q = float(x), float(p), float(q)
         if p < 1.0 or q < 1.0 or x < 0.0:
             raise DomainError(f"grid point out of domain: {(x, p, q)}")
-        if x**p <= _SQUARE_SAFE:
+        log_x = math.log(x) if x > 0.0 else -math.inf
+        if p * log_x <= math.log(_SQUARE_SAFE):
             consider("square", psi(x / 2 ** (1 / p), p) ** 2 - psi(x, p), (x, p))
         else:
             consider("square", _psi_gap_factored(x, p, "square"), (x, p))
-        if x**p <= _EXP_SAFE:
+        if p * log_x <= math.log(_EXP_SAFE):
             consider("product",
                      x * psi(x / 4 ** (1 / p), p) - 2 ** (1 / p) * psi(x / 2 ** (1 / p), p),
                      (x, p))
         else:
             consider("product", _psi_gap_factored(x, p, "product"), (x, p))
-        consider("power", psi_inv(x**q, p) - q ** (1 / p) * psi_inv(x, p), (x, p, q))
+        # x^q = e^{q log x} nears float range past _EXP_SAFE: log1p(x^q) = q log x + log1p(x^-q)
+        power = (psi_inv(x**q, p) if q * log_x <= _EXP_SAFE
+                 else (q * log_x + math.log1p(x**-q)) ** (1 / p))
+        consider("power", power - q ** (1 / p) * psi_inv(x, p), (x, p, q))
         if x >= 1.0:
             consider("shift", psi_inv(x, p) - (np.log(x) ** (1 / p) + 1.0), (x, p))
     return [PsiPropertyResult(item, gap, args) for item, (gap, args) in worst.items()]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import rel_entr
 
-from genbound import (ChainSpec, ConfigurationError, DiscreteRandomVariable,
+from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVariable,
                       DomainError, FiniteMeasure, LearningProblem, MarkovKernel,
                       bound_chain, bound_cmi, bound_coupling,
                       bound_coupling_simplified, bound_density, bound_mi,
@@ -15,9 +15,11 @@ from genbound import (ChainSpec, ConfigurationError, DiscreteRandomVariable,
                       expected_gen, gibbs_algorithm, hypothesis_marginal,
                       ignore_algorithm, increment_check, kl_divergence,
                       loss_embedding, markov_slack, mutual_information,
-                      optimal_couplings, orlicz_norm, subgaussian_sigma,
-                      tail_pac_bayes, tail_pointwise_check, tail_transductive)
+                      optimal_couplings, orlicz_norm, orlicz_norms, psi_inv,
+                      subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
+                      tail_transductive)
 from genbound.bounds import _coupling_and_reference, _coupling_arrays, _psi2_inv_ratio
+from genbound.orlicz import NORM_REL_TOL
 from genbound.transport import TransportPlan, displacement_interpolation
 
 from conftest import algorithm_family, random_problem
@@ -402,6 +404,34 @@ def test_increment_check_single_hypothesis_has_no_pairs():
     assert increment_check(prob, np.zeros((1, 1))) == -np.inf
 
 
+def scalar_orlicz_norm(values, law, p):
+    """Reference: a one-variable bisection, the form orlicz_norm took before all
+    rows were bisected at once."""
+    live = law.weights > 0.0
+    vals, mass = np.abs(values[live]), law.weights[live]
+    vmax = vals.max()
+    if vmax == 0.0:
+        return 0.0
+    lo = vmax / psi_inv(1.0 / mass.min(), p)
+    hi = vmax / psi_inv(1.0, p)
+    while hi - lo > NORM_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        with np.errstate(over="ignore"):
+            moment = float(mass @ np.expm1((vals / mid) ** p))
+        lo, hi = (lo, mid) if moment <= 1.0 else (mid, hi)
+    return hi
+
+
+def looped_pair_norms(prob):
+    """Reference: pair_norms from one scalar bisection per pair u < v."""
+    law = FiniteMeasure(prob.sample_probs)
+    out = np.zeros((prob.num_hypotheses, prob.num_hypotheses))
+    for u, v in zip(*np.triu_indices(prob.num_hypotheses, 1)):
+        sums = prob.n * (prob.gen_matrix[v] - prob.gen_matrix[u])
+        out[u, v] = out[v, u] = scalar_orlicz_norm(sums, law, 2.0)
+    return out
+
+
 def test_increment_check_matches_the_pairwise_loop(small_problem):
     prob = small_problem
     metric = chain_metric(prob)
@@ -411,9 +441,25 @@ def test_increment_check_matches_the_pairwise_loop(small_problem):
         for v in range(prob.num_hypotheses):
             if u != v:
                 sums = prob.n * (prob.gen_matrix[v] - prob.gen_matrix[u])
-                norm = orlicz_norm(DiscreteRandomVariable(sums, law), 2.0)
+                norm = scalar_orlicz_norm(sums, law, 2.0)
                 worst = max(worst, norm - np.sqrt(prob.n) * metric[u, v])
     assert increment_check(prob, metric) == worst
+
+
+def test_pair_norms_match_the_scalar_loop():
+    gen = np.random.default_rng(39)
+    probs = [random_problem(gen, m_max=4, n_max=4, big_n_max=8) for _ in range(15)]
+    loss = gen.uniform(size=(5, 3))
+    probs.append(LearningProblem(loss, FiniteMeasure([0.3, 0.0, 0.7]), n=3, bound=1.0))
+    # 4^9 samples: the 6 pairs are bisected in blocks of 2^20 // 4^9 = 4
+    probs.append(LearningProblem(gen.uniform(size=(4, 4)), FiniteMeasure(gen.dirichlet(np.ones(4))),
+                                 n=9, bound=1.0))
+    for prob in probs:
+        ref = looped_pair_norms(prob)
+        assert np.all(np.abs(prob.pair_norms - ref) <= NORM_REL_TOL * ref)
+    var = DiscreteRandomVariable(gen.normal(size=6), FiniteMeasure(gen.dirichlet(np.ones(6))))
+    for p in (1.0, 2.0, 3.0):
+        assert orlicz_norm(var, p) == orlicz_norms(var.values[None, :], var.law, p)[0]
 
 
 def test_problem_tables_are_cached_and_read_only(small_problem, gibbs_alg):
@@ -725,6 +771,53 @@ def dense_transductive_rhs(prob, chain, delta):
             rhs[:, s] += np.einsum("uv,guv->g", joint[s] * inv[s], d)
             rhs[:, s] += log_term * np.einsum("uv,guv->g", joint[s], d)
     return rhs * np.sqrt(96.0 / prob.n)
+
+
+def looped_transductive(prob, alg, chain, delta):
+    """Reference: tail_transductive's (ghost, train) rhs and violation from one
+    column per train sample, as it was computed before equal columns were shared."""
+    K = len(chain.couplings)
+    q_w = chain.kernels[0].matrix[0]
+    S, p_s = prob.num_samples, prob.sample_probs
+    contrast = alg.matrix - q_w[None, :]
+    emp = prob.empirical_matrix
+    lhs = emp.T @ contrast.T - np.einsum("sw,ws->s", contrast, emp)[None, :]
+    dsl2 = prob.empirical_sq_dists
+    rhs = np.zeros((S, S))
+    for joint, ref in zip(chain.couplings, chain.references):
+        inv, escape = _psi2_inv_ratio(joint, ref[None, :, :])
+        if escape:
+            rhs[:] = np.inf
+            break
+        log_term = np.sqrt(np.log(2.0 / (1.0 / K * delta)))  # uniform level weights
+        ref_dot = np.einsum("uv,suv->s", ref, dsl2)
+        rhs += np.sqrt(0.5 * (ref_dot[:, None] + ref_dot[None, :]))
+        for s in range(S):
+            u, v = np.nonzero(joint[s])
+            d = np.sqrt(0.5 * (dsl2[:, u, v] + dsl2[s, u, v]))
+            rhs[:, s] += d @ (joint[s, u, v] * inv[s, u, v])
+            rhs[:, s] += log_term * (d @ joint[s, u, v])
+    rhs *= np.sqrt(96.0 / prob.n)
+    return rhs, float((p_s[:, None] * p_s[None, :])[lhs > rhs].sum())
+
+
+def test_tail_transductive_matches_the_per_sample_loop_bits():
+    # a random kernel (every row distinct), a kernel whose repeated rows ignore
+    # the sample's type (so equal couplings do not imply equal distances), and Gibbs
+    gen = np.random.default_rng(40)
+    for _ in range(8):
+        prob = random_problem(gen, m_max=3, n_max=4, big_n_max=6)
+        S, N = prob.num_samples, prob.num_hypotheses
+        distinct = gen.dirichlet(np.ones(N), size=S)
+        repeated = gen.dirichlet(np.ones(N), size=3)[gen.integers(0, 3, size=S)]
+        for alg in (Algorithm(MarkovKernel(distinct), kind="table"),
+                    Algorithm(MarkovKernel(repeated), kind="table"), gibbs_algorithm(prob, 2.0)):
+            chain = chain_from_partitions(prob, alg, dyadic_partitions(N))
+            for delta in DELTAS:
+                report = tail_transductive(prob, alg, chain, delta)
+                rhs, violation = looped_transductive(prob, alg, chain, delta)
+                assert np.array_equal(report.details["per_pair_rhs"], rhs)
+                assert report.violation == violation
 
 
 def test_tail_transductive_matches_the_dense_loop():

@@ -9,10 +9,12 @@ from genbound import (Algorithm, DomainError, FiniteMeasure, LearningProblem,
                       MarkovKernel, algorithm_from_json, delta_bound,
                       erm_algorithm, exact_joint, expected_gen,
                       bound_cmi, gibbs_algorithm, ignore_algorithm, mutual_information,
-                      orlicz_norm, problem_from_json, subgaussian_sigma)
+                      loss_embedding, orlicz_norm, problem_from_json, subgaussian_sigma)
+from genbound import learning
 from genbound.bounds import _psi2_inv_ratio, _supersample_index
 from genbound.measures import rel_entr
 from genbound.orlicz import DiscreteRandomVariable
+from genbound.transport import wasserstein_batch
 
 from conftest import algorithm_family, random_problem
 
@@ -52,6 +54,41 @@ def test_problem_rejects_out_of_range_loss():
     with pytest.raises(Exception):
         LearningProblem(np.array([[0.0, 1.5]]), FiniteMeasure([0.5, 0.5]),
                         n=1, bound=1.0)
+
+
+def test_same_type_samples_share_rows_bit_for_bit():
+    # samples with the same outcome counts (type) get identical bits in every
+    # per-sample table, which is what lets w2_plans solve one block per type
+    gen = np.random.default_rng(21)
+    probs = [random_problem(gen, m_max=4, n_max=4) for _ in range(12)]
+    loss = gen.uniform(size=(4, 3))
+    probs.append(LearningProblem(loss, FiniteMeasure([0.5, 0.0, 0.5]), n=4, bound=1.0))
+    for prob in probs:
+        _, types = np.unique(np.sort(prob.samples, axis=1), axis=0, return_inverse=True)
+        rows = {"emp": prob.empirical_matrix.T, "dsl2": prob.empirical_sq_dists,
+                "gibbs": gibbs_algorithm(prob, 3.0).matrix, "erm": erm_algorithm(prob).matrix}
+        for t in range(types.max() + 1):
+            members = np.flatnonzero(types.reshape(-1) == t)
+            for name, table in rows.items():
+                assert all(np.array_equal(table[s], table[members[0]]) for s in members), name
+
+
+def test_w2_plans_solves_one_block_per_distinct_row(monkeypatch):
+    gen = np.random.default_rng(22)
+    loss = gen.uniform(size=(16, 4))
+    base = LearningProblem(loss, FiniteMeasure(gen.dirichlet(np.ones(4))), n=4, bound=1.0)
+    prob = LearningProblem(loss, base.p_z, 4, bound=1.0, embedding=loss_embedding(base))
+    alg = gibbs_algorithm(prob, 1.0)
+    blocks = []
+
+    def counting(problems, *args, **kwargs):
+        blocks.append(len(problems))
+        return wasserstein_batch(problems, *args, **kwargs)
+
+    monkeypatch.setattr(learning, "wasserstein_batch", counting)
+    prob.w2_plans(alg.matrix, FiniteMeasure(alg.matrix.mean(axis=0)))
+    # 256 sequences, 35 types, one block per type
+    assert blocks == [35] == [np.unique(alg.matrix, axis=0).shape[0]]
 
 
 def test_problem_json_roundtrip(small_problem):

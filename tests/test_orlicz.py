@@ -101,6 +101,29 @@ def test_psi_property_overflow_zone():
         assert res.max_violation <= 1e-12, (res.item, res.argmax_input)
 
 
+def test_psi_property_grid_survives_huge_x():
+    # x^p and x^q leave float range: the factored gaps saturate to -inf, and the
+    # power item's log1p(x^q) is taken as q log x + log1p(x^-q), not as +inf
+    for point in ((1e200, 2.0, 1.0), (1e160, 2.0, 1.0), (1e200, 1.0, 2.0)):
+        results = {r.item: r for r in check_psi_properties([point])}
+        for item in ("square", "product"):
+            assert results[item].max_violation == -math.inf
+            assert results[item].argmax_input == point[:2]
+        assert abs(results["power"].max_violation) <= 1e-12
+        assert results["shift"].max_violation <= 0.0
+
+
+def test_psi_property_report_names_its_first_point():
+    # every gap at (1e3, 2, 1) is -inf or negative; the report still says where
+    # each item was evaluated, and every violation is a Python float
+    results = {r.item: r for r in check_psi_properties([(1e3, 2.0, 1.0)])}
+    assert results["square"].argmax_input == (1e3, 2.0)
+    assert results["product"].argmax_input == (1e3, 2.0)
+    assert results["power"].argmax_input == (1e3, 2.0, 1.0)
+    assert results["shift"].argmax_input == (1e3, 2.0)
+    assert all(type(r.max_violation) is float for r in results.values())
+
+
 def test_psi_shift_item_at_one():
     results = {r.item: r for r in check_psi_properties([(1.0, 2.0, 1.0)])}
     # psi_p^{-1}(1) = (log 2)^{1/p} <= 0 + 1
