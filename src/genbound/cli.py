@@ -36,13 +36,7 @@ FT_COLUMNS = ("space_id", "p", "mu_mode", "bound", "mc_mean", "mc_stderr",
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)  # nan, inf, -inf as such
 
 
 def _jsonable(obj):
@@ -53,12 +47,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+        return float(obj) if math.isfinite(obj) else _fmt(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mc
 from .errors import ConfigurationError, DomainError, read_field
-from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp
+from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, readonly
 from .orlicz import orlicz_norms
 from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
 
@@ -82,16 +82,12 @@ class LearningProblem:
     @cached_property
     def samples(self) -> np.ndarray:
         """(m^n, n) outcome indices, lexicographic; row index is the sample index."""
-        arr = np.array(list(itertools.product(range(self.num_outcomes), repeat=self.n)),
-                       dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+        return readonly(np.array(list(itertools.product(range(self.num_outcomes), repeat=self.n)),
+                                 dtype=np.int64))
 
     @cached_property
     def sample_probs(self) -> np.ndarray:
-        pr = np.prod(self.p_z.weights[self.samples], axis=1)
-        pr.flags.writeable = False
-        return pr
+        return readonly(np.prod(self.p_z.weights[self.samples], axis=1))
 
     @cached_property
     def empirical_matrix(self) -> np.ndarray:
@@ -101,35 +97,26 @@ class LearningProblem:
         for start in range(0, self.num_samples, 65536):
             block = np.sort(self.samples[start:start + 65536], axis=1)
             out[:, start:start + 65536] = self.loss[:, block].mean(axis=2)
-        out.flags.writeable = False
-        return out
+        return readonly(out)
 
     @cached_property
     def population_risks(self) -> np.ndarray:
-        pr = self.loss @ self.p_z.weights
-        pr.flags.writeable = False
-        return pr
+        return readonly(self.loss @ self.p_z.weights)
 
     @cached_property
     def gen_matrix(self) -> np.ndarray:
         """gen[w, s] = population risk minus training risk."""
-        g = self.population_risks[:, None] - self.empirical_matrix
-        g.flags.writeable = False
-        return g
+        return readonly(self.population_risks[:, None] - self.empirical_matrix)
 
     @cached_property
     def loss_differences(self) -> np.ndarray:
         """g[u, v, z] = loss(u, z) - loss(v, z)."""
-        g = self.loss[:, None, :] - self.loss[None, :, :]
-        g.flags.writeable = False
-        return g
+        return readonly(self.loss[:, None, :] - self.loss[None, :, :])
 
     @cached_property
     def population_dists(self) -> np.ndarray:
         """dl[u, v] = sqrt(E_Z (loss(u, Z) - loss(v, Z))^2)."""
-        d = np.sqrt(self.loss_differences**2 @ self.p_z.weights)
-        d.flags.writeable = False
-        return d
+        return readonly(np.sqrt(self.loss_differences**2 @ self.p_z.weights))
 
     @cached_property
     def empirical_sq_dists(self) -> np.ndarray:
@@ -140,15 +127,12 @@ class LearningProblem:
         for start in range(0, self.num_samples, 4096):
             block = np.sort(self.samples[start:start + 4096], axis=1)
             out[start:start + 4096] = (g[:, :, block] ** 2).mean(axis=3).transpose(2, 0, 1)
-        out.flags.writeable = False
-        return out
+        return readonly(out)
 
     @cached_property
     def empirical_dists(self) -> np.ndarray:
         """dsl[s, u, v] = sqrt(dsl2[s, u, v]), the empirical loss distance."""
-        d = np.sqrt(self.empirical_sq_dists)
-        d.flags.writeable = False
-        return d
+        return readonly(np.sqrt(self.empirical_sq_dists))
 
     @cached_property
     def pair_norms(self) -> np.ndarray:
@@ -165,8 +149,7 @@ class LearningProblem:
             a, b = u[i:i + step], v[i:i + step]
             out[a, b] = out[b, a] = orlicz_norms(self.n * (self.gen_matrix[b] - self.gen_matrix[a]),
                                                  law, 2.0)
-        out.flags.writeable = False
-        return out
+        return readonly(out)
 
     @cached_property
     def _w2_tables(self) -> dict:
@@ -326,15 +309,19 @@ def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, block: int,
                size: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample and hypothesis indices of one Monte Carlo block.
 
-    Substream `block` of `seed` draws the n outcomes of each sample from p_z,
-    then one uniform per draw picks the hypothesis from the algorithm's row.
+    Substream `block` of `seed` draws the n outcomes of each sample from p_z
+    by `Generator.choice`'s inverse-CDF step (a digit counts the normalized
+    knots <= u), then one uniform per draw picks the hypothesis off the
+    kernel's CDF table. The stream is the one `Generator.choice` produced.
     """
     gen = mc.substream(seed, block)
-    draws = gen.choice(prob.num_outcomes, size=(size, prob.n), p=prob.p_z.weights)
-    s_idx = draws @ (prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64))
-    u = gen.random(size)
-    w_idx = (np.cumsum(alg.matrix[s_idx], axis=1) < u[:, None]).sum(axis=1)
-    return s_idx, np.minimum(w_idx, prob.num_hypotheses - 1)
+    cdf = np.cumsum(prob.p_z.weights)
+    u = gen.random((size, prob.n))
+    digits = np.zeros(u.shape, dtype=np.int64)
+    for knot in cdf[:-1] / cdf[-1]:
+        digits += knot <= u
+    s_idx = digits @ (prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64))
+    return s_idx, mc.pick(np.take(alg.kernel.cdf, s_idx, axis=0), gen.random(size))
 
 
 def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
@@ -389,6 +376,4 @@ def subgaussian_sigma(prob: LearningProblem) -> float:
 
 def delta_bound(prob: LearningProblem) -> np.ndarray:
     """delta[z, z'] = max_w |loss(w, z) - loss(w, z')|."""
-    d = np.abs(prob.loss[:, :, None] - prob.loss[:, None, :]).max(axis=0)
-    d.flags.writeable = False
-    return d
+    return readonly(np.abs(prob.loss[:, :, None] - prob.loss[:, None, :]).max(axis=0))

@@ -2,7 +2,8 @@
 
 Every MC consumer draws from Philox generators keyed by (seed, task index),
 accumulates per-task partial sums, and reduces them in task order. That makes
-results bitwise identical no matter how many workers ran the tasks.
+results bitwise identical no matter how many workers ran the tasks. A
+categorical draw reads one uniform against a `cdf_table` through `pick`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,19 @@ def block_sizes(samples: int) -> list[int]:
         raise ValueError("samples must be positive")
     full, rem = divmod(samples, BLOCK)
     return [BLOCK] * full + ([rem] if rem else [])
+
+
+def cdf_table(weights: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis with the last entry set to +inf."""
+    table = np.cumsum(weights, axis=-1)
+    table[..., -1] = np.inf
+    return table
+
+
+def pick(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per uniform u[i], the first j with table[i, j] >= u[i] (a 1-D table serves
+    every draw): min((cumsum < u).sum(), k - 1) of the same rows, bit for bit."""
+    return (table < u[:, None]).argmin(axis=1)
 
 
 def run_blocks(fn, n_tasks: int, workers: int = 1) -> list:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import mc
 from .errors import ConfigurationError
 
 # Constructors renormalize silent drift up to this much and reject anything worse.
@@ -23,6 +25,12 @@ MASS_TOL = 1e-12
 # Individual weights may be negative by at most this (LP round-off); they are clipped.
 NEG_TOL = 1e-12
 _TINY = np.finfo(float).tiny
+
+
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """arr, marked read-only: cached tables are shared, never written."""
+    arr.flags.writeable = False
+    return arr
 
 
 def rel_entr(x, y) -> np.ndarray:
@@ -91,9 +99,7 @@ def _clean_weights(w, what: str) -> np.ndarray:
                 i = int(np.argmax(bad))
                 where = what if w.ndim == 1 else f"{what} row {i}"
                 raise ConfigurationError(f"{where}: {text(i)}")
-    out = (rows / total[:, None]).reshape(w.shape)  # x / 1.0 is x, bit for bit
-    out.flags.writeable = False
-    return out
+    return readonly((rows / total[:, None]).reshape(w.shape))  # x / 1.0 is x, bit for bit
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,11 @@ class MarkovKernel:
 
     def row(self, i: int) -> FiniteMeasure:
         return FiniteMeasure(self.matrix[i])
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Row-wise `mc.cdf_table`, built once and shared by every Monte Carlo block."""
+        return readonly(mc.cdf_table(self.matrix))
 
     @staticmethod
     def constant(measure: FiniteMeasure, input_size: int) -> "MarkovKernel":

@@ -311,6 +311,7 @@ def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selec
 
     sizes = mc.block_sizes(samples)
     factor = _gaussian_factor(proc.cov) if proc.kind == "gaussian" else None
+    path_cdf = mc.cdf_table(proc.weights) if proc.kind == "tabulated" else None
 
     def one_block(b: int):
         gen = mc.substream(seed, b)
@@ -318,17 +319,14 @@ def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selec
             x = gen.standard_normal((sizes[b], space.size)) @ factor.T
             rows = None
         else:
-            rows = (np.cumsum(proc.weights) < gen.random(sizes[b])[:, None]).sum(axis=1)
-            rows = np.minimum(rows, proc.weights.size - 1)
+            rows = mc.pick(path_cdf, gen.random(sizes[b]))
             x = proc.paths[rows]
         if selector.rule == "argmax":
             picked = x.max(axis=1)
         elif selector.rule == "fixed":
             picked = x[:, selector.index]
         else:
-            cdf = np.cumsum(selector.kernel.matrix[rows], axis=1)
-            t_idx = (cdf < gen.random(sizes[b])[:, None]).sum(axis=1)
-            t_idx = np.minimum(t_idx, space.size - 1)
+            t_idx = mc.pick(np.take(selector.kernel.cdf, rows, axis=0), gen.random(sizes[b]))
             picked = x[np.arange(sizes[b]), t_idx]
         return picked.sum(), (picked**2).sum()
 

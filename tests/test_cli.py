@@ -436,3 +436,23 @@ def test_stdout_when_no_out_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     reader = csv.DictReader(io.StringIO(out))
     assert [row["bound_name"] for row in reader] == ["mi"]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv, golden", [
+    (["bounds", "--config", "mc_problems.json", "--mc-samples", "3000"], "bounds_mc.csv"),
+    (["tail", "--config", "mc_problems.json", "--mc-samples", "3000"], "tail_mc.csv"),
+    (["ft", "--config", "mc_spaces.json", "--mc-samples", "2000"], "ft_mc.csv")])
+def test_mc_stdout_matches_the_recorded_csv(argv, golden, workers, capsys):
+    # The benchmark oracle checks Monte Carlo rows within standard errors only,
+    # so these recorded bytes are what pins the draw stream itself. The tail
+    # frequencies are 0 (the bound holds); the bounds and ft rows carry the
+    # stream. Zero-mass outcomes, ERM, a sparse ignore prior and tabulated
+    # paths are all drawn. An intended change to an exact bound shows up here
+    # too: re-record the file with the same command and say so.
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv + ["--seed", "5", "--workers", workers]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()

@@ -10,7 +10,7 @@ from genbound import (Algorithm, DomainError, FiniteMeasure, LearningProblem,
                       erm_algorithm, exact_joint, expected_gen,
                       bound_cmi, gibbs_algorithm, ignore_algorithm, mutual_information,
                       loss_embedding, orlicz_norm, problem_from_json, subgaussian_sigma)
-from genbound import learning
+from genbound import learning, mc
 from genbound.bounds import _psi2_inv_ratio, _supersample_index
 from genbound.measures import rel_entr
 from genbound.orlicz import DiscreteRandomVariable
@@ -245,6 +245,44 @@ def test_expected_gen_mc_deterministic_across_workers(small_problem, gibbs_alg):
                         seed=11, workers=4)
     assert one.signed == many.signed
     assert one.absolute == many.absolute
+
+
+def reference_draw_pairs(prob, alg, seed, block, size):
+    # the draw as first written: Generator.choice for the outcomes, then a
+    # cumsum of the gathered posterior rows in every block, capped at N - 1
+    gen = mc.substream(seed, block)
+    draws = gen.choice(prob.num_outcomes, size=(size, prob.n), p=prob.p_z.weights)
+    s_idx = draws @ (prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64))
+    u = gen.random(size)
+    w_idx = (np.cumsum(alg.matrix[s_idx], axis=1) < u[:, None]).sum(axis=1)
+    return s_idx, np.minimum(w_idx, prob.num_hypotheses - 1)
+
+
+def draw_edge_cases():
+    gen = np.random.default_rng(12)
+    cases = []
+    for p_z in ([1.0], [0.0, 0.5, 0.5, 0.0], [0.0, 1.0], [0.7, 0.3, 0.0], [0.2, 0.3, 0.5]):
+        m = len(p_z)
+        for big_n in (1, 2, 5):
+            prob = LearningProblem(gen.uniform(size=(big_n, m)), FiniteMeasure(p_z),
+                                   3, bound=1.0)
+            cases += [(prob, gibbs_algorithm(prob, 1.0)), (prob, erm_algorithm(prob))]
+    for _ in range(4):
+        prob = random_problem(gen, m_max=4, n_max=4)
+        sparse = np.zeros(prob.num_hypotheses)
+        sparse[[0, -1]] = 0.5
+        cases += [(prob, gibbs_algorithm(prob, beta)) for beta in (0.0, 1.0, 10.0, 1e3)]
+        cases += [(prob, erm_algorithm(prob)),
+                  (prob, ignore_algorithm(prob, FiniteMeasure(sparse)))]
+    return cases
+
+
+def test_draw_pairs_reproduces_the_choice_stream_bits():
+    for prob, alg in draw_edge_cases():
+        for seed, block, size in ((0, 0, 1), (3, 1, 7), (7, 2, 8192), (2**63, 5, 64)):
+            got = learning.draw_pairs(prob, alg, seed, block, size)
+            want = reference_draw_pairs(prob, alg, seed, block, size)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from genbound import (ConfigurationError, FiniteMeasure, FiniteMetricSpace,
                       ft_bound, ft_sup_bound, gaussian_from_metric,
                       gaussian_process, majorizing_integral, optimize_mu,
                       process_from_json, tabulated_process, telescoping_check)
-from genbound import suprema
+from genbound import mc, suprema
 from genbound.orlicz import psi
 from genbound.suprema import INCREMENT_TOL, _integral_gradient
 
@@ -432,6 +432,46 @@ def test_mc_randomized_selector_oracle():
                                    Selector("randomized", kernel=kernel),
                                    60000, 17)
     assert abs(mean - exact) <= 4 * max(stderr, 1e-12)
+
+
+def reference_tabulated_mc(proc, space, selector, samples, seed):
+    # the tabulated loop as first written: per-block cumsums of the path weights
+    # and of the gathered selector rows, each count capped by np.minimum
+    parts = []
+    for b, size in enumerate(mc.block_sizes(samples)):
+        gen = mc.substream(seed, b)
+        rows = (np.cumsum(proc.weights) < gen.random(size)[:, None]).sum(axis=1)
+        rows = np.minimum(rows, proc.weights.size - 1)
+        x = proc.paths[rows]
+        if selector.rule == "randomized":
+            cdf = np.cumsum(selector.kernel.matrix[rows], axis=1)
+            t_idx = np.minimum((cdf < gen.random(size)[:, None]).sum(axis=1), space.size - 1)
+            picked = x[np.arange(size), t_idx]
+        else:
+            picked = x.max(axis=1)
+        parts.append((picked.sum(), (picked**2).sum()))
+    return mc.mean_and_stderr(sum(p[0] for p in parts), sum(p[1] for p in parts), samples)
+
+
+def test_tabulated_and_randomized_draws_keep_their_bits():
+    space = line_space(0.0, 0.4, 1.0)
+    path = np.array([-0.1, -0.0213, 0.1])
+    tables = [(np.vstack([np.zeros(3), path, -path, np.zeros(3)]), [0.0, 0.3, 0.3, 0.4]),
+              (np.vstack([path, -path, np.zeros(3)]), [0.35, 0.35, 0.3]),
+              (np.vstack([0.5 * path, -path, np.zeros(3)]), [2 / 3, 1 / 3, 0.0]),
+              (np.zeros((1, 3)), [1.0])]
+    for paths, weights in tables:
+        proc = tabulated_process(space, paths, np.array(weights))
+        k = len(weights)
+        # a zero-mass first column, and a kernel stuck on the middle point
+        kernel = MarkovKernel(np.hstack([np.zeros((k, 1)),
+                                         np.random.default_rng(k).dirichlet([1, 1], size=k)]))
+        edge = MarkovKernel(np.tile([0.0, 1.0, 0.0], (k, 1)))
+        for selector in (Selector("argmax"), Selector("randomized", kernel=kernel),
+                         Selector("randomized", kernel=edge)):
+            for samples, seed in ((1, 0), (7, 3), (8192 + 7, 21)):
+                got = expected_sup_mc(proc, space, selector, samples, seed)
+                assert got == reference_tabulated_mc(proc, space, selector, samples, seed)
 
 
 def test_mc_worker_count_does_not_change_result():
