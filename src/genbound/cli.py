@@ -301,6 +301,8 @@ def main(argv=None) -> int:
             raise GenboundError("--mc-samples must be nonnegative")
         if getattr(args, "trials", 1) < 1:
             raise GenboundError("--trials must be at least 1")
+        if not math.isfinite(getattr(args, "tol", None) or 0.0):
+            raise GenboundError("--tol must be finite")
         return COMMANDS[args.command](args)
     except (GenboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

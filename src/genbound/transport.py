@@ -149,8 +149,8 @@ def wasserstein_batch(pairs, p: float = 1.0) -> list[tuple[float, TransportPlan]
     tightest accepted feasibility tolerance (1e-10, inside PLAN_MARGINAL_TOL)
     so every returned plan passes its own validation.
     """
-    if p < 1.0:
-        raise DomainError(f"wasserstein: p >= 1 required, got {p}")
+    if not 1.0 <= p < np.inf:
+        raise DomainError(f"wasserstein: finite p >= 1 required, got {p}")
     pairs = list(pairs)
     out: list[tuple[float, TransportPlan]] = []
     lo = 0

@@ -23,8 +23,8 @@ from .measures import (FiniteMeasure, JointMeasure, MarkovKernel,
 from .orlicz import (StepFunction, check_psi_kl, check_psi_properties,
                      check_sum_to_integral, decorrelation_terms)
 # perfbench/smoke.py reads verify.wasserstein
-from .transport import (EmbeddedSupport, euclidean_cost, geodesic, wasserstein,  # noqa: F401
-                        wasserstein_batch)
+from .transport import (EmbeddedSupport, displacement_interpolation,  # noqa: F401
+                        euclidean_cost, wasserstein, wasserstein_batch)
 
 DEFAULT_TOL = 1e-12
 
@@ -226,24 +226,31 @@ def run_transport_suite(trials: int, seed: int, tol: float = 1e-6) -> SuiteResul
         times = np.linspace(0.0, 1.0, int(gen.integers(3, 6)))
         draws.append((emb, mu, nu, kappa, p, times))
 
-    # every LP but the geodesics' own goes into one batch per p: per trial,
-    # five metric LPs at its p, then one W_2 LP per pair of geodesic times
+    # round one, one batch per p: per trial, five metric LPs at its p, and
+    # the W_2 LP its geodesic is interpolated from
     batches: dict = {1.0: [], 2.0: []}
     slots = []
     for emb, mu, nu, kappa, p, times in draws:
-        geo = geodesic(mu, nu, emb, times)
         cost = euclidean_cost(emb, emb)
         metric = len(batches[p])
         batches[p] += [(a, b, cost)
                        for a, b in ((mu, mu), (mu, nu), (nu, mu), (mu, kappa), (kappa, nu))]
-        segments = len(batches[2.0])
-        batches[2.0] += [_segment_lp(geo.points[a], geo.points[b])
-                         for a, b in itertools.combinations(range(len(times)), 2)]
-        slots.append((geo, metric, segments))
+        slots.append((metric, len(batches[2.0])))
+        batches[2.0].append((mu, nu, cost))
     solved = {p: wasserstein_batch(pairs, p) for p, pairs in batches.items()}
 
+    # round two: one W_2 LP per pair of geodesic points, on the two points'
+    # own supports
+    geos = []
+    for (emb, *_, times), (_, geo_lp) in zip(draws, slots):
+        dist, plan = solved[2.0][geo_lp]
+        geos.append(displacement_interpolation(plan, dist, emb, times))
+    segments = iter(wasserstein_batch(
+        [(pa.measure, pb.measure, euclidean_cost(pa.support, pb.support))
+         for geo in geos for pa, pb in itertools.combinations(geo.points, 2)], 2.0))
+
     worst = _Worst()
-    for i, (draw, (geo, metric, segments)) in enumerate(zip(draws, slots)):
+    for i, (draw, (metric, _), geo) in enumerate(zip(draws, slots, geos)):
         emb, mu, nu, kappa, p, times = draw
         case = {"trial": i, "p": p, "points": emb.points.tolist(),
                 "mu": mu.weights.tolist(), "nu": nu.weights.tolist()}
@@ -255,21 +262,11 @@ def run_transport_suite(trials: int, seed: int, tol: float = 1e-6) -> SuiteResul
                      {**case, "side": "marginal_src"})
         worst.update(np.abs(plan.weights.sum(axis=0) - nu.weights).max(),
                      {**case, "side": "marginal_dst"})
-        pairs = itertools.combinations(range(len(times)), 2)
-        for (a, b), (d_ab, _) in zip(pairs, solved[2.0][segments:]):
-            target = (times[b] - times[a]) * geo.distance
+        for (ta, tb), (d_ab, _) in zip(itertools.combinations(times, 2), segments):
+            target = (tb - ta) * geo.distance
             rel = abs(d_ab - target) / max(1.0, geo.distance)
-            worst.update(rel, {**case, "side": "constant_speed",
-                               "pair": [float(times[a]), float(times[b])]})
+            worst.update(rel, {**case, "side": "constant_speed", "pair": [float(ta), float(tb)]})
     return worst.result("transport", trials, tol)
-
-
-def _segment_lp(pa, pb) -> tuple:
-    """W_2 LP between two geodesic points, on their pooled support."""
-    big = EmbeddedSupport(np.vstack([pa.support.points, pb.support.points]))
-    wa = np.concatenate([pa.measure.weights, np.zeros(pb.measure.support_size)])
-    wb = np.concatenate([np.zeros(pa.measure.support_size), pb.measure.weights])
-    return FiniteMeasure(wa), FiniteMeasure(wb), euclidean_cost(big, big)
 
 
 SUITES = {"lemma": run_lemma_suite, "psi": run_psi_suite,

@@ -102,6 +102,15 @@ def test_verify_refuses_fewer_than_one_trial(capsys):
         assert "--trials must be at least 1" in captured.err and captured.out == ""
 
 
+def test_verify_refuses_a_non_finite_tol(capsys):
+    # --tol nan failed every check (exit 1) and --tol inf passed every one,
+    # and both printed a tol that is not JSON
+    for tol in ("nan", "inf", "-inf"):
+        assert cli.main(["verify", "--suite", "lemma", "--trials", "3", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert "--tol must be finite" in captured.err and captured.out == ""
+
+
 def test_verify_takes_no_workers_option(capsys):
     assert cli.main(["verify", "--suite", "psi", "--trials", "5", "--workers", "2"]) == 2
     assert "--workers" in capsys.readouterr().err
@@ -302,15 +311,14 @@ def test_bounds_solve_one_lp_per_target_law(tmp_path, monkeypatch):
 
 def test_verify_transport_batches_its_lps(monkeypatch, capsys):
     calls = count_linprog_calls(monkeypatch)
-    trials = 4
-    assert cli.main(["verify", "--suite", "transport", "--trials", str(trials),
+    assert cli.main(["verify", "--suite", "transport", "--trials", "4",
                      "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    # one LP per geodesic, then one batch per p, cut into chunks that hold
-    # more than half of LP_CHUNK_VARS each, except the last of each batch
-    batched = calls[trials:]
-    assert 0 < len(batched) <= 2 + sum(batched) // (transport.LP_CHUNK_VARS // 2)
-    assert max(batched) <= transport.LP_CHUNK_VARS
+    # round one is one batch per p, the geodesic LPs inside the p = 2 batch;
+    # round two is one batch of segment LPs: [220, 194, 1180] variables
+    assert len(calls) == 3
+    assert min(calls) > 6 * 6  # no lone geodesic LP: a trial has at most 6 atoms
+    assert max(calls) <= transport.LP_CHUNK_VARS
 
 
 def test_lp_solver_failure_is_not_an_input_error(tmp_path, monkeypatch):

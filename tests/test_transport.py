@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from scipy.optimize import linprog
 
-from genbound import (ConfigurationError, EmbeddedSupport, FiniteMeasure,
+from genbound import (ConfigurationError, DomainError, EmbeddedSupport, FiniteMeasure,
                       TransportPlan, consecutive_couplings, diagonal_plan,
                       displacement_interpolation, euclidean_cost, geodesic, mc,
                       product_plan, run_transport_suite, transport, verify,
@@ -303,12 +304,8 @@ def per_lp_transport_suite(trials, seed, tol=1e-6):
         for a in range(len(times)):
             for b in range(a + 1, len(times)):
                 pa, pb = geo.points[a], geo.points[b]
-                pooled = np.vstack([pa.support.points, pb.support.points])
-                big = EmbeddedSupport(pooled)
-                seg_cost = euclidean_cost(big, big)
-                wa = np.concatenate([pa.measure.weights, np.zeros(pb.measure.support_size)])
-                wb = np.concatenate([np.zeros(pa.measure.support_size), pb.measure.weights])
-                d_ab, _ = wasserstein(FiniteMeasure(wa), FiniteMeasure(wb), seg_cost, 2.0)
+                d_ab, _ = wasserstein(pa.measure, pb.measure,
+                                      euclidean_cost(pa.support, pb.support), 2.0)
                 target = (times[b] - times[a]) * geo.distance
                 rel = abs(d_ab - target) / max(1.0, geo.distance)
                 worst.update(rel, {**case, "side": "constant_speed",
@@ -323,3 +320,46 @@ def test_batched_transport_suite_matches_the_per_lp_suite(seed):
     assert got.checks == want.checks
     assert got.worst_case_input == want.worst_case_input
     assert abs(got.max_violation - want.max_violation) <= 1e-12
+
+
+def pooled_segment_lp(pa, pb):
+    """The W_2 LP between two geodesic points posed on their pooled support:
+    pa's atoms then pb's, each measure zero on the other's atoms."""
+    big = EmbeddedSupport(np.vstack([pa.support.points, pb.support.points]))
+    wa = np.concatenate([pa.measure.weights, np.zeros(pb.measure.support_size)])
+    wb = np.concatenate([np.zeros(pa.measure.support_size), pb.measure.weights])
+    return FiniteMeasure(wa), FiniteMeasure(wb), euclidean_cost(big, big)
+
+
+def test_segment_lp_on_own_supports_matches_pooled():
+    # the pooled LP's extra rows and columns have zero marginals, so it is the
+    # own-support LP plus variables forced to zero
+    gen = np.random.default_rng(13)
+    draws = []
+    for _ in range(320):
+        size = int(gen.integers(1, 7))
+        emb = EmbeddedSupport(gen.normal(size=(size, int(gen.integers(1, 4)))))
+        mu, nu = verify._random_measure(gen, size), verify._random_measure(gen, size)
+        draws.append((emb, mu, nu, np.linspace(0.0, 1.0, int(gen.integers(2, 6)))))
+    assert sum(np.any(mu.weights == 0.0) for _, mu, _, _ in draws) > 30
+    plans = wasserstein_batch([(mu, nu, euclidean_cost(emb, emb))
+                               for emb, mu, nu, _ in draws], 2.0)
+    own, pooled = [], []
+    for (emb, _, _, times), (dist, plan) in zip(draws, plans):
+        geo = displacement_interpolation(plan, dist, emb, times)
+        for pa, pb in itertools.combinations(geo.points, 2):
+            own.append((pa.measure, pb.measure, euclidean_cost(pa.support, pb.support)))
+            pooled.append(pooled_segment_lp(pa, pb))
+    assert len(own) > 1000
+    for (d_own, _), (d_pooled, _) in zip(wasserstein_batch(own, 2.0),
+                                         wasserstein_batch(pooled, 2.0)):
+        assert abs(d_own - d_pooled) <= 1e-12
+
+
+@pytest.mark.parametrize("x, p", [(0.5, math.inf), (3.0, math.inf), (0.5, math.nan)])
+def test_wasserstein_rejects_a_non_finite_p(x, p):
+    # p = inf returned 1.0 at distance 0.5, because (c^p)^(1/p) became x^0;
+    # at distance 3, and at p = nan, scipy refused the cost vector instead
+    dirac = FiniteMeasure([1.0])
+    with pytest.raises(DomainError, match="finite p >= 1"):
+        wasserstein(dirac, dirac, euclidean_cost(line(0.0), line(x)), p)
