@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [run_suite(name, args.trials, seed, args.tol) for name in names]
-    payload = [json.loads(r.to_json()) for r in results]
+    payload = [_jsonable(json.loads(r.to_json())) for r in results]  # nan, inf as strings
     text = json.dumps(payload[0] if len(payload) == 1 else payload,
                       sort_keys=True, indent=2) + "\n"
     _write(args.out, text)

@@ -79,7 +79,7 @@ def logsumexp(a, axis=None, keepdims: bool = False, b=None) -> np.ndarray:
     return out if keepdims else out.squeeze(axis=axis)
 
 
-def _clean_weights(w, what: str) -> np.ndarray:
+def _clean_weights(w, what: str = "weights") -> np.ndarray:
     """Validate probability vectors along the last axis in one pass; an error
     on a stack of rows names the first bad row."""
     w = np.ascontiguousarray(w, dtype=float)
@@ -244,19 +244,32 @@ def product(p_x: FiniteMeasure, kernel: MarkovKernel) -> JointMeasure:
     return JointMeasure(p_x.weights[:, None] * kernel.matrix)
 
 
+def rowdot(a, b) -> np.ndarray:
+    """Inner products over the last axis, each the 1-d `a @ b` of its rows, bit for bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def kl_divergence(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     """Relative entropy D(mu || nu) in nats; +inf when mu is not << nu."""
     if mu.support_size != nu.support_size:
         raise ConfigurationError("kl_divergence: support size mismatch")
-    return float(rel_entr(mu.weights, nu.weights).sum())
+    return float(kl_divergence_array(mu.weights, nu.weights))
+
+
+def kl_divergence_array(mu, nu) -> np.ndarray:
+    """kl_divergence over the last axis of two weight arrays."""
+    return rel_entr(mu, nu).sum(axis=-1)
 
 
 def mutual_information(joint: JointMeasure) -> float:
     """I(X;Y) of a joint table. Always finite: the joint is << its marginal product."""
-    w = joint.weights
-    px = w.sum(axis=1)
-    py = w.sum(axis=0)
-    return float(rel_entr(w, np.outer(px, py)).sum())
+    return float(mutual_information_array(joint.weights))
+
+
+def mutual_information_array(w) -> np.ndarray:
+    """mutual_information of each joint table on the last two axes of w."""
+    indep = w.sum(axis=-1)[..., :, None] * w.sum(axis=-2)[..., None, :]
+    return rel_entr(w, indep).sum(axis=(-2, -1))
 
 
 def conditional_divergence(p: MarkovKernel, q: MarkovKernel, base: FiniteMeasure) -> float:
@@ -265,8 +278,13 @@ def conditional_divergence(p: MarkovKernel, q: MarkovKernel, base: FiniteMeasure
         raise ConfigurationError("conditional_divergence: kernel shape mismatch")
     if p.input_size != base.support_size:
         raise ConfigurationError("conditional_divergence: base size mismatch")
-    live = base.weights > 0.0  # null conditioning sets contribute nothing, even if D = inf there
-    return float(base.weights[live] @ rel_entr(p.matrix[live], q.matrix[live]).sum(axis=1))
+    return float(conditional_divergence_array(p.matrix, q.matrix, base.weights))
+
+
+def conditional_divergence_array(p, q, base) -> np.ndarray:
+    """conditional_divergence of kernels on the last two axes of p and q under the
+    base on the last axis of base; null conditioning sets add 0, even where D = inf."""
+    return rowdot(base, np.where(base > 0.0, rel_entr(p, q).sum(axis=-1), 0.0))
 
 
 def conditional_mutual_information(joint_xyz) -> float:
@@ -274,10 +292,13 @@ def conditional_mutual_information(joint_xyz) -> float:
     w = np.asarray(joint_xyz, dtype=float)
     if w.ndim != 3:
         raise ConfigurationError("conditional_mutual_information: need a 3-d array")
-    flat = _clean_weights(w.ravel(), "conditional_mutual_information")
-    w = flat.reshape(w.shape)
-    p_z = w.sum(axis=(0, 1))
-    live = p_z > 0.0
-    slabs = w[:, :, live] / p_z[live]  # the law of (X, Y) given each live z
-    indep = slabs.sum(axis=1)[:, None, :] * slabs.sum(axis=0)[None, :, :]
-    return float(p_z[live] @ rel_entr(slabs, indep).sum(axis=(0, 1)))
+    w = _clean_weights(w.ravel(), "conditional_mutual_information").reshape(w.shape)
+    return float(conditional_mutual_information_array(w))
+
+
+def conditional_mutual_information_array(w) -> np.ndarray:
+    """conditional_mutual_information of each [x, y, z] table on the last three axes of w."""
+    p_z = w.sum(axis=(-3, -2))
+    slabs = w / np.where(p_z > 0.0, p_z, 1.0)[..., None, None, :]  # the law of (X, Y) given z
+    indep = slabs.sum(axis=-2)[..., :, None, :] * slabs.sum(axis=-3)[..., None, :, :]
+    return rowdot(p_z, rel_entr(slabs, indep).sum(axis=(-3, -2)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityError, ConfigurationError, DomainError
-from .measures import FiniteMeasure, kl_divergence, logsumexp
+from .measures import FiniteMeasure, kl_divergence, logsumexp, rowdot
 
 NORM_REL_TOL = 1e-10
 # Above this value of x^p, exp(x^p) leaves float64; the property grid switches
@@ -28,18 +28,29 @@ _EXP_SAFE = 600.0
 _SQUARE_SAFE = 60.0
 
 
-def _check_xp(x, p: float) -> np.ndarray:
-    if p < 1.0:
-        raise DomainError(f"psi family needs p >= 1, got {p}")
+def _domain(what: str, value, lower=1.0) -> None:
+    """Refuse a value outside the psi family's domain: not finite, or below
+    lower (1 for p, 0 for f and g, (0, 1, 1) for a grid point (x, p, q)). A
+    float p goes through math.isfinite, so psi's hot callers pay no array cost."""
+    if isinstance(value, np.ndarray):
+        bad = np.argwhere(~(np.isfinite(value) & (value >= lower)))
+        if bad.size:
+            raise DomainError(f"{what}: {value[bad[0][0]]} is not finite or not >= {lower}")
+    elif not (math.isfinite(value) and value >= lower):
+        raise DomainError(f"{what}: {value} is not finite or not >= {lower}")
+
+
+def _check_xp(x, p: float, what: str) -> np.ndarray:
+    _domain(what, p)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
-        raise DomainError("psi family is defined on x >= 0")
+        raise DomainError(f"{what.split()[0]} is defined on x >= 0")
     return arr
 
 
 def psi(x, p: float):
     """psi_p(x) = exp(x^p) - 1; overflow saturates to +inf."""
-    arr = _check_xp(x, p)
+    arr = _check_xp(x, p, "psi p")
     with np.errstate(over="ignore"):
         out = np.expm1(arr**p)
     return float(out) if np.isscalar(x) else out
@@ -47,11 +58,7 @@ def psi(x, p: float):
 
 def psi_inv(x, p: float):
     """psi_p^{-1}(x) = (log(x+1))^{1/p}; accepts +inf."""
-    if p < 1.0:
-        raise DomainError(f"psi family needs p >= 1, got {p}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("psi_inv is defined on x >= 0")
+    arr = _check_xp(x, p, "psi_inv p")
     out = np.log1p(arr) ** (1.0 / p)
     return float(out) if np.isscalar(x) else out
 
@@ -83,8 +90,7 @@ def orlicz_norms(values: np.ndarray, law: FiniteMeasure, p: float) -> np.ndarray
     the psi-moment decreases in c, E <= 1 at max|X|/psi_inv(1) and E >= 1 at
     max|X|/psi_inv(1/min positive mass), and one bisection runs over all rows, each
     stopping at relative width NORM_REL_TOL. Zero-mass atoms drop; a zero row is 0."""
-    if p < 1.0:
-        raise DomainError(f"orlicz_norm needs p >= 1, got {p}")
+    _domain("orlicz_norm p", p)
     live = law.weights > 0.0
     vals, mass = np.abs(values[:, live]), law.weights[live]
     vmax = vals.max(axis=1)
@@ -111,26 +117,6 @@ class PsiPropertyResult:
     max_violation: float
     argmax_input: tuple
 
-    def to_json(self) -> dict:
-        return {"item": self.item, "max_violation": self.max_violation,
-                "argmax_input": list(self.argmax_input)}
-
-
-def _psi_gap_factored(x: float, p: float, item: str) -> float:
-    # The naive gaps subtract e^{x^p}-sized terms whose difference is
-    # exponentially smaller, so direct evaluation cancels catastrophically.
-    # Both factor exactly: with a = e^{x^p/2} and b = e^{x^p/4},
-    #   square:  (a-1)^2 - (a^2-1)           = -2 (a-1)
-    #   product: x (b-1) - 2^{1/p} (b^2-1)   = (b-1) (x - 2^{1/p} (b+1))
-    # Every factor is well scaled; past float range both saturate to -inf.
-    with np.errstate(over="ignore"):
-        if item == "square":  # numpy's power saturates where x**p would raise
-            return float(-2.0 * np.expm1(np.float64(x) ** p / 2.0))
-        if item == "product":
-            quarter = np.expm1(np.float64(x) ** p / 4.0)
-            return float(quarter * (x - 2 ** (1 / p) * (quarter + 2.0)))
-    raise ValueError(item)
-
 
 def check_psi_properties(grid) -> list[PsiPropertyResult]:
     """Evaluate the four psi_p workhorse inequalities over a grid of (x, p, q).
@@ -140,37 +126,37 @@ def check_psi_properties(grid) -> list[PsiPropertyResult]:
            "power"    psi_p^{-1}(x^q)           <= q^{1/p} * psi_p^{-1}(x)   (q >= 1)
            "shift"    psi_p^{-1}(x)             <= (log x)^{1/p} + 1         (x >= 1)
 
-    Returns one report per item with the worst (lhs - rhs) gap and where it
-    happened; every max_violation should sit at or below 1e-12.
+    Returns one report per item with the worst (lhs - rhs) gap and where it first
+    happened, -inf at () if nowhere; every max_violation should sit at or below 1e-12.
     """
-    worst = {item: (-np.inf, ()) for item in ("square", "product", "power", "shift")}
-
-    def consider(item: str, gap: float, args: tuple) -> None:
-        if gap > worst[item][0] or not worst[item][1]:  # the first point always counts
-            worst[item] = (float(gap), args)
-
-    for x, p, q in grid:
-        x, p, q = float(x), float(p), float(q)
-        if p < 1.0 or q < 1.0 or x < 0.0:
-            raise DomainError(f"grid point out of domain: {(x, p, q)}")
-        log_x = math.log(x) if x > 0.0 else -math.inf
-        if p * log_x <= math.log(_SQUARE_SAFE):
-            consider("square", psi(x / 2 ** (1 / p), p) ** 2 - psi(x, p), (x, p))
-        else:
-            consider("square", _psi_gap_factored(x, p, "square"), (x, p))
-        if p * log_x <= math.log(_EXP_SAFE):
-            consider("product",
-                     x * psi(x / 4 ** (1 / p), p) - 2 ** (1 / p) * psi(x / 2 ** (1 / p), p),
-                     (x, p))
-        else:
-            consider("product", _psi_gap_factored(x, p, "product"), (x, p))
+    pts = np.asarray(grid, dtype=float).reshape(len(grid), 3)  # one (x, p, q) per point
+    _domain("check_psi_properties grid point", pts, (0.0, 1.0, 1.0))
+    x, p, q = pts.T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_x, xp, r2 = np.log(x), x**p, 2.0 ** (1.0 / p)
+        half = np.expm1((x / r2) ** p)  # psi_p(x / 2^{1/p})
+        # The naive gaps subtract e^{x^p}-sized terms whose difference is exponentially
+        # smaller, so they cancel catastrophically. Both factor exactly into well scaled
+        # factors that saturate to -inf past float range: with a = e^{x^p/2}, b = e^{x^p/4},
+        #   square:  (a-1)^2 - (a^2-1)           = -2 (a-1)
+        #   product: x (b-1) - 2^{1/p} (b^2-1)   = (b-1) (x - 2^{1/p} (b+1))
+        square = np.where(p * log_x <= math.log(_SQUARE_SAFE), half**2 - np.expm1(xp),
+                          -2.0 * np.expm1(xp / 2.0))
+        quarter = np.expm1(xp / 4.0)
+        product = np.where(p * log_x <= math.log(_EXP_SAFE),
+                           x * np.expm1((x / 4.0 ** (1.0 / p)) ** p) - r2 * half,
+                           quarter * (x - r2 * (quarter + 2.0)))
         # x^q = e^{q log x} nears float range past _EXP_SAFE: log1p(x^q) = q log x + log1p(x^-q)
-        power = (psi_inv(x**q, p) if q * log_x <= _EXP_SAFE
-                 else (q * log_x + math.log1p(x**-q)) ** (1 / p))
-        consider("power", power - q ** (1 / p) * psi_inv(x, p), (x, p, q))
-        if x >= 1.0:
-            consider("shift", psi_inv(x, p) - (np.log(x) ** (1 / p) + 1.0), (x, p))
-    return [PsiPropertyResult(item, gap, args) for item, (gap, args) in worst.items()]
+        inv_x = np.log1p(x) ** (1.0 / p)
+        power = (np.where(q * log_x <= _EXP_SAFE, np.log1p(x**q), q * log_x + np.log1p(x**-q))
+                 ** (1.0 / p) - q ** (1.0 / p) * inv_x)
+        big = np.flatnonzero(x >= 1.0)
+        shift = inv_x[big] - (log_x[big] ** (1.0 / p[big]) + 1.0)
+    items = (("square", square, pts[:, :2]), ("product", product, pts[:, :2]),
+             ("power", power, pts), ("shift", shift, pts[big, :2]))
+    return [PsiPropertyResult(item, float(gap.max()), tuple(args[np.argmax(gap)].tolist()))
+            if gap.size else PsiPropertyResult(item, -math.inf, ())  # argmax: the first maximum
+            for item, gap, args in items]
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +267,13 @@ class DecorrelationTerms:
     rhs2: float
 
 
-def _density(mu: FiniteMeasure, nu: FiniteMeasure) -> np.ndarray:
-    if mu.support_size != nu.support_size:
+def _density(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    if m.shape != n.shape:
         raise ConfigurationError("density: support size mismatch")
-    m, n = mu.weights, nu.weights
     if np.any((m > 0.0) & (n == 0.0)):
         raise AbsoluteContinuityError("mu is not absolutely continuous w.r.t. nu")
     with np.errstate(invalid="ignore", divide="ignore"):
-        dens = np.where(n > 0.0, m / np.where(n > 0.0, n, 1.0), 0.0)
-    return dens
+        return np.where(n > 0.0, m / np.where(n > 0.0, n, 1.0), 0.0)
 
 
 def decorrelation_terms(mu: FiniteMeasure, nu: FiniteMeasure, f, g, p: float) -> DecorrelationTerms:
@@ -299,39 +283,40 @@ def decorrelation_terms(mu: FiniteMeasure, nu: FiniteMeasure, f, g, p: float) ->
     rhs2 = 2^{1/p} ||f||_{L2(nu)} + 4^{1/p} <mu, f psi_p^{-1}(dmu/dnu)>
            + 4^{1/p} ||f||_{L1(mu)} (log <nu, exp(g^p)>)^{1/p}
 
-    f, g must be nonnegative; the exponential moment in rhs2 is evaluated
-    through logsumexp so large g degrades gracefully instead of overflowing.
+    f, g must be finite and nonnegative; the exponential moment in rhs2 is
+    evaluated through logsumexp so large g degrades gracefully instead of overflowing.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != mu.weights.shape or g.shape != mu.weights.shape:
-        raise ConfigurationError("decorrelation_terms: f/g shape mismatch")
-    if np.any(f < 0.0) or np.any(g < 0.0):
-        raise DomainError("decorrelation_terms: f and g must be nonnegative")
-    if p < 1.0:
-        raise DomainError(f"decorrelation_terms: p >= 1 required, got {p}")
+    rows = decorrelation_terms_array(mu.weights[None], nu.weights[None],
+                                     *(np.asarray(v, dtype=float)[None] for v in (f, g)), p)
+    return DecorrelationTerms(*(float(t[0]) for t in rows))
 
+
+def decorrelation_terms_array(mu, nu, f, g, p: float):
+    """decorrelation_terms of each row of (R, k) tables at one p: weights mu
+    and nu, values f and g. Returns the (R,) arrays lhs, rhs1 and rhs2."""
+    if not mu.shape == f.shape == g.shape:
+        raise ConfigurationError("decorrelation_terms: f/g shape mismatch")
+    for what, value, lower in (("p", p, 1.0), ("f", f, 0.0), ("g", g, 0.0)):
+        _domain(f"decorrelation_terms {what}", value, lower)
     dens = _density(mu, nu)
-    mu_w, nu_w = mu.weights, nu.weights
-    lhs = float(mu_w @ (f * g))
-    cross = float(mu_w @ (f * psi_inv(dens, p)))
+    lhs = rowdot(mu, f * g)
+    cross = rowdot(mu, f * psi_inv(dens, p))
 
     with np.errstate(over="ignore"):
-        rhs1 = 2.0 ** (1.0 / p) * cross + float(nu_w @ (f * np.expm1(g**p)))
+        rhs1 = 2.0 ** (1.0 / p) * cross + rowdot(nu, f * np.expm1(g**p))
 
     # log <nu, exp(g^p)> >= 0 since g >= 0; logsumexp keeps it finite in float.
-    log_moment = float(logsumexp(g**p, b=nu_w))
-    rhs2 = (2.0 ** (1.0 / p) * float(np.sqrt(nu_w @ f**2))
+    log_moment = logsumexp(g**p, axis=-1, b=nu)
+    rhs2 = (2.0 ** (1.0 / p) * np.sqrt(rowdot(nu, f**2))
             + 4.0 ** (1.0 / p) * cross
-            + 4.0 ** (1.0 / p) * float(mu_w @ f) * log_moment ** (1.0 / p))
-    return DecorrelationTerms(lhs=lhs, rhs1=float(rhs1), rhs2=float(rhs2))
+            + 4.0 ** (1.0 / p) * rowdot(mu, f) * log_moment ** (1.0 / p))
+    return lhs, rhs1, rhs2
 
 
 def check_psi_kl(mu: FiniteMeasure, nu: FiniteMeasure, p: float) -> tuple[float, float]:
     """Return (<mu, psi_p^{-1}(dmu/dnu)>, (D(mu||nu) + 1)^{1/p}); lhs <= rhs always."""
-    if p < 1.0:
-        raise DomainError(f"check_psi_kl: p >= 1 required, got {p}")
-    dens = _density(mu, nu)
+    _domain("check_psi_kl p", p)
+    dens = _density(mu.weights, nu.weights)
     lhs = float(mu.weights @ psi_inv(dens, p))
     rhs = (kl_divergence(mu, nu) + 1.0) ** (1.0 / p)
     return lhs, rhs

@@ -258,3 +258,70 @@ def test_logsumexp_matches_scipy():
     got, want = logsumexp(g, b=b), special.logsumexp(g, b=b)
     assert np.ndim(got) == 0
     np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
+
+def per_object_kl(mu, nu):
+    return float(rel_entr(mu.weights, nu.weights).sum())
+
+
+def per_object_mi(joint):
+    w = joint.weights
+    return float(rel_entr(w, np.outer(w.sum(axis=1), w.sum(axis=0))).sum())
+
+
+def per_object_conditional_divergence(p, q, base):
+    live = base.weights > 0.0
+    return float(base.weights[live] @ rel_entr(p.matrix[live], q.matrix[live]).sum(axis=1))
+
+
+def per_object_cmi(w):
+    w = np.asarray(w, dtype=float)
+    w = w / w.sum()
+    p_z = w.sum(axis=(0, 1))
+    live = p_z > 0.0
+    slabs = w[:, :, live] / p_z[live]
+    indep = slabs.sum(axis=1)[:, None, :] * slabs.sum(axis=0)[None, :, :]
+    return float(p_z[live] @ rel_entr(slabs, indep).sum(axis=(0, 1)))
+
+
+def test_object_level_functionals_keep_their_bits():
+    # each object-level functional is the one-row call of its array core; on the
+    # inputs above, and on joints the size of bound_mi's, it returns the bits of
+    # the per-object formula it replaced. (With nx * ny >= 8, I(X;Y|Z) may move in
+    # the last bit: the old boolean-indexed slab copy summed in another order.)
+    measures = [FiniteMeasure(w) for w in ([0.5, 0.5], [1.0, 0.0], [0.75, 0.25], [0.3, 0.7])]
+    for mu in measures:
+        for nu in measures:
+            assert kl_divergence(mu, nu) == per_object_kl(mu, nu)
+    joints = [JointMeasure([[0.1, 0.2], [0.3, 0.4]]), JointMeasure([[0.5, 0.0], [0.0, 0.5]]),
+              product(FiniteMeasure([0.5, 0.5]), MarkovKernel([[0.9, 0.1], [0.1, 0.9]]))]
+    kernels = [(MarkovKernel([[0.2, 0.8], [0.7, 0.3]]), MarkovKernel([[0.2, 0.8], [0.7, 0.3]]),
+                FiniteMeasure([0.4, 0.6])),
+               (MarkovKernel([[1.0, 0.0], [0.5, 0.5]]), MarkovKernel([[0.0, 1.0], [0.5, 0.5]]),
+                FiniteMeasure([0.0, 1.0]))]
+    gen = np.random.default_rng(3)
+    for _ in range(200):
+        nx, ny = int(gen.integers(1, 16)), int(gen.integers(1, 9))
+        joint = gen.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
+        joint[gen.random((nx, ny)) < 0.2] = 0.0
+        if joint.sum() == 0.0:
+            continue
+        joints.append(JointMeasure(joint / joint.sum()))
+        base = gen.dirichlet(np.ones(nx))
+        base[gen.random(nx) < 0.3] = 0.0
+        if base.sum() > 0.0:
+            kernels.append((MarkovKernel(gen.dirichlet(np.ones(ny), size=nx)),
+                            MarkovKernel(gen.dirichlet(np.ones(ny), size=nx)),
+                            FiniteMeasure(base / base.sum())))
+    for shape in ((256, 81), (243, 125), (64, 256)):
+        joints.append(JointMeasure(gen.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)))
+    for joint in joints:
+        assert mutual_information(joint) == per_object_mi(joint)
+    for p, q, base in kernels:
+        assert conditional_divergence(p, q, base) == per_object_conditional_divergence(p, q, base)
+    cmi_inputs = [gen.dirichlet(np.ones(n)).reshape(shape) for n, shape in
+                  ((8, (2, 2, 2)), (12, (2, 2, 3)), (6, (2, 3, 1)))]
+    cmi_inputs[1][:, :, 1] = 0.0
+    cmi_inputs[1] /= cmi_inputs[1].sum()
+    for w in cmi_inputs:
+        assert conditional_mutual_information(w) == per_object_cmi(w)

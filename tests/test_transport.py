@@ -279,9 +279,9 @@ def per_lp_transport_suite(trials, seed, tol=1e-6):
         dim = int(gen.integers(1, 4))
         emb = EmbeddedSupport(gen.normal(0.0, 1.0, size=(size, dim)))
         cost = euclidean_cost(emb, emb)
-        mu = verify._random_measure(gen, size)
-        nu = verify._random_measure(gen, size)
-        kappa = verify._random_measure(gen, size)
+        mu = FiniteMeasure(verify._random_weights(gen, size))
+        nu = FiniteMeasure(verify._random_weights(gen, size))
+        kappa = FiniteMeasure(verify._random_weights(gen, size))
         p = float(gen.choice((1.0, 2.0)))
         case = {"trial": i, "p": p, "points": emb.points.tolist(),
                 "mu": mu.weights.tolist(), "nu": nu.weights.tolist()}
@@ -339,7 +339,7 @@ def test_segment_lp_on_own_supports_matches_pooled():
     for _ in range(320):
         size = int(gen.integers(1, 7))
         emb = EmbeddedSupport(gen.normal(size=(size, int(gen.integers(1, 4)))))
-        mu, nu = verify._random_measure(gen, size), verify._random_measure(gen, size)
+        mu, nu = FiniteMeasure(verify._random_weights(gen, size)), FiniteMeasure(verify._random_weights(gen, size))
         draws.append((emb, mu, nu, np.linspace(0.0, 1.0, int(gen.integers(2, 6)))))
     assert sum(np.any(mu.weights == 0.0) for _, mu, _, _ in draws) > 30
     plans = wasserstein_batch([(mu, nu, euclidean_cost(emb, emb))
