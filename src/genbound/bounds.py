@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .learning import (ENUMERATION_CAP, Algorithm, LearningProblem, delta_bound, draw_pairs,
-                       exact_joint, expected_gen, subgaussian_sigma)
-from .measures import FiniteMeasure, MarkovKernel, mutual_information, rel_entr
+                       exact_joint, expected_gen, joint_cells, subgaussian_sigma)
+from .measures import FiniteMeasure, MarkovKernel, mutual_information, readonly, rel_entr
 from .orlicz import psi_inv
 # plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
 from .transport import (DEDUP_DECIMALS, EmbeddedSupport, TransportPlan,  # noqa: F401
@@ -99,7 +99,19 @@ def _sigma(prob: LearningProblem, sigma: float | None) -> float:
 
 def hypothesis_marginal(prob: LearningProblem, alg: Algorithm) -> FiniteMeasure:
     """Exact marginal law of the returned hypothesis."""
-    return FiniteMeasure(prob.sample_probs @ alg.matrix)
+    return prob.table(alg.matrix, "marginal",
+                      lambda: FiniteMeasure(prob.sample_probs @ alg.matrix))
+
+
+def _q_w(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | None) -> FiniteMeasure:
+    """The reference law Q_W of a density bound: q_w, checked against the
+    hypothesis set, or the hypothesis marginal by default."""
+    if q_w is None:
+        return hypothesis_marginal(prob, alg)
+    if q_w.support_size != prob.num_hypotheses:
+        raise ConfigurationError(f"q_w has {q_w.support_size} atoms for "
+                                 f"{prob.num_hypotheses} hypotheses")
+    return q_w
 
 
 def loss_embedding(prob: LearningProblem) -> EmbeddedSupport:
@@ -120,6 +132,18 @@ def _psi2_inv_ratio(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, bool]
         ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
     ratio = np.where(num == 0.0, 0.0, ratio)
     return psi_inv(ratio, 2.0), escape
+
+
+def _density_table(prob: LearningProblem, alg: Algorithm, num: np.ndarray,
+                   den: np.ndarray) -> tuple[np.ndarray, bool]:
+    """_psi2_inv_ratio(num, den[None]) as a read-only table, built once per
+    (problem, algorithm, num, den): the kernel's density against Q_W and each
+    coupling's against its reference, whichever bounds read them."""
+    def build():
+        inv, escape = _psi2_inv_ratio(num, den[None])
+        return readonly(inv), escape
+
+    return prob.table(alg.matrix, ("density", num.shape, num.tobytes(), den.tobytes()), build)
 
 
 def _escaped_report(name: str, lhs: float, kind: str, rhs: float, components: dict,
@@ -169,12 +193,8 @@ def bound_density(prob: LearningProblem, alg: Algorithm,
                   sigma: float | None = None) -> BoundReport:
     """E|gen| <= sqrt(12 sigma^2 / n) * (E psi_2^{-1}(posterior/prior density) + 1)."""
     sig = _sigma(prob, sigma)
-    if q_w is None:
-        q_w = hypothesis_marginal(prob, alg)
-    if q_w.support_size != prob.num_hypotheses:
-        raise ConfigurationError("bound_density: q_w size mismatch")
+    inv, escape = _density_table(prob, alg, alg.matrix, _q_w(prob, alg, q_w).weights)
     joint = exact_joint(prob, alg)
-    inv, escape = _psi2_inv_ratio(alg.matrix, q_w.weights[None, :])
     expect = float((joint.weights * inv).sum()) if not escape else np.inf
     scale = np.sqrt(12.0 * sig**2 / prob.n)
     est = expected_gen(prob, alg)
@@ -286,8 +306,7 @@ def _coupling_and_reference(prob: LearningProblem, alg: Algorithm, q_w: FiniteMe
                             couplings, mu_uv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Coupling tensor pi[s] (W_2-optimal by default) and its reference law
     mu[u, v] (the sample mixture of pi by default)."""
-    if q_w is None:
-        q_w = hypothesis_marginal(prob, alg)
+    q_w = _q_w(prob, alg, q_w)
     if couplings is None:
         couplings = optimal_couplings(prob, alg, q_w)
     pi = _coupling_arrays(prob, alg, q_w, couplings)
@@ -332,7 +351,7 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
         raise ConfigurationError("bound_coupling: too many ghost pairs to enumerate")
     g = prob.loss_differences
     d2 = (g[:, :, :, None] - g[:, :, None, :]) ** 2  # (N, N, train outcome, ghost outcome)
-    inv, escape = _psi2_inv_ratio(pi, mu[None, :, :])
+    inv, escape = _density_table(prob, alg, pi, mu)
     term1 = np.inf if escape else _ghost_pair_sum(
         prob, d2.reshape(-1, *d2.shape[2:]), u * prob.num_hypotheses + v, s,
         p_s[s] * pi[support] * inv[support])
@@ -346,10 +365,10 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
                            escape, ("decorrelation",))
 
 
-def _chain_step_terms(prob: LearningProblem, pi: np.ndarray,
+def _chain_step_terms(prob: LearningProblem, alg: Algorithm, pi: np.ndarray,
                       rho: np.ndarray) -> tuple[float, float, bool]:
     """Loss-metric chain step: (cross term, reference term, escape flag)."""
-    inv, escape = _psi2_inv_ratio(pi, rho[None, :, :])
+    inv, escape = _density_table(prob, alg, pi, rho)
     dl = prob.population_dists
     cross = float(np.einsum("s,suv,suv->", prob.sample_probs, pi * inv,
                             dl[None, :, :] + prob.empirical_dists))
@@ -363,7 +382,7 @@ def bound_coupling_simplified(prob: LearningProblem, alg: Algorithm,
     """Signed E[gen] <= sqrt(48/n) E[(population + empirical loss distance)
     * psi_2^{-1}(coupling density) + reference population distance]."""
     pi, mu = _coupling_and_reference(prob, alg, q_w, couplings, mu_uv)
-    cross, ref, escape = _chain_step_terms(prob, pi, mu)
+    cross, ref, escape = _chain_step_terms(prob, alg, pi, mu)
     scale = np.sqrt(48.0 / prob.n)
     est = expected_gen(prob, alg)
     return _escaped_report("coupling_simplified", est.signed, "signed", scale * (cross + ref),
@@ -465,10 +484,17 @@ def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions,
             # joint[s, u, v] = P(level-k representative u, level-(k-1) representative v | s)
             joint = np.zeros((S, N, N))
             np.add.at(joint.transpose(1, 2, 0), (rep, reps[k - 1]), alg.matrix.T)
-            couplings.append(joint)
-            references.append(np.einsum("s,suv->uv", prob.sample_probs, joint))
+            couplings.append(readonly(joint))
+            references.append(readonly(np.einsum("s,suv->uv", prob.sample_probs, joint)))
     return ChainSpec(kernels=tuple(kernels), couplings=tuple(couplings),
                      references=tuple(references), metric=metric)
+
+
+def root_chain(prob: LearningProblem, alg: Algorithm) -> ChainSpec:
+    """The dyadic chain with its root, built once per (problem, algorithm); the
+    chain and transductive bounds of one problem read the same one."""
+    return prob.table(alg.matrix, "root_chain", lambda: chain_from_partitions(
+        prob, alg, dyadic_partitions(prob.num_hypotheses)))
 
 
 def _validate_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> None:
@@ -502,7 +528,7 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> Boun
 
     cross_terms, ref_terms, escape_any = [], [], False
     for joint, ref in zip(chain.couplings, chain.references):
-        cross, ref_t, escape = _chain_step_terms(prob, joint, ref)
+        cross, ref_t, escape = _chain_step_terms(prob, alg, joint, ref)
         cross_terms.append(cross)
         ref_terms.append(ref_t)
         escape_any = escape_any or escape
@@ -521,7 +547,7 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> Boun
     scale = np.sqrt(2.0 / prob.n)
     steps = []
     for joint, ref in zip(chain.couplings, chain.references):
-        inv, _ = _psi2_inv_ratio(joint, ref[None, :, :])
+        inv, _ = _density_table(prob, alg, joint, ref)
         cross = float(np.einsum("s,suv,uv->", prob.sample_probs, joint * inv, metric))
         steps.append(scale * (cross + float((ref * metric).sum())))
     return _escaped_report("chain_metric", est.signed, "signed", sum(steps),
@@ -645,15 +671,12 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
     if not 0.0 < delta <= 1.0:
         raise DomainError("tail_pointwise_check: delta in (0, 1]")
     sig = _sigma(prob, sigma)
-    if q_w is None:
-        q_w = hypothesis_marginal(prob, alg)
-    inv, _ = _psi2_inv_ratio(alg.matrix, q_w.weights[None, :])  # (S, N); inf allowed
+    inv, _ = _density_table(prob, alg, alg.matrix, _q_w(prob, alg, q_w).weights)  # inf allowed
     base = inv + np.sqrt(np.log(1.0 / delta))
     threshold = sig * np.sqrt(6.0 / prob.n) * base if sig > 0 else np.zeros_like(base)
     exceed = np.abs(prob.gen_matrix.T) > threshold  # inf threshold never exceeded
-    joint = prob.sample_probs[:, None] * alg.matrix
     if mc is None:
-        violation = float(joint[exceed].sum())
+        violation = float(joint_cells(prob, alg)[exceed].sum())
         return TailReport("tail_pointwise", float(delta), violation,
                           details={"sigma": sig})
     samples, seed = mc
@@ -681,9 +704,7 @@ def tail_pac_bayes(prob: LearningProblem, alg: Algorithm, delta: float,
     if not 0.0 < delta < 1.0:
         raise DomainError("tail_pac_bayes: delta in (0, 1)")
     sig = _sigma(prob, sigma)
-    if q_w is None:
-        q_w = hypothesis_marginal(prob, alg)
-    inv, _ = _psi2_inv_ratio(alg.matrix, q_w.weights[None, :])
+    inv, _ = _density_table(prob, alg, alg.matrix, _q_w(prob, alg, q_w).weights)
     lhs = (alg.matrix * np.abs(prob.gen_matrix.T)).sum(axis=1)
     # inv is +inf only where alg.matrix > 0, so no 0 * inf arises
     density_term = (alg.matrix * inv).sum(axis=1)
@@ -735,7 +756,7 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     rhs = np.zeros((S, reps.size))  # (ghost, distinct train column)
     for k in range(K):
         joint, ref = chain.couplings[k], chain.references[k]
-        inv, escape = _psi2_inv_ratio(joint, ref[None, :, :])
+        inv, escape = _density_table(prob, alg, joint, ref)
         if escape:
             rhs[:] = np.inf
             break

@@ -104,11 +104,7 @@ def _entries(cfg: dict):
         yield prob, alg
 
 
-def _root_chain(prob, alg):
-    return bnd.chain_from_partitions(prob, alg, bnd.dyadic_partitions(prob.num_hypotheses))
-
-
-def _token_reports(prob, alg, token: str, delta: float, root_chain):
+def _token_reports(prob, alg, token: str, delta: float):
     if token == "thm1":
         return [bnd.bound_density(prob, alg)]
     if token == "mi":
@@ -118,7 +114,8 @@ def _token_reports(prob, alg, token: str, delta: float, root_chain):
     if token == "coupling":
         return [bnd.bound_coupling(prob, alg), bnd.bound_coupling_simplified(prob, alg)]
     if token == "chain":
-        metric = bnd.bound_chain(prob, alg, replace(root_chain, metric=bnd.chain_metric(prob)))
+        metric = bnd.bound_chain(prob, alg, replace(bnd.root_chain(prob, alg),
+                                                    metric=bnd.chain_metric(prob)))
         return [metric.details["loss_form"], metric]
     if token == "stochain":
         parts = bnd.dyadic_partitions(prob.num_hypotheses, include_root=False)
@@ -126,7 +123,7 @@ def _token_reports(prob, alg, token: str, delta: float, root_chain):
     if token == "wass":
         return [bnd.bound_wasserstein_geodesic(prob, alg)]
     if token == "transductive":
-        return [bnd.tail_transductive(prob, alg, root_chain, delta)]
+        return [bnd.tail_transductive(prob, alg, bnd.root_chain(prob, alg), delta)]
     raise GenboundError(f"unknown bound name {token!r}")
 
 
@@ -174,17 +171,12 @@ def cmd_bounds(args) -> int:
             raise GenboundError(f"unknown bound name {token!r}")
     rows, violated = [], False
     for prob, alg in _entries(cfg):
-        # the dyadic chain with its root, shared by the chain and transductive tokens
-        root_chain = (_root_chain(prob, alg) if {"chain", "transductive"} & set(tokens)
-                      else None)
-        est = None  # one Monte Carlo estimate per problem, shared by every report
         for token in sorted(set(tokens)):
-            for report in _token_reports(prob, alg, token, args.delta, root_chain):
+            for report in _token_reports(prob, alg, token, args.delta):
                 kind = getattr(report, "lhs_kind", None)
                 if args.mc_samples and kind in ("absolute", "signed"):
-                    if est is None:
-                        est = expected_gen(prob, alg, mode="mc", samples=args.mc_samples,
-                                           seed=seed, workers=args.workers)
+                    est = expected_gen(prob, alg, mode="mc", samples=args.mc_samples,
+                                       seed=seed, workers=args.workers)
                     lhs = est.absolute if kind == "absolute" else est.signed
                     stderr = (est.stderr_absolute if kind == "absolute"
                               else est.stderr_signed)
@@ -208,7 +200,7 @@ def cmd_tail(args) -> int:
         mc_arg = (args.mc_samples, seed) if args.mc_samples else None
         reports = [bnd.tail_pointwise_check(prob, alg, delta, mc=mc_arg, workers=args.workers),
                    bnd.tail_pac_bayes(prob, alg, delta),
-                   bnd.tail_transductive(prob, alg, _root_chain(prob, alg), delta)]
+                   bnd.tail_transductive(prob, alg, bnd.root_chain(prob, alg), delta)]
         for rep in reports:
             rows.append(_report_rows(prob, rep, seed, {
                 k: v for k, v in rep.details.items() if not isinstance(v, np.ndarray)}))

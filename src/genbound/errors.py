@@ -1,6 +1,8 @@
 """Semantic exception hierarchy shared across the package, and the config
 field reader that turns malformed input into a ConfigurationError."""
 
+import numbers
+
 
 class GenboundError(Exception):
     """Base class for all package errors."""
@@ -24,6 +26,14 @@ class UnsupportedGeometryError(GenboundError, ValueError):
 
 class InvalidProcessError(GenboundError, ValueError):
     """A stochastic process fails its increment or centering requirements."""
+
+
+def integer(value) -> int:
+    """value as an int; refuses bools, fractions (which int() truncates) and non-numbers."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigurationError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 _REQUIRED = object()

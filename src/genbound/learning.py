@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import mc
-from .errors import ConfigurationError, DomainError, read_field
+from .errors import ConfigurationError, DomainError, integer, read_field
 from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, readonly
 from .orlicz import orlicz_norms
 from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
@@ -51,7 +51,7 @@ class LearningProblem:
             raise ConfigurationError("LearningProblem: non-finite losses")
         if table.shape[1] != p_z.support_size:
             raise ConfigurationError("LearningProblem: loss columns != outcome support")
-        if n < 1:
+        if integer(n) < 1:
             raise ConfigurationError("LearningProblem: n >= 1 required")
         if bound is not None:
             if bound <= 0:
@@ -152,8 +152,30 @@ class LearningProblem:
         return readonly(out)
 
     @cached_property
-    def _w2_tables(self) -> dict:
+    def _tables(self) -> dict:
         return {}
+
+    def table(self, matrix, name, build):
+        """Table `name` of one algorithm kernel, an (S, N) matrix: `build()` on
+        its first read, then kept as long as the problem lives.
+
+        A kernel's tables are keyed by the bytes of its matrix, so an equal
+        copy reads the same ones. The shape and the enumeration cap are
+        checked before a kernel's first table is built.
+        """
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape != (self.num_samples, self.num_hypotheses):
+            raise ConfigurationError("algorithm kernel shape does not match the problem")
+        key = matrix.tobytes()
+        if key not in self._tables:
+            if matrix.size > ENUMERATION_CAP:
+                raise ConfigurationError(f"{matrix.size} (sample, hypothesis) cells exceed the "
+                                         f"cap {ENUMERATION_CAP}")
+            self._tables[key] = {}
+        tables = self._tables[key]
+        if name not in tables:
+            tables[name] = build()
+        return tables[name]
 
     def w2_plans(self, matrix: np.ndarray, target: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
         """W_2 distances (S,) and optimal plans (S, N, N) from each row of an
@@ -164,19 +186,17 @@ class LearningProblem:
         """
         if self.embedding is None:
             raise ConfigurationError("w2_plans: problem has no embedding")
-        if matrix.shape != (self.num_samples, self.num_hypotheses):
-            raise ConfigurationError("w2_plans: matrix must be (samples, hypotheses)")
-        key = (matrix.tobytes(), target.weights.tobytes())
-        if key not in self._w2_tables:
+
+        def solve():
             rows, inverse = np.unique(matrix, axis=0, return_inverse=True)
             cost = euclidean_cost(self.embedding, self.embedding)
             solved = wasserstein_batch([(FiniteMeasure(r), target, cost) for r in rows], p=2.0)
             inverse = inverse.reshape(-1)
             dist = np.array([d for d, _ in solved])[inverse]
             plans = np.stack([plan.weights for _, plan in solved])[inverse]
-            dist.flags.writeable = plans.flags.writeable = False
-            self._w2_tables[key] = (dist, plans)
-        return self._w2_tables[key]
+            return readonly(dist), readonly(plans)
+
+        return self.table(matrix, ("w2", target.weights.tobytes()), solve)
 
     def sample_index(self, sample) -> int:
         digits = np.asarray(sample, dtype=np.int64)
@@ -190,19 +210,27 @@ class LearningProblem:
         if self.bound is not None:
             obj["bound"] = self.bound
         if self.embedding is not None:
-            obj["embedding"] = json.loads(self.embedding.to_json())
+            obj["embedding"] = {"dim": self.embedding.dim, "points": self.embedding.points.tolist()}
         return json.dumps(obj)
+
+
+def _embedding_from_json(obj) -> EmbeddedSupport:
+    emb = EmbeddedSupport(read_field(obj, "points", lambda pts: np.asarray(pts, dtype=float)))
+    dim = read_field(obj, "dim", integer, emb.dim)
+    if dim != emb.dim:
+        raise ConfigurationError(f"dim {dim} disagrees with the {emb.dim}-d points")
+    return emb
 
 
 def problem_from_json(obj) -> LearningProblem:
     if isinstance(obj, str):
         obj = json.loads(obj)
     loss = read_field(obj, "loss", lambda v: np.asarray(v, dtype=float))
-    if loss.shape != (read_field(obj, "N", int), read_field(obj, "m", int)):
+    if loss.shape != (read_field(obj, "N", integer), read_field(obj, "m", integer)):
         raise ConfigurationError("problem JSON: loss shape disagrees with declared N x m")
-    emb = read_field(obj, "embedding", lambda v: EmbeddedSupport(
-        read_field(v, "points", lambda pts: np.asarray(pts, dtype=float))), None)
-    return LearningProblem(loss, read_field(obj, "p_z", FiniteMeasure), read_field(obj, "n", int),
+    emb = read_field(obj, "embedding", _embedding_from_json, None)
+    return LearningProblem(loss, read_field(obj, "p_z", FiniteMeasure),
+                           read_field(obj, "n", integer),
                            bound=read_field(obj, "bound", float, None), embedding=emb)
 
 
@@ -221,11 +249,6 @@ class Algorithm:
     @property
     def matrix(self) -> np.ndarray:
         return self.kernel.matrix
-
-
-def _check_alg_shape(prob: LearningProblem, kernel: MarkovKernel) -> None:
-    if kernel.input_size != prob.num_samples or kernel.output_size != prob.num_hypotheses:
-        raise ConfigurationError("algorithm kernel shape does not match the problem")
 
 
 def gibbs_algorithm(prob: LearningProblem, beta: float,
@@ -284,14 +307,16 @@ def algorithm_from_json(prob: LearningProblem, obj) -> Algorithm:
 # exact joints and expectations
 # ---------------------------------------------------------------------------
 
+def joint_cells(prob: LearningProblem, alg: Algorithm) -> np.ndarray:
+    """(S, N) cells p_s(s) kernel(s, w) as multiplied; `exact_joint`
+    renormalizes them, which moves some cells in the last bits."""
+    return prob.table(alg.matrix, "cells",
+                      lambda: readonly(prob.sample_probs[:, None] * alg.matrix))
+
+
 def exact_joint(prob: LearningProblem, alg: Algorithm) -> JointMeasure:
     """Joint law of (sample index, hypothesis index); m^n * N cells, capped."""
-    _check_alg_shape(prob, alg.kernel)
-    cells = prob.num_samples * prob.num_hypotheses
-    if cells > ENUMERATION_CAP:
-        raise ConfigurationError(f"exact_joint: {cells} cells exceed the cap "
-                                 f"{ENUMERATION_CAP}; use the Monte Carlo path")
-    return JointMeasure(prob.sample_probs[:, None] * alg.matrix)
+    return prob.table(alg.matrix, "joint", lambda: JointMeasure(joint_cells(prob, alg)))
 
 
 @dataclass(frozen=True)
@@ -330,22 +355,20 @@ def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
     """E[gen] and E|gen| over the joint of (sample, hypothesis).
 
     mode="exact" enumerates; mode="mc" averages gen over counter-based
-    substreams (bitwise reproducible for any worker count) and reports
-    standard errors.
+    substreams (bitwise reproducible for any worker count, so one estimate
+    per (samples, seed) is kept) and reports standard errors.
     """
-    _check_alg_shape(prob, alg.kernel)
     if mode == "exact":
-        if prob.num_samples * prob.num_hypotheses > ENUMERATION_CAP:
-            raise ConfigurationError("expected_gen: cap exceeded; use mode='mc'")
-        joint = prob.sample_probs[:, None] * alg.matrix
-        signed = float((joint * prob.gen_matrix.T).sum())
-        absolute = float((joint * np.abs(prob.gen_matrix.T)).sum())
-        return GenEstimate(signed, absolute, "exact")
+        def exact() -> GenEstimate:
+            cells, gen = joint_cells(prob, alg), prob.gen_matrix.T
+            return GenEstimate(float((cells * gen).sum()), float((cells * np.abs(gen)).sum()),
+                               "exact")
+
+        return prob.table(alg.matrix, "gen", exact)
     if mode != "mc":
         raise ConfigurationError(f"expected_gen: unknown mode {mode!r}")
     if samples is None or seed is None:
         raise ConfigurationError("expected_gen: mc mode needs samples and seed")
-
     sizes = mc.block_sizes(samples)
 
     def one_block(b: int):
@@ -353,14 +376,17 @@ def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
         vals = prob.gen_matrix[w_idx, s_idx]
         return vals.sum(), np.abs(vals).sum(), (vals**2).sum()
 
-    parts = mc.run_blocks(one_block, len(sizes), workers)
-    tot = sum(p[0] for p in parts)
-    tot_abs = sum(p[1] for p in parts)
-    tot_sq = sum(p[2] for p in parts)
-    signed, se_signed = mc.mean_and_stderr(tot, tot_sq, samples)
-    absolute, se_abs = mc.mean_and_stderr(tot_abs, tot_sq, samples)
-    return GenEstimate(signed, absolute, "mc", samples=samples, seed=seed,
-                       stderr_signed=se_signed, stderr_absolute=se_abs)
+    def estimate() -> GenEstimate:
+        parts = mc.run_blocks(one_block, len(sizes), workers)
+        tot = sum(p[0] for p in parts)
+        tot_abs = sum(p[1] for p in parts)
+        tot_sq = sum(p[2] for p in parts)
+        signed, se_signed = mc.mean_and_stderr(tot, tot_sq, samples)
+        absolute, se_abs = mc.mean_and_stderr(tot_abs, tot_sq, samples)
+        return GenEstimate(signed, absolute, "mc", samples=samples, seed=seed,
+                           stderr_signed=se_signed, stderr_absolute=se_abs)
+
+    return prob.table(alg.matrix, ("mc", samples, seed), estimate)
 
 
 # ---------------------------------------------------------------------------

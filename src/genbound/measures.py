@@ -9,7 +9,6 @@ scipy.special functions of the same names, so nothing here imports scipy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -131,16 +130,6 @@ class FiniteMeasure:
         w[i] = 1.0
         return FiniteMeasure(w)
 
-    def to_json(self) -> str:
-        return json.dumps({"weights": self.weights.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "FiniteMeasure":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "weights" not in obj:
-            raise ConfigurationError("FiniteMeasure JSON must be {\"weights\": [...]}")
-        return FiniteMeasure(obj["weights"])
-
 
 @dataclass(frozen=True)
 class MarkovKernel:
@@ -183,16 +172,6 @@ class MarkovKernel:
     def constant(measure: FiniteMeasure, input_size: int) -> "MarkovKernel":
         return MarkovKernel(np.tile(measure.weights, (input_size, 1)))
 
-    def to_json(self) -> str:
-        return json.dumps({"rows": self.matrix.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "MarkovKernel":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise ConfigurationError("MarkovKernel JSON must be {\"rows\": [[...]]}")
-        return MarkovKernel(np.asarray(obj["rows"], dtype=float))
-
 
 @dataclass(frozen=True)
 class JointMeasure:
@@ -225,16 +204,6 @@ class JointMeasure:
 
     def marginal_y(self) -> FiniteMeasure:
         return FiniteMeasure(self.weights.sum(axis=0))
-
-    def to_json(self) -> str:
-        return json.dumps({"rows": self.weights.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "JointMeasure":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise ConfigurationError("JointMeasure JSON must be {\"rows\": [[...]]}")
-        return JointMeasure(np.asarray(obj["rows"], dtype=float))
 
 
 def product(p_x: FiniteMeasure, kernel: MarkovKernel) -> JointMeasure:

@@ -80,13 +80,6 @@ class FiniteMetricSpace:
         order.flags.writeable = lengths.flags.writeable = False
         return order, lengths
 
-    def to_json(self) -> str:
-        return json.dumps({"dist": self.dist.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "FiniteMetricSpace":
-        return FiniteMetricSpace(json.loads(text)["dist"])
-
 
 @dataclass(frozen=True)
 class ProcessSpec:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import json
 
 import numpy as np
 
@@ -50,19 +49,6 @@ class EmbeddedSupport:
     @property
     def dim(self) -> int:
         return int(self.points.shape[1])
-
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, "points": self.points.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "EmbeddedSupport":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "points" not in obj:
-            raise ConfigurationError("EmbeddedSupport JSON must be {\"dim\": d, \"points\": [[...]]}")
-        emb = EmbeddedSupport(np.asarray(obj["points"], dtype=float))
-        if "dim" in obj and int(obj["dim"]) != emb.dim:
-            raise ConfigurationError("EmbeddedSupport JSON: dim field disagrees with points")
-        return emb
 
 
 @dataclass(frozen=True)

@@ -718,6 +718,18 @@ def test_tail_pac_bayes_delta_edges(small_problem, gibbs_alg):
             tail_pac_bayes(small_problem, gibbs_alg, bad)
 
 
+def test_density_readers_refuse_a_q_w_of_the_wrong_size():
+    # the tails broadcast a 1-atom q_w (violation 0.0) and died in numpy on a 2-atom one
+    prob = constant_problem()
+    alg = gibbs_algorithm(prob, 1.0)
+    for q_w in (FiniteMeasure([1.0]), FiniteMeasure([0.5, 0.5])):
+        for tail in (tail_pointwise_check, tail_pac_bayes):
+            with pytest.raises(ConfigurationError, match="q_w has"):
+                tail(prob, alg, 0.05, q_w=q_w)
+        with pytest.raises(ConfigurationError, match="q_w has"):
+            bound_density(prob, alg, q_w=q_w)
+
+
 def test_tail_pac_bayes_ignoring_threshold(small_problem, ignoring_alg):
     delta = 0.05
     report = tail_pac_bayes(small_problem, ignoring_alg, delta)

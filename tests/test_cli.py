@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from genbound import (FiniteMeasure, algorithm_from_json, cli, mc, problem_from_json,
-                      transport)
+from genbound import (ConfigurationError, FiniteMeasure, LearningProblem, algorithm_from_json,
+                      cli, expected_gen, hypothesis_marginal, mc, problem_from_json, transport)
 
 from conftest import random_problem
 
@@ -85,6 +85,31 @@ def test_config_missing_field_exits_two_naming_it(tmp_path, capsys):
     cfg = write_config(tmp_path, {"spaces": [{"dist": [[0.0]], "process": {"kind": "gaussian"}}]})
     assert cli.main(["ft", "--config", cfg]) == 2
     assert "spaces[0]: field 'process': field 'cov' is missing" in capsys.readouterr().err
+
+
+def test_config_non_integral_size_exits_two_naming_it(tmp_path, capsys):
+    # int() truncated these: n 2.7 ran at n = 2, n true at n = 1, N 2.9 passed as 2
+    for field, shift in (("n", 0.7), ("n", None), ("N", 0.9)):
+        entry = problem_entry()
+        entry[field] = True if shift is None else entry[field] + shift
+        cfg = write_config(tmp_path, {"problems": [entry]})
+        assert cli.main(["bounds", "--config", cfg, "--bounds", "thm1"]) == 2
+        assert f"problems[0]: field {field!r}: expected an integer" in capsys.readouterr().err
+    for n in (2.7, True):
+        with pytest.raises(ConfigurationError):
+            LearningProblem([[0.0, 1.0]], FiniteMeasure([0.5, 0.5]), n=n)
+    assert LearningProblem([[0.0, 1.0]], FiniteMeasure([0.5, 0.5]), n=2.0).n == 2
+
+
+def test_config_embedding_dim_must_match_its_points(tmp_path, capsys):
+    entry = problem_entry()
+    entry["embedding"] = {"dim": 7, "points": entry["embedding"]["points"]}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    assert cli.main(["bounds", "--config", cfg, "--bounds", "thm1"]) == 2
+    assert "problems[0]: field 'embedding': dim 7 disagrees" in capsys.readouterr().err
+    entry["embedding"]["dim"] = len(entry["embedding"]["points"][0])
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    assert cli.main(["bounds", "--config", cfg, "--bounds", "thm1"]) == 0
 
 
 def test_negative_mc_samples_exits_two(tmp_path, capsys):
@@ -172,18 +197,18 @@ def test_bounds_mc_draws_once_per_problem(tmp_path, monkeypatch):
     entries = [problem_entry(seed=2), problem_entry(seed=3)]
     cfg = write_config(tmp_path, {"problems": entries})
     draws = []
-    expected_gen = cli.expected_gen
+    run_blocks = mc.run_blocks
 
-    def counted(prob, alg, mode="exact", **kwargs):
-        draws.append(mode)
-        return expected_gen(prob, alg, mode, **kwargs)
+    def counted(fn, n_tasks, workers=1):
+        draws.append(n_tasks)
+        return run_blocks(fn, n_tasks, workers)
 
-    monkeypatch.setattr(cli, "expected_gen", counted)
+    monkeypatch.setattr(mc, "run_blocks", counted)
     tokens = "thm1,mi,cmi,coupling,chain,stochain,wass"
     base = ["--config", cfg, "--mc-samples", "3000", "--seed", "5"]
     out = tmp_path / "rows.csv"
     assert cli.main(["bounds", *base, "--bounds", tokens, "--out", str(out)]) == 0
-    assert draws.count("mc") == len(entries)
+    assert len(draws) == len(entries)
     together = read_rows(str(out))
     alone = []
     for token in tokens.split(","):
@@ -194,22 +219,65 @@ def test_bounds_mc_draws_once_per_problem(tmp_path, monkeypatch):
     assert sorted(text) == sorted(json.dumps(row, sort_keys=True) for row in alone)
 
 
+def count_builds(monkeypatch) -> list:
+    """Patch LearningProblem.table to record (problem id, table name) of every build."""
+    builds = []
+    table = LearningProblem.table
+
+    def counted(prob, matrix, name, build):
+        return table(prob, matrix, name, lambda: builds.append((id(prob), name)) or build())
+
+    monkeypatch.setattr(LearningProblem, "table", counted)
+    return builds
+
+
+def test_bounds_op_builds_each_table_once_per_entry(tmp_path, monkeypatch):
+    # E[gen] was summed once per report, the marginal built once per bound
+    entries = [problem_entry(seed=2), problem_entry(seed=3)]
+    cfg = write_config(tmp_path, {"problems": entries})
+    builds = count_builds(monkeypatch)
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 0
+    assert len(builds) == len(set(builds))  # no table twice for one problem
+    names = [name for _, name in builds]
+    assert names.count("gen") == names.count("marginal") == len(entries)
+    # the kernel's density against Q_W, the marginal: (S, N) where a coupling's is 3-d
+    assert sum(name[0] == "density" and len(name[1]) == 2 for name in names) == len(entries)
+    prob = problem_from_json(entries[0])
+    alg = algorithm_from_json(prob, entries[0]["algorithm"])
+    again = algorithm_from_json(prob, entries[0]["algorithm"])
+    assert again.matrix is not alg.matrix
+    assert expected_gen(prob, again) is expected_gen(prob, alg)
+    marginal = hypothesis_marginal(prob, again)
+    assert prob.table(alg.matrix.copy(), "marginal", None) is marginal  # read, never built
+
+
 def test_chain_token_computes_each_step_once(monkeypatch):
     entry = problem_entry(seed=4)
     prob = problem_from_json(entry)
     alg = algorithm_from_json(prob, entry["algorithm"])
-    chain = cli._root_chain(prob, alg)
-    plain = cli.bnd.bound_chain(prob, alg, chain)
-    steps = []
-    step_terms = cli.bnd._chain_step_terms
+    plain = cli.bnd.bound_chain(prob, alg, cli.bnd.root_chain(prob, alg))
+    prob = problem_from_json(entry)  # fresh tables
+    alg = algorithm_from_json(prob, entry["algorithm"])
+    chain = cli.bnd.root_chain(prob, alg)
+    assert cli.bnd.root_chain(prob, alg) is chain
+    steps, densities = [], []
+    step_terms, inv_ratio = cli.bnd._chain_step_terms, cli.bnd._psi2_inv_ratio
 
     def counted(*args):
         steps.append(1)
         return step_terms(*args)
 
+    def counted_inv(num, den):
+        densities.append(num.shape)
+        return inv_ratio(num, den)
+
     monkeypatch.setattr(cli.bnd, "_chain_step_terms", counted)
-    loss, metric = cli._token_reports(prob, alg, "chain", 0.05, chain)
+    monkeypatch.setattr(cli.bnd, "_psi2_inv_ratio", counted_inv)
+    loss, metric = cli._token_reports(prob, alg, "chain", 0.05)
+    cli._token_reports(prob, alg, "transductive", 0.05)
     assert len(steps) == len(chain.couplings)
+    # one psi_2^{-1} table per step, read by both chain forms and the transductive tail
+    assert densities == [joint.shape for joint in chain.couplings]
     assert loss == plain
     assert metric.bound_name == "chain_metric"
     assert metric.details["loss_form_rhs"] == plain.rhs
@@ -453,10 +521,13 @@ DATA = Path(__file__).resolve().parent / "data"
 @pytest.mark.parametrize("argv, golden", [
     (["bounds", "--config", "mc_problems.json", "--mc-samples", "3000"], "bounds_mc.csv"),
     (["tail", "--config", "mc_problems.json", "--mc-samples", "3000"], "tail_mc.csv"),
-    (["ft", "--config", "mc_spaces.json", "--mc-samples", "2000"], "ft_mc.csv")])
+    (["ft", "--config", "mc_spaces.json", "--mc-samples", "2000"], "ft_mc.csv"),
+    (["bounds", "--config", "mc_problems.json"], "bounds_exact.csv"),
+    (["tail", "--config", "mc_problems.json"], "tail_exact.csv")])
 def test_mc_stdout_matches_the_recorded_csv(argv, golden, workers, capsys):
     # The benchmark oracle checks Monte Carlo rows within standard errors only,
-    # so these recorded bytes are what pins the draw stream itself. The tail
+    # so these recorded bytes are what pins the draw stream itself, and the
+    # exact rows to their last bit. The tail
     # frequencies are 0 (the bound holds); the bounds and ft rows carry the
     # stream. Zero-mass outcomes, ERM, a sparse ignore prior and tabulated
     # paths are all drawn. An intended change to an exact bound shows up here

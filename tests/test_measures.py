@@ -66,12 +66,6 @@ def test_point_mass_and_uniform():
     assert np.allclose(FiniteMeasure.uniform(4).weights, 0.25)
 
 
-def test_measure_json_roundtrip():
-    m = FiniteMeasure([0.25, 0.75])
-    again = FiniteMeasure.from_json(m.to_json())
-    assert np.array_equal(m.weights, again.weights)
-
-
 def test_product_single_input_point():
     j = product(FiniteMeasure([1.0]), MarkovKernel([[0.3, 0.7]]))
     assert np.allclose(j.weights, [[0.3, 0.7]])
