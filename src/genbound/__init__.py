@@ -13,7 +13,8 @@ from .bounds import (BoundReport, ChainSpec, TailReport,
                      bound_chain, bound_cmi, bound_coupling,
                      bound_coupling_simplified, bound_density, bound_mi,
                      bound_stochastic_chain, bound_wasserstein_geodesic,
-                     chain_from_partitions, chain_metric, dyadic_partitions,
+                     chain_from_partitions, chain_metric, coupling_chain,
+                     dyadic_partitions,
                      hypothesis_marginal, increment_check, loss_embedding,
                      markov_slack, optimal_couplings,
                      tail_pac_bayes, tail_pointwise_check, tail_transductive)

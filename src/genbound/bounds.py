@@ -97,6 +97,12 @@ def _sigma(prob: LearningProblem, sigma: float | None) -> float:
     return subgaussian_sigma(prob)
 
 
+def _gen_rounding(prob: LearningProblem) -> float:
+    """(m + n) ulps of the largest |loss|, the rounding level of gen = loss @ p_z
+    minus a mean of n draws; the tails count a |gen| at or below it as zero."""
+    return (prob.num_outcomes + prob.n) * np.finfo(float).eps * float(np.abs(prob.loss).max())
+
+
 def hypothesis_marginal(prob: LearningProblem, alg: Algorithm) -> FiniteMeasure:
     """Exact marginal law of the returned hypothesis."""
     return prob.table(alg.matrix, "marginal",
@@ -281,41 +287,36 @@ def optimal_couplings(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure)
     the problem's plan table, so each distinct row is solved once.
     """
     if prob.embedding is None:
-        return alg.matrix[:, :, None] * q_w.weights[None, None, :]
+        return readonly(alg.matrix[:, :, None] * q_w.weights[None, None, :])
     return prob.w2_plans(alg.matrix, q_w)[1]
 
 
-def _coupling_arrays(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure,
-                     couplings) -> np.ndarray:
-    S, N = prob.num_samples, prob.num_hypotheses
-    if len(couplings) != S:
-        raise ConfigurationError("need one coupling per sample")
-    arrays = [np.asarray(c.weights if isinstance(c, TransportPlan) else c, dtype=float)
-              for c in couplings]
-    if any(w.shape != (N, N) for w in arrays):
-        raise ConfigurationError("coupling shape mismatch")
-    pi = np.stack(arrays)
-    bad = ((np.abs(pi.sum(axis=2) - alg.matrix).max(axis=1) > 1e-9)
-           | (np.abs(pi.sum(axis=1) - q_w.weights).max(axis=1) > 1e-9))
-    if bad.any():
-        raise ConfigurationError(f"coupling at sample {int(np.argmax(bad))} has wrong marginals")
-    return pi
-
-
-def _coupling_and_reference(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | None,
-                            couplings, mu_uv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Coupling tensor pi[s] (W_2-optimal by default) and its reference law
-    mu[u, v] (the sample mixture of pi by default)."""
+def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | None = None,
+                   couplings=None, mu_uv: np.ndarray | None = None) -> ChainSpec:
+    """The one-step chain, constant Q_W (the hypothesis marginal by default) to
+    the algorithm, that the coupling bounds read. Its coupling is one (N, N)
+    table or TransportPlan per sample (optimal_couplings by default), its
+    reference mu_uv (their sample mixture by default). The default chain of a
+    Q_W is built and checked once per kernel."""
     q_w = _q_w(prob, alg, q_w)
-    if couplings is None:
-        couplings = optimal_couplings(prob, alg, q_w)
-    pi = _coupling_arrays(prob, alg, q_w, couplings)
-    if mu_uv is None:
-        return pi, np.einsum("s,suv->uv", prob.sample_probs, pi)
-    mu = np.asarray(mu_uv, dtype=float)
-    if mu.shape != pi.shape[1:]:
-        raise ConfigurationError("coupling: reference shape mismatch")
-    return pi, mu
+
+    def build() -> ChainSpec:
+        pi = optimal_couplings(prob, alg, q_w) if couplings is None else [
+            c.weights if isinstance(c, TransportPlan) else c for c in couplings]
+        try:  # ragged tables, or not one per sample; _validate_chain checks the rest
+            pi = np.asarray(pi, dtype=float)
+            mu = (readonly(np.einsum("s,suv->uv", prob.sample_probs, pi)) if mu_uv is None
+                  else np.asarray(mu_uv, dtype=float))
+        except ValueError as exc:
+            raise ConfigurationError(f"coupling_chain: {exc}") from exc
+        chain = ChainSpec((MarkovKernel.constant(q_w, prob.num_samples), alg.kernel),
+                          (pi,), (mu,))
+        _validate_chain(prob, alg, chain)
+        return chain
+
+    if couplings is None and mu_uv is None:
+        return prob.table(alg.matrix, ("coupling", q_w.weights.tobytes()), build)
+    return build()
 
 
 def _ghost_pair_sum(prob: LearningProblem, table: np.ndarray, keys: np.ndarray,
@@ -341,9 +342,11 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
     rhs = (sqrt(24)/n) * ( E[ s(U,V,pair) psi_2^{-1}(coupling density vs reference) ]
                            + E[ sqrt(E[ s^2(ref pair, pair) | pair ]) ] )
     where s^2 sums, over draws, the squared ghost-vs-train increments of the
-    loss difference between the coupled hypotheses.
+    loss difference between the coupled hypotheses, and the pair and its
+    reference are the step of coupling_chain(prob, alg, q_w, couplings, mu_uv).
     """
-    pi, mu = _coupling_and_reference(prob, alg, q_w, couplings, mu_uv)
+    chain = coupling_chain(prob, alg, q_w, couplings, mu_uv)
+    pi, mu = chain.couplings[0], chain.references[0]
     p_s, S = prob.sample_probs, prob.num_samples
     # every sample has a support entry, so this caps the reference term's S^2 n too
     s, u, v = support = np.nonzero(pi)  # a W_2 plan has at most 2N - 1 per sample
@@ -380,9 +383,10 @@ def bound_coupling_simplified(prob: LearningProblem, alg: Algorithm,
                               q_w: FiniteMeasure | None = None,
                               couplings=None, mu_uv: np.ndarray | None = None) -> BoundReport:
     """Signed E[gen] <= sqrt(48/n) E[(population + empirical loss distance)
-    * psi_2^{-1}(coupling density) + reference population distance]."""
-    pi, mu = _coupling_and_reference(prob, alg, q_w, couplings, mu_uv)
-    cross, ref, escape = _chain_step_terms(prob, alg, pi, mu)
+    * psi_2^{-1}(coupling density) + reference population distance], the
+    one step of bound_chain on coupling_chain(prob, alg, q_w, couplings, mu_uv)."""
+    chain = coupling_chain(prob, alg, q_w, couplings, mu_uv)
+    cross, ref, escape = _chain_step_terms(prob, alg, chain.couplings[0], chain.references[0])
     scale = np.sqrt(48.0 / prob.n)
     est = expected_gen(prob, alg)
     return _escaped_report("coupling_simplified", est.signed, "signed", scale * (cross + ref),
@@ -398,10 +402,11 @@ def bound_coupling_simplified(prob: LearningProblem, alg: Algorithm,
 class ChainSpec:
     """Interpolating kernels, per-sample step couplings, and step references.
 
-    couplings[k][s] couples (kernels[k+1] row s, kernels[k] row s) and
-    kernels[-1] must be the algorithm itself; kernels[0] is the prior end, and
-    the bounds that need it sample-free check it. An optional metric switches
-    bound_chain to its metric form.
+    K steps take K + 1 (S, N) kernels, K (S, N, N) couplings and K (N, N)
+    references. couplings[k][s] couples (kernels[k+1] row s, kernels[k] row s);
+    kernels[-1] is the algorithm and kernels[0], the prior end, is sample-free
+    (K = 0 when they are one, as on one hypothesis). An optional metric
+    switches bound_chain to its metric form.
     """
 
     kernels: tuple
@@ -410,31 +415,14 @@ class ChainSpec:
     metric: np.ndarray | None = None
 
 
-def dyadic_partitions(size: int, include_root: bool = True) -> list[np.ndarray]:
-    """Halving partition hierarchy of {0..size-1}, coarse to singletons."""
-    levels = []
-    cells = [list(range(size))]
-    if include_root:
-        levels.append(cells)
-    while any(len(c) > 1 for c in cells):
-        nxt = []
-        for c in cells:
-            if len(c) == 1:
-                nxt.append(c)
-            else:
-                half = (len(c) + 1) // 2
-                nxt.extend([c[:half], c[half:]])
-        levels.append(nxt)
-        cells = nxt
-    if not levels or any(len(c) > 1 for c in levels[-1]):
-        levels.append([[i] for i in range(size)])
-    out = []
-    for cells in levels:
-        label = np.empty(size, dtype=np.int64)
-        for j, c in enumerate(cells):
-            label[c] = j
-        out.append(label)
-    return out
+def dyadic_partitions(size: int) -> list[np.ndarray]:
+    """Halving partition hierarchy of {0..size-1} as label arrays, from the root
+    (one cell) down to singletons; for size 1 the root is the only level. Cells
+    are runs of consecutive indices, and a run of c splits into (c + 1) // 2 and c // 2."""
+    levels = [[size]]  # cell sizes per level
+    while max(levels[-1]) > 1:
+        levels.append([h for c in levels[-1] for h in ((c + 1) // 2, c // 2) if h])
+    return [np.repeat(np.arange(len(cells)), cells) for cells in levels]
 
 
 def _normalize_partition(part, size: int) -> np.ndarray:
@@ -498,20 +486,25 @@ def root_chain(prob: LearningProblem, alg: Algorithm) -> ChainSpec:
 
 
 def _validate_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> None:
-    kernels = chain.kernels
-    if len(kernels) < 2 or len(chain.couplings) != len(kernels) - 1:
-        raise ConfigurationError("chain: need K+1 kernels and K couplings")
+    """Refuse a chain whose shapes, ends, coupling marginals or references do
+    not fit the problem and algorithm; every test is written to fail on nan."""
+    S, N = prob.num_samples, prob.num_hypotheses
+    kernels, couplings, references = chain.kernels, chain.couplings, chain.references
+    if (not kernels or len(couplings) != len(kernels) - 1 or len(references) != len(couplings)
+            or any(kernel.matrix.shape != (S, N) for kernel in kernels)):
+        raise ConfigurationError(f"chain: need K+1 ({S}, {N}) kernels, K couplings, K references")
     root = kernels[0].matrix
-    if np.abs(root - root[0]).max() > 1e-12:
+    if not np.abs(root - root[0]).max() <= 1e-12:
         raise ConfigurationError("chain: kernels[0] must not depend on the sample")
-    if np.abs(kernels[-1].matrix - alg.matrix).max() > 1e-12:
+    if not np.abs(kernels[-1].matrix - alg.matrix).max() <= 1e-12:
         raise ConfigurationError("chain: kernels[-1] must equal the algorithm")
-    for k, joint in enumerate(chain.couplings):
-        if (np.abs(joint.sum(axis=2) - kernels[k + 1].matrix).max() > 1e-9
-                or np.abs(joint.sum(axis=1) - kernels[k].matrix).max() > 1e-9):
+    for k, (joint, ref) in enumerate(zip(couplings, references)):
+        if np.shape(joint) != (S, N, N) or np.shape(ref) != (N, N):
+            raise ConfigurationError(f"chain: step {k} needs ({S}, {N}, {N}) and ({N}, {N}) tables")
+        if not (np.abs(joint.sum(axis=2) - kernels[k + 1].matrix).max() <= 1e-9
+                and np.abs(joint.sum(axis=1) - kernels[k].matrix).max() <= 1e-9):
             raise ConfigurationError(f"chain: coupling {k} has wrong marginals")
-        ref = chain.references[k]
-        if abs(ref.sum() - 1.0) > 1e-9 or ref.min() < -1e-12:
+        if not (abs(ref.sum() - 1.0) <= 1e-9 and ref.min() >= -1e-12):
             raise ConfigurationError(f"chain: reference {k} is not a probability table")
 
 
@@ -667,14 +660,16 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
                          q_w: FiniteMeasure | None = None,
                          sigma: float | None = None,
                          mc: tuple[int, int] | None = None, workers: int = 1) -> TailReport:
-    """P{ |gen| > sigma sqrt(6/n) (psi_2^{-1}(density) + sqrt(log 1/delta)) } <= delta."""
+    """P{ |gen| > sigma sqrt(6/n) (psi_2^{-1}(density) + sqrt(log 1/delta)) } <= delta,
+    where a |gen| within _gen_rounding of zero never exceeds."""
     if not 0.0 < delta <= 1.0:
         raise DomainError("tail_pointwise_check: delta in (0, 1]")
     sig = _sigma(prob, sigma)
     inv, _ = _density_table(prob, alg, alg.matrix, _q_w(prob, alg, q_w).weights)  # inf allowed
     base = inv + np.sqrt(np.log(1.0 / delta))
     threshold = sig * np.sqrt(6.0 / prob.n) * base if sig > 0 else np.zeros_like(base)
-    exceed = np.abs(prob.gen_matrix.T) > threshold  # inf threshold never exceeded
+    # a |gen| at rounding level counts as zero; an inf threshold is never exceeded
+    exceed = np.abs(prob.gen_matrix.T) > np.maximum(threshold, _gen_rounding(prob))
     if mc is None:
         violation = float(joint_cells(prob, alg)[exceed].sum())
         return TailReport("tail_pointwise", float(delta), violation,
@@ -700,7 +695,8 @@ def tail_pac_bayes(prob: LearningProblem, alg: Algorithm, delta: float,
                    sigma: float | None = None) -> TailReport:
     """Posterior-averaged tail: with probability >= 1 - delta over the sample,
     <posterior, |gen|> <= sqrt(24 sigma^2/n) (<posterior, psi_2^{-1}(density)> + 1
-                                              + sqrt(log(2/delta)))."""
+                                              + sqrt(log(2/delta))).
+    A posterior-averaged |gen| within _gen_rounding of zero is no violation."""
     if not 0.0 < delta < 1.0:
         raise DomainError("tail_pac_bayes: delta in (0, 1)")
     sig = _sigma(prob, sigma)
@@ -709,7 +705,7 @@ def tail_pac_bayes(prob: LearningProblem, alg: Algorithm, delta: float,
     # inv is +inf only where alg.matrix > 0, so no 0 * inf arises
     density_term = (alg.matrix * inv).sum(axis=1)
     rhs = np.sqrt(24.0 * sig**2 / prob.n) * (density_term + 1.0 + np.sqrt(np.log(2.0 / delta)))
-    bad = lhs > rhs
+    bad = lhs > np.maximum(rhs, _gen_rounding(prob))
     violation = float(prob.sample_probs[bad].sum())
     return TailReport("tail_pac_bayes", float(delta), violation,
                       details={"sigma": sig,
@@ -726,14 +722,15 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
                                    + <coupling_k, d_pair psi_2^{-1}(density)>
                                    + <coupling_k, d_pair> sqrt(log(2/(p_k delta))) ]
     where d^2_pair averages the squared loss differences over both halves of
-    the pair. The exact probability of lhs > rhs must not exceed delta.
+    the pair. The exact probability of lhs > rhs must not exceed delta. A chain
+    of the root alone (K = 0, one hypothesis) has no level: rhs and lhs are 0.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("tail_transductive: delta in (0, 1)")
     _validate_chain(prob, alg, chain)
     K = len(chain.couplings)
     if level_weights is None:
-        p_k = np.full(K, 1.0 / K)
+        p_k = np.ones(K) / K
     else:
         p_k = np.asarray(level_weights, dtype=float)
         if p_k.shape != (K,) or np.any(p_k <= 0) or abs(p_k.sum() - 1.0) > 1e-9:

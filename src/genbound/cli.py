@@ -117,9 +117,11 @@ def _token_reports(prob, alg, token: str, delta: float):
         metric = bnd.bound_chain(prob, alg, replace(bnd.root_chain(prob, alg),
                                                     metric=bnd.chain_metric(prob)))
         return [metric.details["loss_form"], metric]
-    if token == "stochain":
-        parts = bnd.dyadic_partitions(prob.num_hypotheses, include_root=False)
-        return [bnd.bound_stochastic_chain(prob, alg, bnd.chain_from_partitions(prob, alg, parts))]
+    if token == "stochain":  # the root chain below its root; the root alone when N = 1
+        chain = bnd.root_chain(prob, alg)
+        k = min(1, len(chain.couplings))
+        return [bnd.bound_stochastic_chain(prob, alg, bnd.ChainSpec(
+            chain.kernels[k:], chain.couplings[k:], chain.references[k:]))]
     if token == "wass":
         return [bnd.bound_wasserstein_geodesic(prob, alg)]
     if token == "transductive":

@@ -160,9 +160,6 @@ class MarkovKernel:
     def output_size(self) -> int:
         return int(self.matrix.shape[1])
 
-    def row(self, i: int) -> FiniteMeasure:
-        return FiniteMeasure(self.matrix[i])
-
     @cached_property
     def cdf(self) -> np.ndarray:
         """Row-wise `mc.cdf_table`, built once and shared by every Monte Carlo block."""

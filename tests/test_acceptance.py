@@ -34,7 +34,7 @@ def _report(num: int, ok: bool, desc: str) -> None:
 
 def _expectation_reports(prob, alg):
     parts = dyadic_partitions(prob.num_hypotheses)
-    parts_leaf = dyadic_partitions(prob.num_hypotheses, include_root=False)
+    parts_leaf = parts[1:]
     yield bound_density(prob, alg)
     yield bound_mi(prob, alg)
     yield bound_cmi(prob, alg)

@@ -10,7 +10,7 @@ from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVa
                       bound_chain, bound_cmi, bound_coupling,
                       bound_coupling_simplified, bound_density, bound_mi,
                       bound_stochastic_chain, bound_wasserstein_geodesic,
-                      chain_from_partitions, chain_metric, delta_bound,
+                      chain_from_partitions, chain_metric, coupling_chain, delta_bound,
                       dyadic_partitions, erm_algorithm, exact_joint,
                       expected_gen, gibbs_algorithm, hypothesis_marginal,
                       ignore_algorithm, increment_check, kl_divergence,
@@ -18,7 +18,7 @@ from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVa
                       optimal_couplings, orlicz_norm, orlicz_norms, psi_inv,
                       subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
                       tail_transductive)
-from genbound.bounds import _coupling_and_reference, _coupling_arrays, _psi2_inv_ratio
+from genbound.bounds import _psi2_inv_ratio
 from genbound.orlicz import NORM_REL_TOL
 from genbound.transport import TransportPlan, displacement_interpolation
 
@@ -61,6 +61,16 @@ def test_density_sigma_zero():
     assert report.rhs == 0.0
     assert report.lhs == 0.0
     assert report.details["sigma"] == 0.0
+
+
+def test_tails_take_rounding_noise_for_zero():
+    # sigma = 0 puts both thresholds at 0, and loss @ p_z misses 0.7 by an ulp
+    p_z = FiniteMeasure([0.4927471760914686, 0.38320546088691965, 0.1240473630216118])
+    prob = LearningProblem(np.full((2, 3), 0.7), p_z, n=1, bound=1.0)
+    alg = erm_algorithm(prob)
+    assert 0.0 < np.abs(prob.gen_matrix).max() < 1e-15
+    for report in (tail_pointwise_check(prob, alg, 0.05), tail_pac_bayes(prob, alg, 0.05)):
+        assert report.violation == 0.0
 
 
 def test_density_escapes_on_null_prior():
@@ -226,8 +236,8 @@ def test_coupling_rejects_wrong_marginals():
 def dense_coupling_terms(prob, alg, **kwargs):
     """Reference: bound_coupling's (decorrelation, reference) components from the
     whole (N, N, S, S, n) ghost-pair tensor, the way they were first computed."""
-    pi, mu = _coupling_and_reference(prob, alg, kwargs.get("q_w"), kwargs.get("couplings"),
-                                     kwargs.get("mu_uv"))
+    chain = coupling_chain(prob, alg, **kwargs)
+    pi, mu = chain.couplings[0], chain.references[0]
     p_s = prob.sample_probs
     per_draw = prob.loss_differences[:, :, prob.samples]  # (N, N, S, n)
     diff = per_draw[:, :, :, None, :] - per_draw[:, :, None, :, :]  # train s, ghost s'
@@ -311,12 +321,14 @@ def test_single_step_chain_equals_simplified_coupling():
     prob = random_problem(gen)
     alg = gibbs_algorithm(prob, 1.0)
     q_w = hypothesis_marginal(prob, alg)
-    pi = _coupling_arrays(prob, alg, q_w, optimal_couplings(prob, alg, q_w))
+    pi = optimal_couplings(prob, alg, q_w)
     mu = np.einsum("s,suv->uv", prob.sample_probs, pi)
     spec = ChainSpec(kernels=(MarkovKernel.constant(q_w, prob.num_samples),
                               alg.kernel),
                      couplings=(pi,), references=(mu,))
-    assert bound_chain(prob, alg, spec).rhs == bound_coupling_simplified(prob, alg).rhs
+    rhs = bound_coupling_simplified(prob, alg).rhs
+    assert bound_chain(prob, alg, spec).rhs == rhs
+    assert bound_chain(prob, alg, coupling_chain(prob, alg)).rhs == rhs
 
 
 def test_chain_duplicate_level_is_free():
@@ -353,7 +365,7 @@ def test_chain_validation_errors():
     prob = xor_problem()
     alg = gibbs_algorithm(prob, 1.0)
     q_w = hypothesis_marginal(prob, alg)
-    pi = _coupling_arrays(prob, alg, q_w, optimal_couplings(prob, alg, q_w))
+    pi = optimal_couplings(prob, alg, q_w)
     mu = np.einsum("s,suv->uv", prob.sample_probs, pi)
     good = (MarkovKernel.constant(q_w, prob.num_samples), alg.kernel)
     with pytest.raises(ConfigurationError):
@@ -366,6 +378,83 @@ def test_chain_validation_errors():
         # coupling marginals disagree with the kernels
         wrong = np.broadcast_to(np.full((2, 2), 0.25), pi.shape).copy()
         bound_chain(prob, alg, ChainSpec(good, (wrong,), (mu,)))
+    with pytest.raises(ConfigurationError, match="kernels"):
+        # a root with one row too many hit a numpy broadcast
+        root = MarkovKernel.constant(q_w, prob.num_samples + 1)
+        bound_chain(prob, alg, ChainSpec((root, alg.kernel), (pi,), (mu,)))
+
+
+MALFORMED_STEPS = ("nan coupling", "nan reference", "coupling shape", "reference shape",
+                   "reference mass")
+
+
+def malformed_step(prob, alg, q_w, kind):
+    """The default coupling step with one defect that _validate_chain must refuse."""
+    pi = np.array(optimal_couplings(prob, alg, q_w))
+    mu = np.einsum("s,suv->uv", prob.sample_probs, pi)
+    if kind == "nan coupling":
+        pi[0, 0, 0] = np.nan
+    elif kind == "nan reference":
+        mu[0, 0] = np.nan
+    elif kind == "coupling shape":
+        pi = np.pad(pi, ((0, 0), (0, 1), (0, 1)))
+    elif kind == "reference shape":
+        mu = np.pad(mu, ((0, 1), (0, 1)))
+    else:
+        mu = 0.01 * mu
+    return pi, mu
+
+
+@pytest.mark.parametrize("kind", MALFORMED_STEPS)
+def test_malformed_coupling_step_is_refused(kind):
+    # nan passed every `max() > tol` test, a bad shape hit a numpy broadcast,
+    # and the coupling bounds took a reference of any mass
+    prob = xor_problem()
+    alg = gibbs_algorithm(prob, 1.0)
+    q_w = hypothesis_marginal(prob, alg)
+    pi, mu = malformed_step(prob, alg, q_w, kind)
+    spec = ChainSpec((MarkovKernel.constant(q_w, prob.num_samples), alg.kernel), (pi,), (mu,))
+    with pytest.raises(ConfigurationError, match="chain"):
+        bound_chain(prob, alg, spec)
+    for fn in (bound_coupling, bound_coupling_simplified):
+        with pytest.raises(ConfigurationError, match="chain"):
+            fn(prob, alg, q_w=q_w, couplings=list(pi), mu_uv=mu)
+
+
+def test_coupling_refuses_ragged_or_miscounted_tables():
+    prob = xor_problem()
+    alg = gibbs_algorithm(prob, 1.0)
+    q_w = hypothesis_marginal(prob, alg)
+    pi = optimal_couplings(prob, alg, q_w)
+    for couplings in (list(pi)[:-1], [pi[0], np.full((3, 3), 1 / 9)]):
+        with pytest.raises(ConfigurationError):
+            bound_coupling(prob, alg, q_w=q_w, couplings=couplings)
+
+
+def test_default_coupling_chain_is_one_table(small_problem, gibbs_alg):
+    chain = coupling_chain(small_problem, gibbs_alg)
+    assert coupling_chain(small_problem, gibbs_algorithm(small_problem, 1.0)) is chain
+    q_w = hypothesis_marginal(small_problem, gibbs_alg)
+    assert coupling_chain(small_problem, gibbs_alg, q_w=q_w) is chain
+    assert chain.couplings[0] is optimal_couplings(small_problem, gibbs_alg, q_w)
+    uniform = FiniteMeasure(np.full(small_problem.num_hypotheses, 0.25))
+    assert coupling_chain(small_problem, gibbs_alg, q_w=uniform) is not chain
+
+
+def test_one_hypothesis_reads_the_zero_step_chain():
+    # the root alone is the chain; tail_transductive divided by K = 0 levels
+    prob = LearningProblem(np.array([[0.2, 0.9]]), FiniteMeasure([0.5, 0.5]), n=2, bound=1.0)
+    alg = gibbs_algorithm(prob, 1.0)
+    assert [labels.tolist() for labels in dyadic_partitions(1)] == [[0]]
+    chain = chain_from_partitions(prob, alg, dyadic_partitions(1))
+    assert len(chain.kernels) == 1 and chain.couplings == chain.references == ()
+    for metric in (None, chain_metric(prob)):
+        report = bound_chain(prob, alg, ChainSpec(chain.kernels, (), (), metric))
+        assert report.rhs == 0.0
+        assert report.components == {}
+    tail = tail_transductive(prob, alg, chain, 0.05)
+    assert tail.violation == 0.0
+    assert tail.details["levels"] == 0
 
 
 def test_chain_metric_is_a_pseudometric():
@@ -493,7 +582,7 @@ def test_chain_from_partitions_rejects_bad_hierarchies(small_problem, gibbs_alg,
 
 
 def test_partition_hierarchy_is_markov_and_validated(small_problem, gibbs_alg):
-    parts = dyadic_partitions(small_problem.num_hypotheses, include_root=False)
+    parts = dyadic_partitions(small_problem.num_hypotheses)[1:]
     chain = chain_from_partitions(small_problem, gibbs_alg, parts)
     assert markov_slack(small_problem, chain) <= 1e-12
     assert np.array_equal(chain.kernels[-1].matrix, gibbs_alg.matrix)
@@ -505,8 +594,8 @@ def test_partition_hierarchy_is_markov_and_validated(small_problem, gibbs_alg):
 def product_chain(prob, alg):
     """Coarsest dyadic projection, then the algorithm, coupled independently per
     sample: the older level's law given the newer one still depends on the sample."""
-    coarse = chain_from_partitions(prob, alg, dyadic_partitions(
-        prob.num_hypotheses, include_root=False)).kernels[0]
+    coarse = chain_from_partitions(prob, alg,
+                                   dyadic_partitions(prob.num_hypotheses)[1:]).kernels[0]
     joint = alg.matrix[:, :, None] * coarse.matrix[:, None, :]
     return ChainSpec((coarse, alg.kernel), (joint,),
                      (np.einsum("s,suv->uv", prob.sample_probs, joint),))
@@ -533,7 +622,7 @@ def test_markov_slack_matches_the_loop():
     for _ in range(10):
         prob = random_problem(gen)
         for alg in algorithm_family(prob):
-            for parts in (dyadic_partitions(prob.num_hypotheses, include_root=False),
+            for parts in (dyadic_partitions(prob.num_hypotheses)[1:],
                           dyadic_partitions(prob.num_hypotheses)):
                 chain = chain_from_partitions(prob, alg, parts)
                 assert markov_slack(prob, chain) == looped_markov_slack(prob, chain)
@@ -580,7 +669,7 @@ def test_stochastic_chain_single_level_oracle(small_problem, gibbs_alg):
 
 def test_stochastic_chain_ignoring_drops_divergence(small_problem, ignoring_alg):
     prob, alg = small_problem, ignoring_alg
-    parts = dyadic_partitions(prob.num_hypotheses, include_root=False)
+    parts = dyadic_partitions(prob.num_hypotheses)[1:]
     report = bound_stochastic_chain(prob, alg, chain_from_partitions(prob, alg, parts))
     d = chain_metric(prob)
     p_w = hypothesis_marginal(prob, alg).weights
@@ -602,7 +691,7 @@ def test_stochastic_chain_random_slack():
     for _ in range(10):
         prob = random_problem(gen)
         for alg in algorithm_family(prob):
-            parts = dyadic_partitions(prob.num_hypotheses, include_root=False)
+            parts = dyadic_partitions(prob.num_hypotheses)[1:]
             report = bound_stochastic_chain(prob, alg, chain_from_partitions(prob, alg, parts))
             assert report.rhs - report.lhs >= -1e-9
             assert report.details["mi_form_rhs"] - report.lhs >= -1e-9

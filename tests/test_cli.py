@@ -283,6 +283,53 @@ def test_chain_token_computes_each_step_once(monkeypatch):
     assert metric.details["loss_form_rhs"] == plain.rhs
 
 
+def test_bounds_build_the_couplings_and_the_dyadic_chain_once(tmp_path, monkeypatch):
+    # coupling and coupling_simplified read one coupling chain; chain, stochain
+    # and transductive read one dyadic chain (each was built twice)
+    calls = {"optimal_couplings": 0, "chain_from_partitions": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cli.bnd, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli.bnd, name, counted)
+    cfg = write_config(tmp_path, {"problems": [problem_entry(seed=5)]})
+    tokens = ",".join(token for token in cli.BOUND_TOKENS if token != "cmi")
+    assert cli.main(["bounds", "--config", cfg, "--bounds", tokens,
+                     "--out", str(tmp_path / "rows.csv")]) == 0
+    assert calls == {"optimal_couplings": 1, "chain_from_partitions": 1}
+
+
+def test_tail_constant_loss_rounding_is_no_violation(tmp_path):
+    # sigma = 0 puts both thresholds at 0 and |gen| at 1e-16 of rounding: exit 1
+    entry = {"m": 3, "N": 2, "n": 1, "loss": [[0.7, 0.7, 0.7], [0.7, 0.7, 0.7]],
+             "p_z": [0.4927471760914686, 0.38320546088691965, 0.1240473630216118],
+             "bound": 1.0, "algorithm": {"kind": "erm"}}
+    out = tmp_path / "tail.csv"
+    assert cli.main(["tail", "--config", write_config(tmp_path, {"problems": [entry]}),
+                     "--out", str(out)]) == 0
+    assert [float(row["lhs"]) for row in read_rows(str(out))] == [0.0, 0.0, 0.0]
+
+
+def test_one_hypothesis_is_not_bad_input(tmp_path):
+    # tail and the chain tokens exited 2: "chain: need K+1 kernels and K couplings"
+    loss = [[0.2, 0.9]]
+    entry = {"m": 2, "N": 1, "n": 2, "loss": loss, "p_z": [0.5, 0.5], "bound": 1.0,
+             "embedding": {"dim": 2, "points": (np.sqrt(6.0) * np.array(loss)).tolist()}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    out = tmp_path / "rows.csv"
+    assert cli.main(["tail", "--config", cfg, "--out", str(out)]) == 0
+    transductive = read_rows(str(out))[2]
+    assert float(transductive["lhs"]) == 0.0
+    assert json.loads(transductive["components_json"]) == {"levels": 0, "level_weights": []}
+    assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    rows = {row["bound_name"]: row for row in read_rows(str(out))}
+    assert len(rows) == 10
+    for name in ("chain", "chain_metric"):
+        assert float(rows[name]["rhs"]) == 0.0
+        assert json.loads(rows[name]["components_json"]) == {}
+
+
 # Run in a fresh interpreter: argv[1] is a JSON list of (label, cli argv);
 # prints, per label, the scipy modules loaded once that command has run, and
 # under "mpmath" the mpmath modules loaded after every command.
