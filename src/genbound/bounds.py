@@ -479,10 +479,24 @@ def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions,
 
 
 def root_chain(prob: LearningProblem, alg: Algorithm) -> ChainSpec:
-    """The dyadic chain with its root, built once per (problem, algorithm); the
-    chain and transductive bounds of one problem read the same one."""
-    return prob.table(alg.matrix, "root_chain", lambda: chain_from_partitions(
-        prob, alg, dyadic_partitions(prob.num_hypotheses)))
+    """The dyadic chain with its root, built and checked once per (problem,
+    algorithm); the chain and transductive bounds of one problem read the same one."""
+    def build() -> ChainSpec:
+        chain = chain_from_partitions(prob, alg, dyadic_partitions(prob.num_hypotheses))
+        _validate_chain(prob, alg, chain)
+        return chain
+
+    return prob.table(alg.matrix, "root_chain", build)
+
+
+def _check_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> None:
+    """_validate_chain, except for a chain that carries the stored root chain's own
+    tuples, which root_chain checked when it built them; replace(root, metric=...)
+    keeps them."""
+    root = prob.stored(alg.matrix, "root_chain")
+    if root is None or any(getattr(chain, f) is not getattr(root, f)
+                           for f in ("kernels", "couplings", "references")):
+        _validate_chain(prob, alg, chain)
 
 
 def _validate_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> None:
@@ -516,7 +530,7 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> Boun
     under sqrt(2/n) is reported instead; the loss-form report moves to
     details["loss_form"], its rhs to details["loss_form_rhs"].
     """
-    _validate_chain(prob, alg, chain)
+    _check_chain(prob, alg, chain)
     est = expected_gen(prob, alg)
 
     cross_terms, ref_terms, escape_any = [], [], False
@@ -727,7 +741,7 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("tail_transductive: delta in (0, 1)")
-    _validate_chain(prob, alg, chain)
+    _check_chain(prob, alg, chain)
     K = len(chain.couplings)
     if level_weights is None:
         p_k = np.ones(K) / K

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -195,8 +196,6 @@ def cmd_tail(args) -> int:
     seed = _resolve_seed(args)
     cfg = _load_config(args.config)
     delta = args.delta
-    if not 0.0 < delta < 1.0:
-        raise GenboundError("--delta must be in (0, 1)")
     rows, violated = [], False
     for prob, alg in _entries(cfg):
         mc_arg = (args.mc_samples, seed) if args.mc_samples else None
@@ -249,29 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="genbound",
                                      description="generalization-bound verification harness")
     subs = parser.add_subparsers(dest="command", required=True)
-
     pv = subs.add_parser("verify", help="run property suites")
+    pb = subs.add_parser("bounds", help="evaluate expectation bounds on problems")
+    pt = subs.add_parser("tail", help="evaluate tail bounds on problems")
+    pf = subs.add_parser("ft", help="majorizing-measure bound vs MC supremum")
+    # options are added in the order --help lists them
+    for sub in (pb, pt, pf):
+        sub.add_argument("--config")
     pv.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
     pv.add_argument("--trials", type=int, default=1000)
     pv.add_argument("--tol", type=float, default=None)
-
-    pb = subs.add_parser("bounds", help="evaluate expectation bounds on problems")
-    pb.add_argument("--config", required=False)
     pb.add_argument("--bounds", default=None,
                     help="comma-separated subset of " + ",".join(BOUND_TOKENS))
     pb.add_argument("--delta", type=float, default=0.05)
-    pb.add_argument("--mc-samples", type=int, default=0)
-
-    pt = subs.add_parser("tail", help="evaluate tail bounds on problems")
-    pt.add_argument("--config", required=False)
     pt.add_argument("--delta", type=float, default=0.05)
-    pt.add_argument("--mc-samples", type=int, default=0)
-
-    pf = subs.add_parser("ft", help="majorizing-measure bound vs MC supremum")
-    pf.add_argument("--config", required=False)
     pf.add_argument("--mu-mode", choices=("uniform", "grid", "eg"), default="uniform")
-    pf.add_argument("--mc-samples", type=int, default=10000)
-
+    for sub in (pb, pt, pf):
+        sub.add_argument("--mc-samples", type=int, default=10000 if sub is pf else 0)
     for sub in (pv, pb, pt, pf):
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--out", default=None)
@@ -280,13 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main reuses, built on its first call; importing builds none."""
+    return build_parser()
+
+
 COMMANDS = {"verify": cmd_verify, "bounds": cmd_bounds, "tail": cmd_tail, "ft": cmd_ft}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
@@ -297,6 +295,10 @@ def main(argv=None) -> int:
             raise GenboundError("--trials must be at least 1")
         if not math.isfinite(getattr(args, "tol", None) or 0.0):
             raise GenboundError("--tol must be finite")
+        if getattr(args, "workers", 1) < 1:
+            raise GenboundError("--workers must be at least 1")
+        if not 0.0 < getattr(args, "delta", 0.5) < 1.0:
+            raise GenboundError("--delta must be in (0, 1)")
         return COMMANDS[args.command](args)
     except (GenboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

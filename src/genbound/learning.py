@@ -24,6 +24,10 @@ from .orlicz import orlicz_norms
 from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
 
 ENUMERATION_CAP = 10**6
+# The bounds square loss differences, sigma and the chain metric (at most sqrt(6) R
+# for a loss range R), sum at most n <= 19 squares (m^n <= ENUMERATION_CAP) and scale
+# them by at most 24 (n log 2 + 4) < 420: R <= 1e150 keeps every such value below 1e303.
+LOSS_RANGE_CAP = 1e150
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,9 @@ class LearningProblem:
             raise ConfigurationError("LearningProblem: loss must be (hypotheses, outcomes)")
         if not np.all(np.isfinite(table)):
             raise ConfigurationError("LearningProblem: non-finite losses")
+        if float(table.max()) - float(table.min()) > LOSS_RANGE_CAP:
+            raise ConfigurationError(f"LearningProblem: loss range exceeds {LOSS_RANGE_CAP:g}, "
+                                     "so the bounds' squares would overflow")
         if table.shape[1] != p_z.support_size:
             raise ConfigurationError("LearningProblem: loss columns != outcome support")
         if integer(n) < 1:
@@ -163,6 +170,16 @@ class LearningProblem:
         copy reads the same ones. The shape and the enumeration cap are
         checked before a kernel's first table is built.
         """
+        tables = self._kernel_tables(matrix)
+        if name not in tables:
+            tables[name] = build()
+        return tables[name]
+
+    def stored(self, matrix, name):
+        """Table `name` of a kernel if it has been built, else None; builds nothing."""
+        return self._kernel_tables(matrix).get(name)
+
+    def _kernel_tables(self, matrix) -> dict:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (self.num_samples, self.num_hypotheses):
             raise ConfigurationError("algorithm kernel shape does not match the problem")
@@ -172,10 +189,7 @@ class LearningProblem:
                 raise ConfigurationError(f"{matrix.size} (sample, hypothesis) cells exceed the "
                                          f"cap {ENUMERATION_CAP}")
             self._tables[key] = {}
-        tables = self._tables[key]
-        if name not in tables:
-            tables[name] = build()
-        return tables[name]
+        return self._tables[key]
 
     def w2_plans(self, matrix: np.ndarray, target: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
         """W_2 distances (S,) and optimal plans (S, N, N) from each row of an

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +114,34 @@ def test_config_embedding_dim_must_match_its_points(tmp_path, capsys):
     assert cli.main(["bounds", "--config", cfg, "--bounds", "thm1"]) == 0
 
 
+def range_entry(scale):
+    return {"m": 2, "N": 2, "n": 1, "loss": [[scale, 0.0], [0.0, scale]], "p_z": [0.5, 0.5],
+            "bound": scale}
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e154])
+def test_loss_range_whose_squares_overflow_exits_two(tmp_path, capsys, scale):
+    # at 1e308 thm1, mi and tail died of OverflowError and chain printed nan;
+    # at 1e154 coupling, stochain and transductive overflowed
+    cfg = write_config(tmp_path, {"problems": [range_entry(scale)]})
+    for argv in [["bounds", "--bounds", token] for token in cli.BOUND_TOKENS] + [["tail"]]:
+        assert cli.main([*argv, "--config", cfg]) == 2, argv
+        captured = capsys.readouterr()
+        assert "loss range exceeds 1e+150" in captured.err and captured.out == "", argv
+
+
+def test_loss_range_at_the_cap_still_answers(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"problems": [range_entry(1e150)]})
+    runs = [["bounds", "--bounds", token] for token in cli.BOUND_TOKENS if token != "wass"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # an overflow warns before it gives inf
+        for argv in runs + [["tail"], ["tail", "--mc-samples", "1000"]]:
+            assert cli.main([*argv, "--config", cfg]) == 0, argv
+            rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert rows and all(math.isfinite(float(row[key])) for row in rows
+                                for key in ("lhs", "rhs", "slack")), argv
+
+
 def test_negative_mc_samples_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
     for command in ("bounds", "tail"):
@@ -139,6 +169,23 @@ def test_verify_refuses_a_non_finite_tol(capsys):
 def test_verify_takes_no_workers_option(capsys):
     assert cli.main(["verify", "--suite", "psi", "--trials", "5", "--workers", "2"]) == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_out_of_range_workers_and_delta_exit_two(tmp_path, capsys):
+    # --workers 0 and -3 ran as 1; bounds took --delta 1.5 unless a
+    # transductive token was asked for
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    cases = [(["tail", "--mc-samples", "1000", "--workers", "-3"], "--workers must be at least 1"),
+             (["bounds", "--bounds", "thm1", "--workers", "0"], "--workers must be at least 1"),
+             (["ft", "--workers", "0"], "--workers must be at least 1"),
+             (["bounds", "--bounds", "thm1", "--delta", "1.5"], "--delta must be in (0, 1)"),
+             (["bounds", "--bounds", "thm1", "--delta", "0"], "--delta must be in (0, 1)"),
+             (["bounds", "--bounds", "thm1", "--delta", "nan"], "--delta must be in (0, 1)"),
+             (["tail", "--delta", "1"], "--delta must be in (0, 1)")]
+    for argv, message in cases:
+        assert cli.main([*argv, "--config", cfg]) == 2, argv
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == "", argv
 
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, monkeypatch):
@@ -300,6 +347,30 @@ def test_bounds_build_the_couplings_and_the_dyadic_chain_once(tmp_path, monkeypa
     assert calls == {"optimal_couplings": 1, "chain_from_partitions": 1}
 
 
+def test_bounds_check_the_root_chain_once(tmp_path, monkeypatch):
+    # chain and transductive each re-checked the stored root chain
+    roots, checked = [], []
+    root_chain, validate = cli.bnd.root_chain, cli.bnd._validate_chain
+
+    def recorded(prob, alg):
+        chain = root_chain(prob, alg)
+        roots.append(chain.kernels)
+        return chain
+
+    def counted(prob, alg, chain):
+        checked.append(chain.kernels)
+        validate(prob, alg, chain)
+
+    monkeypatch.setattr(cli.bnd, "root_chain", recorded)
+    monkeypatch.setattr(cli.bnd, "_validate_chain", counted)
+    cfg = write_config(tmp_path, {"problems": [problem_entry(seed=5)]})
+    tokens = ",".join(token for token in cli.BOUND_TOKENS if token not in ("cmi", "wass"))
+    assert cli.main(["bounds", "--config", cfg, "--bounds", tokens,
+                     "--out", str(tmp_path / "rows.csv")]) == 0
+    assert roots and all(kernels is roots[0] for kernels in roots)
+    assert sum(kernels is roots[0] for kernels in checked) == 1
+
+
 def test_tail_constant_loss_rounding_is_no_violation(tmp_path):
     # sigma = 0 puts both thresholds at 0 and |gen| at 1e-16 of rounding: exit 1
     entry = {"m": 3, "N": 2, "n": 1, "loss": [[0.7, 0.7, 0.7], [0.7, 0.7, 0.7]],
@@ -328,6 +399,15 @@ def test_one_hypothesis_is_not_bad_input(tmp_path):
     for name in ("chain", "chain_metric"):
         assert float(rows[name]["rhs"]) == 0.0
         assert json.loads(rows[name]["components_json"]) == {}
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, and no GENBOUND_SEED."""
+    env = {k: v for k, v in os.environ.items() if k != "GENBOUND_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
+        if p)
+    return env
 
 
 # Run in a fresh interpreter: argv[1] is a JSON list of (label, cli argv);
@@ -367,12 +447,8 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
                ("verify transport", ["verify", "--suite", "transport", "--trials", "2"])]
     runs = [(label, argv + ["--out", str(tmp_path / "out")]) for label, argv in
             numpy_only + with_lp]
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     seen = json.loads(proc.stdout)
     for label in ["import genbound", "import genbound.cli"] + [lb for lb, _ in numpy_only]:
@@ -381,6 +457,60 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
     assert "scipy.optimize" in seen["coupling"]
     assert all(isinstance(seen[label], list) for label, _ in with_lp)
     assert seen["mpmath"] == []
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    builds, build_parser = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    for argv in (["bounds", "--config", cfg, "--bounds", "thm1"], ["tail", "--config", cfg],
+                 ["verify", "--suite", "mystery"], ["verify", "--suite", "psi", "--trials", "3"]):
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()  # callers still get a parser of their own
+
+
+PARSER_PROBE = """
+import argparse, json
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+from genbound import cli
+after_import = len(built)
+for _ in range(3):
+    cli.main(["verify", "--suite", "mystery"])
+print(json.dumps([after_import, len(built)]))
+"""
+
+
+def test_import_builds_no_parser(tmp_path):
+    # one parser and its four subcommand parsers, on the first main call only
+    proc = subprocess.run([sys.executable, "-c", PARSER_PROBE], cwd=tmp_path, env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [0, 5]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("GENBOUND_SEED", raising=False)
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    plain = ["bounds", "--config", cfg, "--bounds", "thm1,mi"]
+    assert cli.main([*plain, "--workers", "two"]) == 2
+    assert cli.main([*plain, "--seed", "4", "--out", str(tmp_path / "seeded.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(plain) == 0
+    out = capsys.readouterr().out
+    fresh = subprocess.run([sys.executable, "-m", "genbound.cli", *plain], cwd=tmp_path,
+                           env=src_env(), capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr[-2000:]
+    assert out == fresh.stdout
+    assert [row["seed"] for row in csv.DictReader(io.StringIO(out))] == ["0", "0"]
 
 
 def test_bounds_mc_noise_is_not_a_violation(tmp_path, small_problem):
