@@ -27,6 +27,7 @@ ENUMERATION_CAP = 10**6
 # The bounds square loss differences, sigma and the chain metric (at most sqrt(6) R
 # for a loss range R), sum at most n <= 19 squares (m^n <= ENUMERATION_CAP) and scale
 # them by at most 24 (n log 2 + 4) < 420: R <= 1e150 keeps every such value below 1e303.
+# |loss| is held to the same cap, so a sum of n <= 19 losses (an empirical mean) stays finite.
 LOSS_RANGE_CAP = 1e150
 
 
@@ -56,6 +57,9 @@ class LearningProblem:
         if float(table.max()) - float(table.min()) > LOSS_RANGE_CAP:
             raise ConfigurationError(f"LearningProblem: loss range exceeds {LOSS_RANGE_CAP:g}, "
                                      "so the bounds' squares would overflow")
+        if float(np.abs(table).max()) > LOSS_RANGE_CAP:
+            raise ConfigurationError(f"LearningProblem: |loss| exceeds {LOSS_RANGE_CAP:g}, "
+                                     "so the n-draw empirical means would overflow")
         if table.shape[1] != p_z.support_size:
             raise ConfigurationError("LearningProblem: loss columns != outcome support")
         if integer(n) < 1:

@@ -4,8 +4,8 @@ Distances come from a linear program solved with HiGHS; at the package's
 desk scale (<= 64 atoms a side) that is exact, deterministic, and returns a
 vertex plan. Many pairs are solved together as the blocks of one LP.
 Geodesics are displacement interpolations of an optimal plan between two
-measures sharing one Euclidean support. scipy (HiGHS and the sparse
-constraint matrix) is imported on the first LP, not with the package.
+measures sharing one Euclidean support. HiGHS is called through scipy's
+bundled core on the first LP, not imported with the package.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ DEDUP_DECIMALS = 12
 # HiGHS takes about 1.2 kB per LP variable, and past 2**11 variables an LP
 # solves barely faster per variable, so batches are cut there to bound memory
 LP_CHUNK_VARS = 2**11
+# HiGHS reads a cost of 1e20 or more as infinite; an LP cost (cost^p) must stay
+# below this cap, which leaves that threshold two orders of magnitude away
+LP_COST_CAP = 1e18
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,48 @@ def diagonal_plan(mu: FiniteMeasure) -> TransportPlan:
     return TransportPlan(np.diag(mu.weights), mu, mu)
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call."""
-    from scipy.optimize import linprog as solve
+def linprog(c, start, index, b_eq):
+    """min c.x subject to A x = b_eq, x >= 0, by one direct HiGHS call.
 
-    return solve(*args, **kwargs)
+    A is the 0/1 transportation matrix in column-wise form: column j has ones
+    at rows index[start[j]:start[j+1]]. HiGHS runs with the options that
+    scipy.optimize.linprog(method="highs") passes it (presolve on, dual
+    simplex, output off, feasibility tolerances 1e-10), so the solution is
+    the same bit for bit; linprog's input checks, sparse conversions and dual
+    post-processing cost more than the solve at these sizes. Returns an
+    OptimizeResult with success, status, message, x and nit (simplex
+    iterations). scipy is imported on the first call.
+    """
+    from scipy.optimize import OptimizeResult
+    from scipy.optimize._highspy import _core as highs
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = b_eq.size
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(c.size)
+    lp.col_upper_ = np.full(c.size, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    # the matrix fields take Python sequences; lists convert fastest
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = index.tolist()
+    lp.a_matrix_.value_ = [1.0] * index.size
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = 1  # dual simplex
+    options.output_flag = options.log_to_console = False
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    success = status == highs.HighsModelStatus.kOptimal
+    return OptimizeResult(success=success, status=0 if success else 4,
+                          message=solver.modelStatusToString(status),
+                          x=np.array(solver.getSolution().col_value) if success else None,
+                          nit=solver.getInfo().simplex_iteration_count)
 
 
 def wasserstein(mu: FiniteMeasure, nu: FiniteMeasure, cost: CostMatrix,
@@ -154,29 +194,28 @@ def _solve_blocks(pairs, p: float) -> list[tuple[float, TransportPlan]]:
     # the transportation system of an m x n block has rank m + n - 1; keeping
     # all m + n rows makes HiGHS presolve declare instances with atoms below
     # its feasibility tolerance infeasible, so each block drops its redundant
-    # last column constraint
-    costs, rows, cols, b_eq = [], [], [], []
-    row0 = col0 = 0
+    # last column constraint: variable (i, j) of a block has its source row,
+    # and its target row unless j = n - 1 (-1 marks the dropped row)
+    costs, src, tgt, b_eq = [], [], [], []
+    row0 = 0
     for mu, nu, cost in pairs:
         m, n = mu.support_size, nu.support_size
         if cost.entries.shape != (m, n):
             raise ConfigurationError("wasserstein: cost shape does not match supports")
-        var = np.arange(m * n)
-        i, j = np.divmod(var, n)
-        keep = j < n - 1
-        rows += [row0 + i, row0 + m + j[keep]]
-        cols += [col0 + var, col0 + var[keep]]
-        costs.append((cost.entries**p).ravel())
+        i, j = np.divmod(np.arange(m * n), n)
+        src.append(row0 + i)
+        tgt.append(np.where(j < n - 1, row0 + m + j, -1))
+        with np.errstate(over="ignore"):
+            costs.append((cost.entries**p).ravel())
         b_eq += [mu.weights, nu.weights[:-1]]
         row0 += m + n - 1
-        col0 += m * n
-    from scipy.sparse import csr_array
-
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    a_eq = csr_array((np.ones(rows.size), (rows, cols)), shape=(row0, col0))
-    res = linprog(np.concatenate(costs), A_eq=a_eq, b_eq=np.concatenate(b_eq), bounds=(0.0, None),
-                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
-                                           "dual_feasibility_tolerance": 1e-10})
+    c, tgt = np.concatenate(costs), np.concatenate(tgt)
+    if not np.all(c < LP_COST_CAP):
+        raise DomainError(f"wasserstein: a transport cost^p of {c.max():.3g} is not below "
+                          f"LP_COST_CAP = {LP_COST_CAP:g}, past which HiGHS cannot solve it")
+    index = np.stack([np.concatenate(src), tgt], axis=1).ravel()
+    start = np.concatenate(([0], np.cumsum(1 + (tgt >= 0))))
+    res = linprog(c, start, index[index >= 0], np.concatenate(b_eq))
     if not res.success:
         # a transport LP between validated measures is feasible and bounded
         raise RuntimeError(f"wasserstein: LP failed: {res.message}")

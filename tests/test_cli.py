@@ -142,6 +142,30 @@ def test_loss_range_at_the_cap_still_answers(tmp_path, capsys):
                                 for key in ("lhs", "rhs", "slack")), argv
 
 
+def test_loss_magnitude_past_the_cap_exits_two(tmp_path, capsys):
+    # a range of 0 passed the range cap; the n-draw means overflowed to inf,
+    # and coupling and cmi printed lhs and slack nan with exit 0
+    entry = {"m": 2, "N": 2, "n": 2, "loss": [[1e308, 1e308], [1e308, 1e308]],
+             "p_z": [0.5, 0.5], "algorithm": {"kind": "erm"}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    for argv in [["bounds", "--bounds", token] for token in cli.BOUND_TOKENS] + [["tail"]]:
+        assert cli.main([*argv, "--config", cfg]) == 2, argv
+        captured = capsys.readouterr()
+        assert "|loss| exceeds 1e+150" in captured.err and captured.out == "", argv
+
+
+def test_transport_costs_highs_reads_as_infinite_exit_two(tmp_path, capsys):
+    # squared distances of 2e22 made HiGHS fail the W_2 LP (a RuntimeError traceback)
+    entry = {"m": 2, "N": 2, "n": 1, "loss": [[1e11, 0], [0, 1e11]], "p_z": [0.5, 0.5],
+             "bound": 1e11, "embedding": {"points": [[1e11, 0], [0, 1e11]]}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    for token in ("coupling", "wass"):
+        assert cli.main(["bounds", "--config", cfg, "--bounds", token]) == 2, token
+        captured = capsys.readouterr()
+        assert "LP_COST_CAP = 1e+18" in captured.err and captured.out == "", token
+        assert "Traceback" not in captured.err
+
+
 def test_negative_mc_samples_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
     for command in ("bounds", "tail"):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from genbound import (ConfigurationError, DomainError, EmbeddedSupport, FiniteMeasure,
                       TransportPlan, consecutive_couplings, diagonal_plan,
                       displacement_interpolation, euclidean_cost, geodesic, mc,
                       product_plan, run_transport_suite, transport, verify,
                       wasserstein, wasserstein_batch)
-from genbound.transport import PLAN_MARGINAL_TOL
+from genbound.transport import LP_COST_CAP, PLAN_MARGINAL_TOL
 
 
 def line(*xs) -> EmbeddedSupport:
@@ -267,6 +268,104 @@ def test_wasserstein_batch_splits_large_batches(monkeypatch):
         assert abs(d1 - d2) <= 1e-12
     calls.clear()
     assert wasserstein_batch([], 2.0) == [] and calls == []
+
+
+def scipy_linprog_blocks(pairs, p):
+    """Reference: the block LP of `pairs` as scipy.optimize.linprog solved it
+    before HiGHS was called directly, from a CSR matrix with the same rows."""
+    costs, rows, cols, b_eq = [], [], [], []
+    row0 = col0 = 0
+    for mu, nu, cost in pairs:
+        m, n = mu.support_size, nu.support_size
+        var = np.arange(m * n)
+        i, j = np.divmod(var, n)
+        keep = j < n - 1
+        rows += [row0 + i, row0 + m + j[keep]]
+        cols += [col0 + var, col0 + var[keep]]
+        costs.append((cost.entries**p).ravel())
+        b_eq += [mu.weights, nu.weights[:-1]]
+        row0 += m + n - 1
+        col0 += m * n
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    a_eq = csr_array((np.ones(rows.size), (rows, cols)), shape=(row0, col0))
+    return linprog(np.concatenate(costs), A_eq=a_eq, b_eq=np.concatenate(b_eq), bounds=(0.0, None),
+                   method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                            "dual_feasibility_tolerance": 1e-10})
+
+
+def zero_mass_batch(gen, count):
+    """Pairs with a zero-mass atom in both marginals."""
+    pairs = []
+    for _ in range(count):
+        m, n = int(gen.integers(2, 7)), int(gen.integers(2, 7))
+        a, b = EmbeddedSupport(gen.normal(size=(m, 2))), EmbeddedSupport(gen.normal(size=(n, 2)))
+        wa, wb = gen.dirichlet(np.ones(m)), gen.dirichlet(np.ones(n))
+        wa[gen.integers(0, m)] = wb[gen.integers(0, n)] = 0.0
+        pairs.append((FiniteMeasure(wa / wa.sum()), FiniteMeasure(wb / wb.sum()),
+                      euclidean_cost(a, b)))
+    return pairs
+
+
+def tied_batch(gen, count):
+    """Pairs on embeddings with repeated points, so the optimum has ties."""
+    pairs = []
+    for _ in range(count):
+        k = int(gen.integers(2, 5))
+        emb = EmbeddedSupport(gen.normal(size=(k, 2))[gen.integers(0, k, size=k + 2)])
+        pairs.append((FiniteMeasure(gen.dirichlet(np.ones(k + 2))),
+                      FiniteMeasure(gen.dirichlet(np.ones(k + 2))), euclidean_cost(emb, emb)))
+    return pairs
+
+
+@pytest.mark.parametrize("batch, p, chunk", [
+    (mixed_batch, 1.0, None), (mixed_batch, 2.0, None), (zero_mass_batch, 1.0, None),
+    (zero_mass_batch, 2.0, None), (tied_batch, 1.0, None), (tied_batch, 2.0, None),
+    (mixed_batch, 2.0, 64)])
+def test_direct_highs_call_matches_scipy_linprog_bit_for_bit(monkeypatch, batch, p, chunk):
+    pairs = batch(np.random.default_rng(7), 30)
+    if chunk is not None:
+        monkeypatch.setattr(transport, "LP_CHUNK_VARS", chunk)
+    blocks, results = [], []
+    solve_blocks, linprog_ = transport._solve_blocks, transport.linprog
+    monkeypatch.setattr(transport, "_solve_blocks",
+                        lambda chunk_pairs, q: blocks.append(chunk_pairs) or solve_blocks(chunk_pairs, q))
+    monkeypatch.setattr(transport, "linprog", lambda *args: results.append(linprog_(*args)) or results[-1])
+    wasserstein_batch(pairs, p)
+    assert len(results) == len(blocks) and (chunk is None) == (len(blocks) == 1)
+    for chunk_pairs, res in zip(blocks, results):
+        ref = scipy_linprog_blocks(chunk_pairs, p)
+        assert res.success and ref.success
+        assert np.array_equal(res.x, ref.x) and res.nit == ref.nit
+
+
+def test_the_private_highs_names_the_solver_uses_exist():
+    # transport.linprog fills these by hand; a scipy that moves them fails here
+    from scipy.optimize._highspy import _core as highs
+
+    for name in ("HighsLp", "_Highs", "HighsOptions", "kHighsInf"):
+        assert hasattr(highs, name), name
+    assert hasattr(highs.MatrixFormat, "kColwise")
+    assert hasattr(highs.HighsModelStatus, "kOptimal")
+
+
+def test_two_point_w2_just_below_the_cost_cap_is_exact():
+    # half the mass travels d with d^2 just below LP_COST_CAP: W_2 = d / sqrt(2)
+    d = 0.999e9
+    assert d**2 < LP_COST_CAP
+    dist, plan = wasserstein(FiniteMeasure([0.5, 0.5]), FiniteMeasure([0.0, 1.0]),
+                             euclidean_cost(line(0.0, d), line(0.0, d)), p=2.0)
+    assert dist == pytest.approx(d * math.sqrt(0.5), rel=1e-15)
+    assert np.array_equal(plan.weights, [[0.0, 0.5], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("d, p", [(1e9, 2.0), (1e18, 1.0), (1e150, 2.0), (1e150, 3.0)])
+def test_lp_costs_at_the_cap_are_refused_before_the_solve(monkeypatch, d, p):
+    # HiGHS reads a cost of 1e20 or more as infinite and fails the solve;
+    # 1e150 ** 3 overflows to inf
+    monkeypatch.setattr(transport, "linprog", None)
+    cost = euclidean_cost(line(0.0, d), line(0.0, d))
+    with pytest.raises(DomainError, match="LP_COST_CAP"):
+        wasserstein(FiniteMeasure([0.5, 0.5]), FiniteMeasure([0.0, 1.0]), cost, p)
 
 
 def per_lp_transport_suite(trials, seed, tol=1e-6):
