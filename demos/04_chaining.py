@@ -38,8 +38,7 @@ print(f"chained rhs     = {chained.rhs:.6f}")
 for name, value in chained.components.items():
     print(f"  {name}: {value:.6f}")
 
-with_metric = bound_chain(
-    prob, alg, chain_from_partitions(prob, alg, partitions, metric=metric))
+with_metric = bound_chain(prob, alg, chain, metric)
 print(f"metric-form rhs = {with_metric.rhs:.6f} "
       f"(loss form of the same telescope = "
       f"{with_metric.details['loss_form_rhs']:.6f})")

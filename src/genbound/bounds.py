@@ -297,22 +297,19 @@ def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | N
     the algorithm, that the coupling bounds read. Its coupling is one (N, N)
     table or TransportPlan per sample (optimal_couplings by default), its
     reference mu_uv (their sample mixture by default). The default chain of a
-    Q_W is built and checked once per kernel."""
+    Q_W is built once per kernel."""
     q_w = _q_w(prob, alg, q_w)
 
     def build() -> ChainSpec:
         pi = optimal_couplings(prob, alg, q_w) if couplings is None else [
             c.weights if isinstance(c, TransportPlan) else c for c in couplings]
-        try:  # ragged tables, or not one per sample; _validate_chain checks the rest
+        try:  # ragged tables, or not one per sample; ChainSpec checks the rest
             pi = np.asarray(pi, dtype=float)
             mu = (readonly(np.einsum("s,suv->uv", prob.sample_probs, pi)) if mu_uv is None
                   else np.asarray(mu_uv, dtype=float))
         except ValueError as exc:
             raise ConfigurationError(f"coupling_chain: {exc}") from exc
-        chain = ChainSpec((MarkovKernel.constant(q_w, prob.num_samples), alg.kernel),
-                          (pi,), (mu,))
-        _validate_chain(prob, alg, chain)
-        return chain
+        return ChainSpec((MarkovKernel.constant(q_w, prob.num_samples), alg.kernel), (pi,), (mu,))
 
     if couplings is None and mu_uv is None:
         return prob.table(alg.matrix, ("coupling", q_w.weights.tobytes()), build)
@@ -403,16 +400,35 @@ class ChainSpec:
     """Interpolating kernels, per-sample step couplings, and step references.
 
     K steps take K + 1 (S, N) kernels, K (S, N, N) couplings and K (N, N)
-    references. couplings[k][s] couples (kernels[k+1] row s, kernels[k] row s);
-    kernels[-1] is the algorithm and kernels[0], the prior end, is sample-free
-    (K = 0 when they are one, as on one hypothesis). An optional metric
-    switches bound_chain to its metric form.
+    references. couplings[k][s] couples (kernels[k+1] row s, kernels[k] row s)
+    and each reference is a probability table; a chain that breaks any of this
+    is refused when it is built, nan included. The ends are checked by the
+    bounds against their problem: kernels[-1] is the algorithm and kernels[0],
+    the prior end, is sample-free where the bound needs it (K = 0 when they
+    are one, as on one hypothesis).
     """
 
     kernels: tuple
     couplings: tuple
     references: tuple
-    metric: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        """Every test is written to fail on nan."""
+        kernels, couplings, references = self.kernels, self.couplings, self.references
+        if (not kernels or len(couplings) != len(kernels) - 1 or len(references) != len(couplings)
+                or any(kernel.matrix.shape != kernels[0].matrix.shape for kernel in kernels)):
+            raise ConfigurationError("chain: need K+1 kernels of one shape, K couplings, "
+                                     "K references")
+        S, N = kernels[0].matrix.shape
+        for k, (joint, ref) in enumerate(zip(couplings, references)):
+            if np.shape(joint) != (S, N, N) or np.shape(ref) != (N, N):
+                raise ConfigurationError(
+                    f"chain: step {k} needs ({S}, {N}, {N}) and ({N}, {N}) tables")
+            if not (np.abs(joint.sum(axis=2) - kernels[k + 1].matrix).max() <= 1e-9
+                    and np.abs(joint.sum(axis=1) - kernels[k].matrix).max() <= 1e-9):
+                raise ConfigurationError(f"chain: coupling {k} has wrong marginals")
+            if not (abs(ref.sum() - 1.0) <= 1e-9 and ref.min() >= -1e-12):
+                raise ConfigurationError(f"chain: reference {k} is not a probability table")
 
 
 def dyadic_partitions(size: int) -> list[np.ndarray]:
@@ -443,8 +459,7 @@ def _normalize_partition(part, size: int) -> np.ndarray:
     return label
 
 
-def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions,
-                          metric: np.ndarray | None = None) -> ChainSpec:
+def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions) -> ChainSpec:
     """Project the algorithm through a refining partition hierarchy, coarse to fine.
 
     Level k maps the drawn hypothesis to the lowest index of its cell, so the
@@ -475,62 +490,40 @@ def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions,
             couplings.append(readonly(joint))
             references.append(readonly(np.einsum("s,suv->uv", prob.sample_probs, joint)))
     return ChainSpec(kernels=tuple(kernels), couplings=tuple(couplings),
-                     references=tuple(references), metric=metric)
+                     references=tuple(references))
 
 
 def root_chain(prob: LearningProblem, alg: Algorithm) -> ChainSpec:
-    """The dyadic chain with its root, built and checked once per (problem,
-    algorithm); the chain and transductive bounds of one problem read the same one."""
-    def build() -> ChainSpec:
-        chain = chain_from_partitions(prob, alg, dyadic_partitions(prob.num_hypotheses))
-        _validate_chain(prob, alg, chain)
-        return chain
-
-    return prob.table(alg.matrix, "root_chain", build)
+    """The dyadic chain with its root, built once per (problem, algorithm); the
+    chain and transductive bounds of one problem read the same one."""
+    return prob.table(alg.matrix, "root_chain", lambda: chain_from_partitions(
+        prob, alg, dyadic_partitions(prob.num_hypotheses)))
 
 
-def _check_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> None:
-    """_validate_chain, except for a chain that carries the stored root chain's own
-    tuples, which root_chain checked when it built them; replace(root, metric=...)
-    keeps them."""
-    root = prob.stored(alg.matrix, "root_chain")
-    if root is None or any(getattr(chain, f) is not getattr(root, f)
-                           for f in ("kernels", "couplings", "references")):
-        _validate_chain(prob, alg, chain)
-
-
-def _validate_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> None:
-    """Refuse a chain whose shapes, ends, coupling marginals or references do
-    not fit the problem and algorithm; every test is written to fail on nan."""
+def _check_ends(prob: LearningProblem, alg: Algorithm, chain: ChainSpec, root: bool) -> None:
+    """Refuse a chain whose (S, N) kernels are not the problem's, whose last
+    kernel is not the algorithm or, when `root`, whose first depends on the
+    sample; the chain checked the rest when it was built. Fails on nan."""
     S, N = prob.num_samples, prob.num_hypotheses
-    kernels, couplings, references = chain.kernels, chain.couplings, chain.references
-    if (not kernels or len(couplings) != len(kernels) - 1 or len(references) != len(couplings)
-            or any(kernel.matrix.shape != (S, N) for kernel in kernels)):
-        raise ConfigurationError(f"chain: need K+1 ({S}, {N}) kernels, K couplings, K references")
-    root = kernels[0].matrix
-    if not np.abs(root - root[0]).max() <= 1e-12:
+    first, last = chain.kernels[0].matrix, chain.kernels[-1].matrix
+    if first.shape != (S, N):
+        raise ConfigurationError(f"chain: need ({S}, {N}) kernels")
+    if root and not np.abs(first - first[0]).max() <= 1e-12:
         raise ConfigurationError("chain: kernels[0] must not depend on the sample")
-    if not np.abs(kernels[-1].matrix - alg.matrix).max() <= 1e-12:
+    if alg.matrix.shape != (S, N) or not np.abs(last - alg.matrix).max() <= 1e-12:
         raise ConfigurationError("chain: kernels[-1] must equal the algorithm")
-    for k, (joint, ref) in enumerate(zip(couplings, references)):
-        if np.shape(joint) != (S, N, N) or np.shape(ref) != (N, N):
-            raise ConfigurationError(f"chain: step {k} needs ({S}, {N}, {N}) and ({N}, {N}) tables")
-        if not (np.abs(joint.sum(axis=2) - kernels[k + 1].matrix).max() <= 1e-9
-                and np.abs(joint.sum(axis=1) - kernels[k].matrix).max() <= 1e-9):
-            raise ConfigurationError(f"chain: coupling {k} has wrong marginals")
-        if not (abs(ref.sum() - 1.0) <= 1e-9 and ref.min() >= -1e-12):
-            raise ConfigurationError(f"chain: reference {k} is not a probability table")
 
 
-def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> BoundReport:
+def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
+                metric: np.ndarray | None = None) -> BoundReport:
     """Telescoped coupling bound along an interpolating chain of kernels.
 
     Without a metric, each step contributes its loss-based decorrelation and
-    reference terms under sqrt(48/n); with chain.metric set, the metric form
-    under sqrt(2/n) is reported instead; the loss-form report moves to
+    reference terms under sqrt(48/n); with a metric, the metric form under
+    sqrt(2/n) is reported instead; the loss-form report moves to
     details["loss_form"], its rhs to details["loss_form_rhs"].
     """
-    _check_chain(prob, alg, chain)
+    _check_ends(prob, alg, chain, root=True)
     est = expected_gen(prob, alg)
 
     cross_terms, ref_terms, escape_any = [], [], False
@@ -544,10 +537,10 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec) -> Boun
                            loss_scale * (sum(cross_terms) + sum(ref_terms)),
                            {f"step_{k + 1}": loss_scale * (cross_terms[k] + ref_terms[k])
                             for k in range(len(cross_terms))}, escape_any)
-    if chain.metric is None:
+    if metric is None:
         return loss
 
-    metric = np.asarray(chain.metric, dtype=float)
+    metric = np.asarray(metric, dtype=float)
     if metric.shape != prob.population_dists.shape:
         raise ConfigurationError("chain: metric shape mismatch")
     increment_check(prob, metric)
@@ -592,17 +585,15 @@ def bound_stochastic_chain(prob: LearningProblem, alg: Algorithm,
     d = chain_metric(prob)
     p_s = prob.sample_probs
     p_w = hypothesis_marginal(prob, alg).weights
-    first = chain.kernels[0].matrix[:, :, None] * p_w[None, None, :]  # independent prior draw
-    chain = ChainSpec((MarkovKernel.constant(FiniteMeasure(p_w), prob.num_samples),
-                       *chain.kernels), (first, *chain.couplings),
-                      (np.einsum("s,suv->uv", p_s, first), *chain.references))
-    _validate_chain(prob, alg, chain)
+    _check_ends(prob, alg, chain, root=False)
+    # the prior draw is independent of the sample, so only the chain's own steps can break this
     if markov_slack(prob, chain) > 1e-9:
         raise ConfigurationError("bound_stochastic_chain: chain is not Markov")
     est = expected_gen(prob, alg)
+    first = chain.kernels[0].matrix[:, :, None] * p_w[None, None, :]  # independent prior draw
 
     form1_terms, form2_terms = [], []
-    for kernel, joint in zip(chain.kernels[1:], chain.couplings):
+    for kernel, joint in zip(chain.kernels, (first, *chain.couplings)):
         tab = p_s[:, None] * kernel.matrix
         col = tab.sum(axis=0)
         # sqrt(D(sample law | level hypothesis u || sample law)); rounding can leave
@@ -741,7 +732,7 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("tail_transductive: delta in (0, 1)")
-    _check_chain(prob, alg, chain)
+    _check_ends(prob, alg, chain, root=True)
     K = len(chain.couplings)
     if level_weights is None:
         p_k = np.ones(K) / K

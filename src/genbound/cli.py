@@ -115,8 +115,7 @@ def _token_reports(prob, alg, token: str, delta: float):
     if token == "coupling":
         return [bnd.bound_coupling(prob, alg), bnd.bound_coupling_simplified(prob, alg)]
     if token == "chain":
-        metric = bnd.bound_chain(prob, alg, replace(bnd.root_chain(prob, alg),
-                                                    metric=bnd.chain_metric(prob)))
+        metric = bnd.bound_chain(prob, alg, bnd.root_chain(prob, alg), bnd.chain_metric(prob))
         return [metric.details["loss_form"], metric]
     if token == "stochain":  # the root chain below its root; the root alone when N = 1
         chain = bnd.root_chain(prob, alg)

@@ -10,7 +10,6 @@ never by approximation, unless Monte Carlo is explicitly requested.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,8 +61,14 @@ class LearningProblem:
                                      "so the n-draw empirical means would overflow")
         if table.shape[1] != p_z.support_size:
             raise ConfigurationError("LearningProblem: loss columns != outcome support")
-        if integer(n) < 1:
+        n = integer(n)
+        if n < 1:
             raise ConfigurationError("LearningProblem: n >= 1 required")
+        # m^n for n <= 64 only: 2^64 is past the cap, and a huge n must not build m^n
+        if table.shape[0] * table.shape[1] ** min(n, 64) > ENUMERATION_CAP:
+            raise ConfigurationError(
+                f"LearningProblem: m^n * N = {table.shape[1]}^{n} * {table.shape[0]} "
+                f"(sample, hypothesis) cells exceed the cap {ENUMERATION_CAP}")
         if bound is not None:
             if bound <= 0:
                 raise ConfigurationError("LearningProblem: bound must be positive")
@@ -74,7 +79,7 @@ class LearningProblem:
         table.flags.writeable = False
         object.__setattr__(self, "loss", table)
         object.__setattr__(self, "p_z", p_z)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "bound", None if bound is None else float(bound))
         object.__setattr__(self, "embedding", embedding)
 
@@ -93,8 +98,9 @@ class LearningProblem:
     @cached_property
     def samples(self) -> np.ndarray:
         """(m^n, n) outcome indices, lexicographic; row index is the sample index."""
-        return readonly(np.array(list(itertools.product(range(self.num_outcomes), repeat=self.n)),
-                                 dtype=np.int64))
+        m = self.num_outcomes
+        index = np.arange(self.num_samples, dtype=np.int64)[:, None]
+        return readonly(index // m ** np.arange(self.n - 1, -1, -1, dtype=np.int64) % m)
 
     @cached_property
     def sample_probs(self) -> np.ndarray:
@@ -171,29 +177,16 @@ class LearningProblem:
         its first read, then kept as long as the problem lives.
 
         A kernel's tables are keyed by the bytes of its matrix, so an equal
-        copy reads the same ones. The shape and the enumeration cap are
-        checked before a kernel's first table is built.
+        copy reads the same ones. The shape is checked on every read; the
+        problem refused an (S, N) over the enumeration cap when it was built.
         """
-        tables = self._kernel_tables(matrix)
-        if name not in tables:
-            tables[name] = build()
-        return tables[name]
-
-    def stored(self, matrix, name):
-        """Table `name` of a kernel if it has been built, else None; builds nothing."""
-        return self._kernel_tables(matrix).get(name)
-
-    def _kernel_tables(self, matrix) -> dict:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (self.num_samples, self.num_hypotheses):
             raise ConfigurationError("algorithm kernel shape does not match the problem")
-        key = matrix.tobytes()
-        if key not in self._tables:
-            if matrix.size > ENUMERATION_CAP:
-                raise ConfigurationError(f"{matrix.size} (sample, hypothesis) cells exceed the "
-                                         f"cap {ENUMERATION_CAP}")
-            self._tables[key] = {}
-        return self._tables[key]
+        tables = self._tables.setdefault(matrix.tobytes(), {})
+        if name not in tables:
+            tables[name] = build()
+        return tables[name]
 
     def w2_plans(self, matrix: np.ndarray, target: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
         """W_2 distances (S,) and optimal plans (S, N, N) from each row of an

@@ -72,8 +72,12 @@ def euclidean_cost(a: EmbeddedSupport, b: EmbeddedSupport) -> CostMatrix:
     if a.dim != b.dim:
         raise UnsupportedGeometryError("euclidean_cost: embeddings live in different dimensions")
     sq = np.zeros((a.size, b.size))
-    for k in range(a.dim):  # one coordinate at a time: scipy's cdist summation order
-        sq += (a.points[:, None, k] - b.points[None, :, k]) ** 2
+    with np.errstate(over="ignore"):
+        for k in range(a.dim):  # one coordinate at a time: scipy's cdist summation order
+            sq += (a.points[:, None, k] - b.points[None, :, k]) ** 2
+    if not np.all(np.isfinite(sq)):
+        raise DomainError("euclidean_cost: the embedded points are too far apart; "
+                          "their squared distances overflow")
     return CostMatrix(np.sqrt(sq))
 
 

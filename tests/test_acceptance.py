@@ -41,8 +41,7 @@ def _expectation_reports(prob, alg):
     yield bound_coupling(prob, alg)
     yield bound_coupling_simplified(prob, alg)
     yield bound_chain(prob, alg, chain_from_partitions(prob, alg, parts))
-    yield bound_chain(prob, alg, chain_from_partitions(
-        prob, alg, parts, metric=chain_metric(prob)))
+    yield bound_chain(prob, alg, chain_from_partitions(prob, alg, parts), chain_metric(prob))
     yield bound_stochastic_chain(prob, alg,
                                  chain_from_partitions(prob, alg, parts_leaf))
     yield bound_wasserstein_geodesic(prob, alg)

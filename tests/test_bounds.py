@@ -341,8 +341,8 @@ def test_chain_duplicate_level_is_free():
     padded = list(parts[:2]) + [parts[1]] + list(parts[2:])
     metric = chain_metric(prob)
     for m in (None, metric):
-        base = bound_chain(prob, alg, chain_from_partitions(prob, alg, parts, metric=m))
-        dup = bound_chain(prob, alg, chain_from_partitions(prob, alg, padded, metric=m))
+        base = bound_chain(prob, alg, chain_from_partitions(prob, alg, parts), m)
+        dup = bound_chain(prob, alg, chain_from_partitions(prob, alg, padded), m)
         assert base.rhs == dup.rhs
 
 
@@ -352,11 +352,10 @@ def test_chain_slack_both_forms():
         prob = random_problem(gen)
         for alg in algorithm_family(prob):
             parts = dyadic_partitions(prob.num_hypotheses)
-            plain = bound_chain(prob, alg, chain_from_partitions(prob, alg, parts))
+            spec = chain_from_partitions(prob, alg, parts)
+            plain = bound_chain(prob, alg, spec)
             assert plain.rhs - plain.lhs >= -1e-9
-            spec = chain_from_partitions(prob, alg, parts,
-                                         metric=chain_metric(prob))
-            metric = bound_chain(prob, alg, spec)
+            metric = bound_chain(prob, alg, spec, chain_metric(prob))
             assert metric.rhs - metric.lhs >= -1e-9
             assert metric.details["loss_form_rhs"] - metric.lhs >= -1e-9
 
@@ -384,12 +383,37 @@ def test_chain_validation_errors():
         bound_chain(prob, alg, ChainSpec((root, alg.kernel), (pi,), (mu,)))
 
 
+def test_bounds_check_the_ends_of_a_well_formed_chain(small_problem, gibbs_alg):
+    # a chain checks its own structure when built; whether it fits a (problem,
+    # algorithm), and starts at a sample-free root, only the bound can tell
+    prob, alg = small_problem, gibbs_alg
+    parts = dyadic_partitions(prob.num_hypotheses)
+    other = LearningProblem(prob.loss, prob.p_z, prob.n + 1, bound=prob.bound)
+    wrong_shape = chain_from_partitions(other, gibbs_algorithm(other, 1.0), parts)
+    wrong_last = chain_from_partitions(prob, gibbs_algorithm(prob, 5.0), parts)
+    below_root = chain_from_partitions(prob, alg, parts[1:])
+
+    def transductive(prob, alg, chain):
+        return tail_transductive(prob, alg, chain, 0.05)
+
+    for fn in (bound_chain, transductive, bound_stochastic_chain):
+        with pytest.raises(ConfigurationError, match=r"need \(9, 4\) kernels"):
+            fn(prob, alg, wrong_shape)
+        with pytest.raises(ConfigurationError, match="must equal the algorithm"):
+            fn(prob, alg, wrong_last)
+    for fn in (bound_chain, transductive):
+        with pytest.raises(ConfigurationError, match="must not depend on the sample"):
+            fn(prob, alg, below_root)
+    # the stochastic chain prepends its own prior draw, so it takes a chain below the root
+    assert bound_stochastic_chain(prob, alg, below_root).details["levels"] == len(parts) - 1
+
+
 MALFORMED_STEPS = ("nan coupling", "nan reference", "coupling shape", "reference shape",
                    "reference mass")
 
 
 def malformed_step(prob, alg, q_w, kind):
-    """The default coupling step with one defect that _validate_chain must refuse."""
+    """The default coupling step with one defect that ChainSpec must refuse."""
     pi = np.array(optimal_couplings(prob, alg, q_w))
     mu = np.einsum("s,suv->uv", prob.sample_probs, pi)
     if kind == "nan coupling":
@@ -413,9 +437,8 @@ def test_malformed_coupling_step_is_refused(kind):
     alg = gibbs_algorithm(prob, 1.0)
     q_w = hypothesis_marginal(prob, alg)
     pi, mu = malformed_step(prob, alg, q_w, kind)
-    spec = ChainSpec((MarkovKernel.constant(q_w, prob.num_samples), alg.kernel), (pi,), (mu,))
     with pytest.raises(ConfigurationError, match="chain"):
-        bound_chain(prob, alg, spec)
+        ChainSpec((MarkovKernel.constant(q_w, prob.num_samples), alg.kernel), (pi,), (mu,))
     for fn in (bound_coupling, bound_coupling_simplified):
         with pytest.raises(ConfigurationError, match="chain"):
             fn(prob, alg, q_w=q_w, couplings=list(pi), mu_uv=mu)
@@ -449,7 +472,7 @@ def test_one_hypothesis_reads_the_zero_step_chain():
     chain = chain_from_partitions(prob, alg, dyadic_partitions(1))
     assert len(chain.kernels) == 1 and chain.couplings == chain.references == ()
     for metric in (None, chain_metric(prob)):
-        report = bound_chain(prob, alg, ChainSpec(chain.kernels, (), (), metric))
+        report = bound_chain(prob, alg, chain, metric)
         assert report.rhs == 0.0
         assert report.components == {}
     tail = tail_transductive(prob, alg, chain, 0.05)
@@ -540,9 +563,9 @@ def test_pair_norms_match_the_scalar_loop():
     probs = [random_problem(gen, m_max=4, n_max=4, big_n_max=8) for _ in range(15)]
     loss = gen.uniform(size=(5, 3))
     probs.append(LearningProblem(loss, FiniteMeasure([0.3, 0.0, 0.7]), n=3, bound=1.0))
-    # 4^9 samples: the 6 pairs are bisected in blocks of 2^20 // 4^9 = 4
-    probs.append(LearningProblem(gen.uniform(size=(4, 4)), FiniteMeasure(gen.dirichlet(np.ones(4))),
-                                 n=9, bound=1.0))
+    # 3^11 samples: the 10 pairs are bisected in blocks of 2^20 // 3^11 = 5
+    probs.append(LearningProblem(gen.uniform(size=(5, 3)), FiniteMeasure(gen.dirichlet(np.ones(3))),
+                                 n=11, bound=1.0))
     for prob in probs:
         ref = looped_pair_norms(prob)
         assert np.all(np.abs(prob.pair_norms - ref) <= NORM_REL_TOL * ref)

@@ -166,6 +166,30 @@ def test_transport_costs_highs_reads_as_infinite_exit_two(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+def test_embedded_points_too_far_apart_exit_two(tmp_path, capsys):
+    # the squared coordinate differences overflowed: a RuntimeWarning, then a
+    # CostMatrix error that named neither the entry nor the embedding
+    entry = {"m": 2, "N": 2, "n": 1, "loss": [[1, 0], [0, 1]], "p_z": [0.5, 0.5],
+             "bound": 1, "embedding": {"points": [[1e200, 0], [0, 1e200]]}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    for token in ("coupling", "wass"):
+        assert cli.main(["bounds", "--config", cfg, "--bounds", token]) == 2, token
+        captured = capsys.readouterr()
+        assert "embedded points are too far apart" in captured.err and captured.out == "", token
+
+
+def test_problem_over_the_enumeration_cap_exits_two(tmp_path, capsys):
+    # 2^21 * 2 cells were refused by the table store, after Gibbs had built the
+    # samples, the risks and the kernel (6 s and 800 MB); the problem now refuses them
+    entry = {"m": 2, "N": 2, "n": 21, "loss": [[1, 0], [0, 1]], "p_z": [0.5, 0.5], "bound": 1}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    for argv in (["bounds", "--bounds", "mi"], ["tail"]):
+        assert cli.main([*argv, "--config", cfg]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "problems[0]: LearningProblem: m^n * N = 2^21 * 2" in captured.err, argv
+
+
 def test_negative_mc_samples_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
     for command in ("bounds", "tail"):
@@ -372,27 +396,28 @@ def test_bounds_build_the_couplings_and_the_dyadic_chain_once(tmp_path, monkeypa
 
 
 def test_bounds_check_the_root_chain_once(tmp_path, monkeypatch):
-    # chain and transductive each re-checked the stored root chain
-    roots, checked = [], []
-    root_chain, validate = cli.bnd.root_chain, cli.bnd._validate_chain
+    # chain and transductive each re-checked the stored root chain; a chain is now
+    # checked when it is built, and each of these two is built once per problem
+    built, checked = {"root_chain": [], "coupling_chain": []}, []
+    for name in built:
+        def recorded(*args, _fn=getattr(cli.bnd, name), _seen=built[name]):
+            chain = _fn(*args)
+            _seen.append(chain)
+            return chain
 
-    def recorded(prob, alg):
-        chain = root_chain(prob, alg)
-        roots.append(chain.kernels)
-        return chain
+        monkeypatch.setattr(cli.bnd, name, recorded)
+    validate = cli.bnd.ChainSpec.__post_init__
 
-    def counted(prob, alg, chain):
+    def counted(chain):
         checked.append(chain.kernels)
-        validate(prob, alg, chain)
+        validate(chain)
 
-    monkeypatch.setattr(cli.bnd, "root_chain", recorded)
-    monkeypatch.setattr(cli.bnd, "_validate_chain", counted)
+    monkeypatch.setattr(cli.bnd.ChainSpec, "__post_init__", counted)
     cfg = write_config(tmp_path, {"problems": [problem_entry(seed=5)]})
-    tokens = ",".join(token for token in cli.BOUND_TOKENS if token not in ("cmi", "wass"))
-    assert cli.main(["bounds", "--config", cfg, "--bounds", tokens,
-                     "--out", str(tmp_path / "rows.csv")]) == 0
-    assert roots and all(kernels is roots[0] for kernels in roots)
-    assert sum(kernels is roots[0] for kernels in checked) == 1
+    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 0
+    for chains in built.values():
+        assert chains and all(chain is chains[0] for chain in chains)
+        assert sum(kernels is chains[0].kernels for kernels in checked) == 1
 
 
 def test_tail_constant_loss_rounding_is_no_violation(tmp_path):

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from genbound import (Algorithm, DomainError, FiniteMeasure, LearningProblem,
+from genbound import (Algorithm, ConfigurationError, DomainError, FiniteMeasure, LearningProblem,
                       MarkovKernel, algorithm_from_json, delta_bound,
                       erm_algorithm, exact_joint, expected_gen,
                       bound_cmi, gibbs_algorithm, ignore_algorithm, mutual_information,
@@ -37,6 +38,26 @@ def test_problem_shapes_and_enumeration(small_problem):
     assert prob.samples[-1].tolist() == [2, 2]
     assert prob.sample_index((2, 1)) == 7
     assert abs(prob.sample_probs.sum() - 1.0) < 1e-12
+    # one outcome, one draw, and more draws than numpy has dimensions
+    for m, n in ((1, 1), (1, 70), (2, 1), (3, 4), (2, 9)):
+        prob = LearningProblem(np.zeros((2, m)), FiniteMeasure.uniform(m), n)
+        ref = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
+        assert prob.samples.dtype == np.int64 and np.array_equal(prob.samples, ref)
+
+
+def test_problem_over_the_cap_is_refused_when_built():
+    # the table store checked the cap after the samples, risks and kernel were
+    # built; a huge n must not build m^n either
+    tracemalloc.start()
+    try:
+        for n in (21, 10**12, 1e12):
+            obj = {"m": 2, "N": 2, "n": n, "loss": [[1, 0], [0, 1]], "p_z": [0.5, 0.5]}
+            with pytest.raises(ConfigurationError, match=f"2\\^{int(n)} \\* 2 .* exceed the cap"):
+                problem_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_population_and_empirical_oracle(small_problem):
