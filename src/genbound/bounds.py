@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .learning import (ENUMERATION_CAP, Algorithm, LearningProblem, delta_bound, draw_pairs,
-                       exact_joint, expected_gen, joint_cells, subgaussian_sigma)
+from .errors import ConfigurationError, DomainError, block_rows, check_memory
+from .learning import (Algorithm, LearningProblem, delta_bound, draw_pairs, exact_joint,
+                       expected_gen, joint_cells, subgaussian_sigma)
 from .measures import FiniteMeasure, MarkovKernel, mutual_information, readonly, rel_entr
 from .orlicz import psi_inv
 # plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
@@ -179,13 +179,14 @@ def chain_metric(prob: LearningProblem) -> np.ndarray:
 def increment_check(prob: LearningProblem, metric: np.ndarray, tol: float = 1e-9) -> float:
     """Exact worst slack of the sum-increment condition for a candidate metric.
 
-    Returns max over pairs of ||sum_i centered-diff||_{psi_2} - sqrt(n) d(u, v);
-    anything <= tol means the metric is admissible for the chain bounds.
+    Returns max over pairs of ||sum_i centered-diff||_{psi_2} - sqrt(n) d(u, v); anything
+    <= tol relative to the metric, plus the psi_2 norm of n gen differences' rounding, passes.
     """
     N = prob.num_hypotheses
     gaps = prob.pair_norms - np.sqrt(prob.n) * metric
     worst = gaps[~np.eye(N, dtype=bool)].max() if N > 1 else -np.inf
-    if worst > tol * max(1.0, float(np.abs(metric).max())):
+    rounding = 2.0 * prob.n * _gen_rounding(prob) / np.sqrt(np.log(2.0))  # |c| / sqrt(log 2)
+    if worst > tol * max(1.0, float(np.abs(metric).max())) + rounding:
         raise DomainError(f"increment_check: metric too small by {worst:.3e}")
     return float(worst)
 
@@ -247,11 +248,9 @@ def bound_cmi(prob: LearningProblem, alg: Algorithm) -> BoundReport:
     (sqrt(12)/n) E[ ||delta(pair)||_2 (psi_2^{-1}(density vs sign-marginal) + 1) ]
     and records it in details["fine_rhs"], along with the n log 2 ceiling check.
     """
-    S = prob.num_samples
-    cells = S * S * 2**prob.n * prob.num_hypotheses
-    if cells > ENUMERATION_CAP:
-        raise ConfigurationError(
-            f"bound_cmi: {cells} supersample cells exceed the cap {ENUMERATION_CAP}")
+    S, n, N = prob.num_samples, prob.n, prob.num_hypotheses
+    check_memory(8 * S * S * 2 ** min(n, 64) * N,
+                 f"bound_cmi: the (S^2, 2^n, N) = ({S}^2, 2^{n}, {N}) supersample gather")
     est = expected_gen(prob, alg)  # checks the kernel shape before the gather below
     rows = alg.matrix[_supersample_index(prob)]  # (S^2, 2^n, N)
     p_pair = (prob.sample_probs[:, None] * prob.sample_probs[None, :]).reshape(-1)
@@ -287,6 +286,7 @@ def optimal_couplings(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure)
     the problem's plan table, so each distinct row is solved once.
     """
     if prob.embedding is None:
+        prob.check_pair_table("optimal_couplings")
         return readonly(alg.matrix[:, :, None] * q_w.weights[None, None, :])
     return prob.w2_plans(alg.matrix, q_w)[1]
 
@@ -319,9 +319,9 @@ def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | N
 def _ghost_pair_sum(prob: LearningProblem, table: np.ndarray, keys: np.ndarray,
                     train: np.ndarray, weights: np.ndarray) -> float:
     """sum_e weights[e] E_ghost sqrt(sum_i table[keys[e], z_{train[e], i}, z_{ghost, i}]),
-    streamed over blocks of entries so no (entries, S) array exceeds 8 MiB."""
+    streamed over blocks of entries so no (entries, S) array exceeds BLOCK_BYTES."""
     z, p_s, S = prob.samples, prob.sample_probs, prob.num_samples
-    total, step = 0.0, max(1, 2**20 // S)
+    total, step = 0.0, block_rows(8 * S)
     for lo in range(0, len(weights), step):
         k, s = keys[lo:lo + step], train[lo:lo + step]
         sq = np.zeros((len(k), S))
@@ -478,6 +478,7 @@ def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions) -> 
         if np.any(labels[k - 1] != labels[k - 1][reps[k]]):
             raise ConfigurationError(
                 f"chain_from_partitions: level {k} does not refine level {k - 1}")
+    prob.check_pair_table("chain_from_partitions")
     kernels, couplings, references = [], [], []
     for k, rep in enumerate(reps):
         mat = np.zeros((S, N))
@@ -733,7 +734,8 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     if not 0.0 < delta < 1.0:
         raise DomainError("tail_transductive: delta in (0, 1)")
     _check_ends(prob, alg, chain, root=True)
-    K = len(chain.couplings)
+    S, K = prob.num_samples, len(chain.couplings)
+    check_memory(8 * S * S, f"tail_transductive: an (S, S) = ({S}, {S}) pair table")
     if level_weights is None:
         p_k = np.ones(K) / K
     else:
@@ -742,7 +744,6 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
             raise DomainError("tail_transductive: level weights must be positive and sum to 1")
 
     q_w = chain.kernels[0].matrix[0]
-    S = prob.num_samples
     p_s = prob.sample_probs
 
     # lhs over pairs: emp[w, ghost] - emp[w, train] against posterior - prior

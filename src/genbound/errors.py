@@ -3,6 +3,9 @@ field reader that turns malformed input into a ConfigurationError."""
 
 import numbers
 
+MEMORY_BUDGET = 2**26  # bytes: the largest single array an op may build
+BLOCK_BYTES = 2**23  # bytes: one block of a streamed loop
+
 
 class GenboundError(Exception):
     """Base class for all package errors."""
@@ -26,6 +29,17 @@ class UnsupportedGeometryError(GenboundError, ValueError):
 
 class InvalidProcessError(GenboundError, ValueError):
     """A stochastic process fails its increment or centering requirements."""
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse an array of nbytes, counted in Python ints before numpy allocates it."""
+    if nbytes > MEMORY_BUDGET:
+        raise ConfigurationError(f"{what} needs {nbytes} bytes > MEMORY_BUDGET = {MEMORY_BUDGET}")
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per streamed block: as many rows of row_bytes as fit BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 def integer(value) -> int:

@@ -17,16 +17,15 @@ from functools import cached_property
 import numpy as np
 
 from . import mc
-from .errors import ConfigurationError, DomainError, integer, read_field
+from .errors import ConfigurationError, DomainError, block_rows, check_memory, integer, read_field
 from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, readonly
 from .orlicz import orlicz_norms
 from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
 
-ENUMERATION_CAP = 10**6
-# The bounds square loss differences, sigma and the chain metric (at most sqrt(6) R
-# for a loss range R), sum at most n <= 19 squares (m^n <= ENUMERATION_CAP) and scale
-# them by at most 24 (n log 2 + 4) < 420: R <= 1e150 keeps every such value below 1e303.
-# |loss| is held to the same cap, so a sum of n <= 19 losses (an empirical mean) stays finite.
+# The bounds square loss differences, sigma and the chain metric (at most sqrt(6) R for a
+# loss range R), sum at most n <= 18 squares (the sample table's n at MEMORY_BUDGET for m >= 2;
+# at m = 1, n < 2**23 and sigma and the metric are 0) and scale them by at most 24 (n log 2 + 4)
+# < 400: R <= 1e150 keeps every such value below 1e305, and a sum of n losses stays finite.
 LOSS_RANGE_CAP = 1e150
 
 
@@ -64,11 +63,9 @@ class LearningProblem:
         n = integer(n)
         if n < 1:
             raise ConfigurationError("LearningProblem: n >= 1 required")
-        # m^n for n <= 64 only: 2^64 is past the cap, and a huge n must not build m^n
-        if table.shape[0] * table.shape[1] ** min(n, 64) > ENUMERATION_CAP:
-            raise ConfigurationError(
-                f"LearningProblem: m^n * N = {table.shape[1]}^{n} * {table.shape[0]} "
-                f"(sample, hypothesis) cells exceed the cap {ENUMERATION_CAP}")
+        m, cols = table.shape[1], max(n, table.shape[0])  # the (S, n) samples, (S, N) tables
+        check_memory(8 * m ** min(n, 64) * cols,  # m^n for n <= 64 only: a huge n builds none
+                     f"LearningProblem: an (m^n, max(n, N)) = ({m}^{n}, {cols}) table")
         if bound is not None:
             if bound <= 0:
                 raise ConfigurationError("LearningProblem: bound must be positive")
@@ -110,10 +107,11 @@ class LearningProblem:
     def empirical_matrix(self) -> np.ndarray:
         """emp[w, s] = training risk of hypothesis w on sample s; draws are averaged
         in sorted order, so samples of one type get bit-identical columns."""
-        out = np.empty((self.num_hypotheses, self.num_samples))
-        for start in range(0, self.num_samples, 65536):
-            block = np.sort(self.samples[start:start + 65536], axis=1)
-            out[:, start:start + 65536] = self.loss[:, block].mean(axis=2)
+        N, n = self.num_hypotheses, self.n
+        out, step = np.empty((N, self.num_samples)), block_rows(8 * (N * (n + 1) + n))
+        for start in range(0, self.num_samples, step):  # sorted draws, gather, mean
+            block = np.sort(self.samples[start:start + step], axis=1)
+            out[:, start:start + step] = self.loss[:, block].mean(axis=2)
         return readonly(out)
 
     @cached_property
@@ -139,11 +137,13 @@ class LearningProblem:
     def empirical_sq_dists(self) -> np.ndarray:
         """dsl2[s, u, v] = (1/n) sum_i (loss(u, z_i) - loss(v, z_i))^2, draws in
         sorted order like empirical_matrix."""
-        g = self.loss_differences  # (N, N, m)
-        out = np.empty((self.num_samples, self.num_hypotheses, self.num_hypotheses))
-        for start in range(0, self.num_samples, 4096):
-            block = np.sort(self.samples[start:start + 4096], axis=1)
-            out[start:start + 4096] = (g[:, :, block] ** 2).mean(axis=3).transpose(2, 0, 1)
+        self.check_pair_table("empirical_sq_dists")
+        N, n = self.num_hypotheses, self.n
+        g2 = self.loss_differences**2  # (N, N, m)
+        out, step = np.empty((self.num_samples, N, N)), block_rows(8 * (N * N * (n + 1) + n))
+        for start in range(0, self.num_samples, step):  # sorted draws, gather, mean
+            block = np.sort(self.samples[start:start + step], axis=1)
+            out[start:start + step] = g2[:, :, block].mean(axis=3).transpose(2, 0, 1)
         return readonly(out)
 
     @cached_property
@@ -160,9 +160,9 @@ class LearningProblem:
         """
         N = self.num_hypotheses
         u, v = np.triu_indices(N, 1)  # the norm of -X is the norm of X
-        law, step = FiniteMeasure(self.sample_probs), max(1, 2**20 // self.num_samples)
+        law, step = FiniteMeasure(self.sample_probs), block_rows(8 * self.num_samples)
         out = np.zeros((N, N))
-        for i in range(0, u.size, step):  # blocks of at most 2^20 sums (8 MiB) per bisection
+        for i in range(0, u.size, step):  # one (pairs, S) block of sums per bisection
             a, b = u[i:i + step], v[i:i + step]
             out[a, b] = out[b, a] = orlicz_norms(self.n * (self.gen_matrix[b] - self.gen_matrix[a]),
                                                  law, 2.0)
@@ -172,13 +172,18 @@ class LearningProblem:
     def _tables(self) -> dict:
         return {}
 
+    def check_pair_table(self, what: str) -> None:
+        """Refuse an (S, N, N) table over the memory budget before it is built."""
+        S, N = self.num_samples, self.num_hypotheses
+        check_memory(8 * S * N * N, f"{what}: an (S, N, N) = ({S}, {N}, {N}) table")
+
     def table(self, matrix, name, build):
         """Table `name` of one algorithm kernel, an (S, N) matrix: `build()` on
         its first read, then kept as long as the problem lives.
 
         A kernel's tables are keyed by the bytes of its matrix, so an equal
         copy reads the same ones. The shape is checked on every read; the
-        problem refused an (S, N) over the enumeration cap when it was built.
+        problem refused an (S, N) over the memory budget when it was built.
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (self.num_samples, self.num_hypotheses):
@@ -199,6 +204,7 @@ class LearningProblem:
             raise ConfigurationError("w2_plans: problem has no embedding")
 
         def solve():
+            self.check_pair_table("w2_plans")
             rows, inverse = np.unique(matrix, axis=0, return_inverse=True)
             cost = euclidean_cost(self.embedding, self.embedding)
             solved = wasserstein_batch([(FiniteMeasure(r), target, cost) for r in rows], p=2.0)
@@ -326,7 +332,7 @@ def joint_cells(prob: LearningProblem, alg: Algorithm) -> np.ndarray:
 
 
 def exact_joint(prob: LearningProblem, alg: Algorithm) -> JointMeasure:
-    """Joint law of (sample index, hypothesis index); m^n * N cells, capped."""
+    """Joint law of (sample index, hypothesis index); m^n * N cells, within the budget."""
     return prob.table(alg.matrix, "joint", lambda: JointMeasure(joint_cells(prob, alg)))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mc
 from .errors import (ConfigurationError, DomainError, InvalidProcessError,
-                     UnsupportedGeometryError, read_field)
+                     UnsupportedGeometryError, block_rows, read_field)
 from .measures import FiniteMeasure, MarkovKernel
 from .orlicz import psi
 
@@ -28,8 +28,6 @@ CENTER_TOL = 1e-9
 # the sharp gaussian calibration: E[exp(G^2/d^2)] = 2 exactly at Var = (3/8) d^2
 GAUSSIAN_VAR_RATIO = 3.0 / 8.0
 MU_FLOOR = 1e-6
-# (draw, pair) entries per block of tabulated_process's increment check: 8 MiB
-PAIR_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,8 @@ class FiniteMetricSpace:
             raise ConfigurationError("FiniteMetricSpace: negative distance")
         d = np.maximum((d + d.T) / 2.0, 0.0)
         np.fill_diagonal(d, 0.0)
-        # slack[u, v, w] = d(u,w) + d(v,w) - d(u,v), streamed over rows u in
-        # blocks of at most 4 MiB, so with the sum's temporary at most 8 MiB live
-        step = max(1, 2**19 // d.size)
+        # slack[u, v, w] = d(u,w) + d(v,w) - d(u,v) over blocks of rows u, two (T, T) per row
+        step = block_rows(16 * d.size)
         if min((d[lo:lo + step, None, :] + d[None, :, :] - d[lo:lo + step, :, None]).min()
                for lo in range(0, d.shape[0], step)) < -METRIC_TOL:
             raise ConfigurationError("FiniteMetricSpace: triangle inequality fails")
@@ -142,7 +139,7 @@ def tabulated_process(space: FiniteMetricSpace, paths, weights, p: float = 2.0) 
     live = w.weights > 0.0
     xl, wl = x[live], w.weights[live]
     us, vs = np.triu_indices(space.size, 1)
-    step = max(1, PAIR_BLOCK // xl.shape[0])
+    step = block_rows(8 * xl.shape[0])  # (draw, pair) gaps
     for lo in range(0, us.size, step):
         u, v = us[lo:lo + step], vs[lo:lo + step]
         d = space.dist[u, v]
@@ -405,12 +402,13 @@ def _integral_gradient(weights: np.ndarray, nu: FiniteMeasure,
 def optimize_mu(nu: FiniteMeasure, space: FiniteMetricSpace, p: float,
                 method: str = "grid", iters: int = 200,
                 resolution: int = 8) -> tuple[FiniteMeasure, float]:
-    """Search for a majorizing measure; never returns worse than uniform.
+    """Search for a majorizing measure; never returns a larger ft_bound than uniform.
 
     "grid" scans the full simplex lattice at the given resolution (meant for
     small spaces), "eg" runs exponentiated gradient descent from uniform.
     Every candidate is floored at 1e-6 and renormalized, so the returned
-    measure has full support and a finite bound.
+    measure has full support and a finite bound. `ft --mu-mode` reports
+    ft_sup_bound, which this does not minimize: "eg" and "grid" can read above uniform.
     """
     if method not in ("grid", "eg"):
         raise ConfigurationError(f"optimize_mu: unknown method {method!r}")

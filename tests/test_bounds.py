@@ -510,6 +510,21 @@ def test_increment_check_accepts_and_rejects():
         increment_check(prob, 0.4 * d)
 
 
+def test_increment_check_tolerates_the_rounding_of_gen():
+    # gen is 0 here up to the rounding of large losses averaged over n draws: the
+    # absolute tolerance refused the chain metric by 2.3e-2 and by 8.7e+136
+    for loss, p_z, n in (([[1.1e13, 1.1e13], [0, 0]], [0.3, 0.7], 10),
+                         ([[1e150], [0]], [1.0], 100)):
+        prob = LearningProblem(loss, FiniteMeasure(p_z), n, bound=max(map(max, loss)))
+        assert increment_check(prob, chain_metric(prob)) > 0.0
+    # a metric that is really too small is still refused at that scale
+    prob = LearningProblem([[1.1e13, 0.0], [0.0, 1.1e13]], FiniteMeasure([0.3, 0.7]), 10,
+                           bound=1.1e13)
+    increment_check(prob, chain_metric(prob))
+    with pytest.raises(DomainError, match="metric too small"):
+        increment_check(prob, 0.4 * chain_metric(prob))
+
+
 def test_increment_check_single_hypothesis_has_no_pairs():
     prob = LearningProblem(np.array([[0.2, 0.7]]), FiniteMeasure([0.5, 0.5]), n=2,
                            bound=1.0)

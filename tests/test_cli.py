@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from scipy.optimize import OptimizeResult
 
 from genbound import (ConfigurationError, FiniteMeasure, LearningProblem, algorithm_from_json,
                       cli, expected_gen, hypothesis_marginal, mc, problem_from_json, transport)
+from genbound.errors import MEMORY_BUDGET
 
 from conftest import random_problem
 
@@ -178,16 +180,42 @@ def test_embedded_points_too_far_apart_exit_two(tmp_path, capsys):
         assert "embedded points are too far apart" in captured.err and captured.out == "", token
 
 
-def test_problem_over_the_enumeration_cap_exits_two(tmp_path, capsys):
-    # 2^21 * 2 cells were refused by the table store, after Gibbs had built the
-    # samples, the risks and the kernel (6 s and 800 MB); the problem now refuses them
+def test_problem_over_the_memory_budget_exits_two(tmp_path, capsys):
+    # a 2^21 * 2 problem was refused by the table store, after Gibbs had built the
+    # samples, the risks and the kernel (6 s and 800 MB); the problem now refuses it
     entry = {"m": 2, "N": 2, "n": 21, "loss": [[1, 0], [0, 1]], "p_z": [0.5, 0.5], "bound": 1}
     cfg = write_config(tmp_path, {"problems": [entry]})
     for argv in (["bounds", "--bounds", "mi"], ["tail"]):
         assert cli.main([*argv, "--config", cfg]) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        assert "problems[0]: LearningProblem: m^n * N = 2^21 * 2" in captured.err, argv
+        assert ("problems[0]: LearningProblem: an (m^n, max(n, N)) = (2^21, 21) table"
+                in captured.err), argv
+        assert "MEMORY_BUDGET" in captured.err, argv
+
+
+def test_tables_over_the_memory_budget_exit_two_before_allocating(tmp_path, capsys):
+    # both passed the old cell cap and then asked numpy for the table: an 8 GiB (S, S)
+    # pair table in tail_transductive, and a 1.3 GiB block of a 118 MB (S, N, N) table
+    tail = {"m": 2, "N": 1, "n": 15, "loss": [[0.2, 0.7]], "p_z": [0.5, 0.5], "bound": 1.0}
+    loss = np.random.default_rng(60).uniform(0.0, 1.0, size=(60, 2)).tolist()
+    wide = {"m": 2, "N": 60, "n": 12, "loss": loss, "p_z": [0.4, 0.6], "bound": 1.0}
+    cases = ((tail, ["tail"], "tail_transductive: an (S, S) = (32768, 32768)"),
+             (wide, ["bounds", "--bounds", "chain"], "(S, N, N) = (4096, 60, 60)"))
+    for entry, argv, site in cases:
+        cfg = write_config(tmp_path, {"problems": [entry]})
+        tracemalloc.start()
+        try:
+            code = cli.main([*argv, "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert site in captured.err and "MEMORY_BUDGET" in captured.err, argv
+        assert peak < 2 * MEMORY_BUDGET, argv
+    # on the N = 60 problem, the bounds that build no (S, N, N) table still answer
+    assert cli.main(["bounds", "--bounds", "thm1,mi", "--config", cfg]) == 0
 
 
 def test_negative_mc_samples_exits_two(tmp_path, capsys):

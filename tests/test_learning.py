@@ -13,6 +13,7 @@ from genbound import (Algorithm, ConfigurationError, DomainError, FiniteMeasure,
                       loss_embedding, orlicz_norm, problem_from_json, subgaussian_sigma)
 from genbound import learning, mc
 from genbound.bounds import _psi2_inv_ratio, _supersample_index
+from genbound.errors import BLOCK_BYTES
 from genbound.measures import rel_entr
 from genbound.orlicz import DiscreteRandomVariable
 from genbound.transport import wasserstein_batch
@@ -47,17 +48,37 @@ def test_problem_shapes_and_enumeration(small_problem):
 
 def test_problem_over_the_cap_is_refused_when_built():
     # the table store checked the cap after the samples, risks and kernel were
-    # built; a huge n must not build m^n either
+    # built; a huge n must not build m^n either, nor, with one outcome, (1, n) samples
     tracemalloc.start()
     try:
-        for n in (21, 10**12, 1e12):
-            obj = {"m": 2, "N": 2, "n": n, "loss": [[1, 0], [0, 1]], "p_z": [0.5, 0.5]}
-            with pytest.raises(ConfigurationError, match=f"2\\^{int(n)} \\* 2 .* exceed the cap"):
+        for m, n in ((2, 21), (2, 10**12), (2, 1e12), (1, 10**12), (1, 2**23 + 1)):
+            obj = {"m": m, "N": 2, "n": n, "loss": [[1] * m, [0] * m], "p_z": [1 / m] * m}
+            with pytest.raises(ConfigurationError,
+                               match=f"\\({m}\\^{int(n)}, {int(n)}\\) table .* MEMORY_BUDGET"):
                 problem_from_json(obj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert LearningProblem(np.zeros((2, 1)), FiniteMeasure([1.0]), 2**23).num_samples == 1
+
+
+def test_empirical_sq_dists_streams_blocks_of_block_bytes():
+    # its block was 4096 samples whatever N and n: (24, 24, 4096, 12) floats, 226 MB
+    gen = np.random.default_rng(24)
+    prob = LearningProblem(gen.uniform(0.0, 1.0, size=(24, 2)), FiniteMeasure([0.3, 0.7]), 12)
+    _ = prob.samples, prob.loss_differences  # built before the trace: not part of the stream
+    tracemalloc.start()
+    try:
+        table = prob.empirical_sq_dists
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 4096 * 24 * 24 * 8
+    assert peak <= table.nbytes + BLOCK_BYTES
+    g = prob.loss_differences
+    dense = np.stack([(g[:, :, np.sort(z)] ** 2).mean(axis=2) for z in prob.samples])
+    assert np.array_equal(table, dense)
 
 
 def test_population_and_empirical_oracle(small_problem):

@@ -11,7 +11,7 @@ from genbound import (ConfigurationError, FiniteMeasure, FiniteMetricSpace,
                       ft_bound, ft_sup_bound, gaussian_from_metric,
                       gaussian_process, majorizing_integral, optimize_mu,
                       process_from_json, tabulated_process, telescoping_check)
-from genbound import mc, suprema
+from genbound import errors, mc
 from genbound.orlicz import psi
 from genbound.suprema import INCREMENT_TOL, _integral_gradient
 
@@ -326,7 +326,7 @@ def loop_increment_check(space, x, weights, p):
 
 
 def test_tabulated_increment_check_matches_the_pair_loop(monkeypatch):
-    monkeypatch.setattr(suprema, "PAIR_BLOCK", 7)  # a few pairs per block
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 56)  # a few pairs per block
     gen = np.random.default_rng(21)
     verdicts = set()
     for _ in range(400):
