@@ -318,16 +318,26 @@ def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | N
 
 def _ghost_pair_sum(prob: LearningProblem, table: np.ndarray, keys: np.ndarray,
                     train: np.ndarray, weights: np.ndarray) -> float:
-    """sum_e weights[e] E_ghost sqrt(sum_i table[keys[e], z_{train[e], i}, z_{ghost, i}]),
-    streamed over blocks of entries so no (entries, S) array exceeds BLOCK_BYTES."""
-    z, p_s, S = prob.samples, prob.sample_probs, prob.num_samples
+    """sum_e weights[e] E_ghost sqrt(sum_i table[keys[e], z_{train[e], i}, z_{ghost, i}]).
+
+    Ghost samples are row-major in their draws, so a block's ghost sums are an
+    outer sum, added in draw order: stage i adds draw i's (entries, m) rows along
+    a new last axis. The stages alternate between two buffers of at most
+    BLOCK_BYTES and BLOCK_BYTES / m, so the last lands in the larger."""
+    z, p_s, S, m = prob.samples, prob.sample_probs, prob.num_samples, prob.num_outcomes
     total, step = 0.0, block_rows(8 * S)
+    bufs = [np.empty(min(step, len(weights)) * S // d) for d in (1, m)]
     for lo in range(0, len(weights), step):
         k, s = keys[lo:lo + step], train[lo:lo + step]
-        sq = np.zeros((len(k), S))
-        for i in range(prob.n):
-            sq += table[k, z[s, i]][:, z[:, i]]
-        total += float(weights[lo:lo + step] @ (np.sqrt(sq) @ p_s))
+        sq = table[k, z[s, 0]]
+        for i in range(1, prob.n):
+            out = bufs[(prob.n - 1 - i) % 2][:sq.size * m].reshape(len(k), -1, m)
+            row = table[k, z[s, i]]
+            for b in range(m):  # one outcome of draw i at a time: long inner loops
+                np.add(sq, row[:, b, None], out=out[:, :, b])
+            sq = out.reshape(len(k), -1)
+        sq = np.sqrt(sq, out=bufs[0][:sq.size].reshape(sq.shape))
+        total += float(weights[lo:lo + step] @ (sq @ p_s))
     return total
 
 

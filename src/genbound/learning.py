@@ -356,6 +356,8 @@ def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, block: int,
     knots <= u), then one uniform per draw picks the hypothesis off the
     kernel's CDF table. The stream is the one `Generator.choice` produced.
     """
+    cols = max(prob.n, prob.num_hypotheses)  # the (size, n) uniforms, the (size, N) CDF rows
+    check_memory(8 * size * cols, f"draw_pairs: a (size, max(n, N)) = ({size}, {cols}) block")
     gen = mc.substream(seed, block)
     cdf = np.cumsum(prob.p_z.weights)
     u = gen.random((size, prob.n))

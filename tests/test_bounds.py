@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVa
                       optimal_couplings, orlicz_norm, orlicz_norms, psi_inv,
                       subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
                       tail_transductive)
+from genbound import bounds
 from genbound.bounds import _psi2_inv_ratio
+from genbound.errors import BLOCK_BYTES, block_rows
 from genbound.orlicz import NORM_REL_TOL
 from genbound.transport import TransportPlan, displacement_interpolation
 
@@ -293,6 +296,78 @@ def test_coupling_memory_stays_off_the_ghost_pair_tensor():
         tracemalloc.stop()
     assert math.isfinite(report.rhs)
     assert peak < 64 * 2**20
+
+
+def test_warm_coupling_peak_stays_under_two_blocks():
+    # the same N=16, m=4, n=4 problem; the warm-up call solves the W_2 plans (and
+    # imports HiGHS), so the traced call holds the ghost-pair sums' two buffers
+    gen = np.random.default_rng(36)
+    loss = gen.uniform(0.0, 1.0, size=(16, 4))
+    base = LearningProblem(loss, FiniteMeasure(gen.dirichlet(np.ones(4))), 4, bound=1.0)
+    prob = LearningProblem(base.loss, base.p_z, 4, bound=1.0, embedding=loss_embedding(base))
+    alg = gibbs_algorithm(prob, 1.0)
+    warm = bound_coupling(prob, alg)
+    tracemalloc.start()
+    try:
+        report = bound_coupling(prob, alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rhs == warm.rhs
+    assert peak < 2 * BLOCK_BYTES
+
+
+def looped_ghost_pair_sum(prob, table, keys, train, weights):
+    """Reference: _ghost_pair_sum with each draw gathered into an (entries, S)
+    table and added to an accumulator, as it was computed before the outer sum."""
+    z, p_s, S = prob.samples, prob.sample_probs, prob.num_samples
+    total, step = 0.0, block_rows(8 * S)
+    for lo in range(0, len(weights), step):
+        k, s = keys[lo:lo + step], train[lo:lo + step]
+        sq = np.zeros((len(k), S))
+        for i in range(prob.n):
+            sq += table[k, z[s, i]][:, z[:, i]]
+        total += float(weights[lo:lo + step] @ (np.sqrt(sq) @ p_s))
+    return total
+
+
+def test_coupling_sums_match_the_per_draw_loop_bits(monkeypatch):
+    gen = np.random.default_rng(61)
+    cases = [(m, n, embed) for m in (1, 2, 3) for n in range(1, 6) for embed in (True, False)]
+    for m, n, embed in cases:
+        loss = gen.uniform(0.0, 1.0, size=(5, m))
+        prob = LearningProblem(loss, FiniteMeasure(gen.dirichlet(np.ones(m))), n, bound=1.0)
+        if embed:  # W_2 plans; without an embedding, product couplings
+            prob = LearningProblem(loss, prob.p_z, n, bound=1.0, embedding=loss_embedding(prob))
+        alg = gibbs_algorithm(prob, 1.0)
+        pi = coupling_chain(prob, alg).couplings[0]
+        if (m, n, embed) == (3, 5, False):  # a partial last block reuses the buffers
+            assert np.count_nonzero(pi) % block_rows(8 * prob.num_samples) > 0
+            assert np.count_nonzero(pi) > block_rows(8 * prob.num_samples)
+        report = bound_coupling(prob, alg)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_ghost_pair_sum", looped_ghost_pair_sum)
+            looped = bound_coupling(prob, alg)
+        for term in ("decorrelation", "reference"):
+            assert math.isfinite(report.components[term]), (m, n, embed)
+            assert report.components[term] == looped.components[term], (m, n, embed, term)
+
+
+def test_ghost_pair_sums_add_the_draws_in_order():
+    # one entry and one ghost per call, so each call returns a single sqrt of a
+    # sum over draws, with no ghost or entry sum to round a change of order away
+    gen = np.random.default_rng(62)
+    prob = LearningProblem(gen.uniform(0.0, 1.0, size=(2, 3)),
+                           FiniteMeasure([0.2, 0.3, 0.5]), 4, bound=1.0)
+    table = 10.0 ** gen.uniform(-8.0, 0.0, size=(2, 3, 3))  # terms over eight decades
+    for ghost in range(prob.num_samples):
+        one_ghost = SimpleNamespace(samples=prob.samples, n=prob.n,
+                                    num_samples=prob.num_samples,
+                                    num_outcomes=prob.num_outcomes,
+                                    sample_probs=np.eye(prob.num_samples)[ghost])
+        for key, train in ((0, 0), (1, 40), (0, 80)):
+            args = (one_ghost, table, np.array([key]), np.array([train]), np.ones(1))
+            assert bounds._ghost_pair_sum(*args) == looped_ghost_pair_sum(*args), (ghost, key)
 
 
 def test_coupling_refuses_too_many_ghost_pairs_before_allocating():

@@ -218,6 +218,27 @@ def test_tables_over_the_memory_budget_exit_two_before_allocating(tmp_path, caps
     assert cli.main(["bounds", "--bounds", "thm1,mi", "--config", cfg]) == 0
 
 
+def test_monte_carlo_block_over_the_memory_budget_exits_two(tmp_path, capsys):
+    # one outcome lets n reach 2^17 within the problem's own tables, and each Monte
+    # Carlo block then asked numpy for an 8 GiB (8192, n) table of uniforms
+    entry = {"m": 1, "N": 2, "n": 131072, "loss": [[1.0], [0.0]], "p_z": [1.0], "bound": 1.0}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    for argv in (["bounds", "--bounds", "mi"], ["tail"]):
+        tracemalloc.start()
+        try:
+            code = cli.main([*argv, "--mc-samples", "10000", "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert "draw_pairs: a (size, max(n, N)) = (8192, 131072) block" in captured.err, argv
+        assert "MEMORY_BUDGET" in captured.err, argv
+        assert peak < 2 * MEMORY_BUDGET, argv
+    # the exact bound builds no block and still answers
+    assert cli.main(["bounds", "--bounds", "mi", "--config", cfg]) == 0
+
+
 def test_negative_mc_samples_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
     for command in ("bounds", "tail"):
