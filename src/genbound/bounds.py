@@ -325,7 +325,7 @@ def _ghost_pair_sum(prob: LearningProblem, table: np.ndarray, keys: np.ndarray,
     a new last axis. The stages alternate between two buffers of at most
     BLOCK_BYTES and BLOCK_BYTES / m, so the last lands in the larger."""
     z, p_s, S, m = prob.samples, prob.sample_probs, prob.num_samples, prob.num_outcomes
-    total, step = 0.0, block_rows(8 * S)
+    total, step = 0.0, block_rows(8 * S, "bound_coupling")
     bufs = [np.empty(min(step, len(weights)) * S // d) for d in (1, m)]
     for lo in range(0, len(weights), step):
         k, s = keys[lo:lo + step], train[lo:lo + step]
@@ -692,11 +692,11 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
                           details={"sigma": sig})
     samples, seed = mc
     from . import mc as _mc
-    sizes = _mc.block_sizes(samples)
+    sizes, flat = _mc.block_sizes(samples), exceed.ravel()
 
     def one_block(b: int):
         s_idx, w_idx = draw_pairs(prob, alg, seed, b, sizes[b])
-        return exceed[s_idx, w_idx].sum()
+        return np.count_nonzero(flat.take(s_idx * prob.num_hypotheses + w_idx))
 
     hits = sum(_mc.run_blocks(one_block, len(sizes), workers))
     freq = hits / samples

@@ -37,8 +37,9 @@ def check_memory(nbytes: int, what: str) -> None:
         raise ConfigurationError(f"{what} needs {nbytes} bytes > MEMORY_BUDGET = {MEMORY_BUDGET}")
 
 
-def block_rows(row_bytes: int) -> int:
-    """Rows per streamed block: as many rows of row_bytes as fit BLOCK_BYTES, at least one."""
+def block_rows(row_bytes: int, what: str) -> int:
+    """Rows per streamed block: as many as fit BLOCK_BYTES, at least one within MEMORY_BUDGET."""
+    check_memory(row_bytes, f"{what}: one streamed row")
     return max(1, BLOCK_BYTES // row_bytes)
 
 

@@ -108,7 +108,8 @@ class LearningProblem:
         """emp[w, s] = training risk of hypothesis w on sample s; draws are averaged
         in sorted order, so samples of one type get bit-identical columns."""
         N, n = self.num_hypotheses, self.n
-        out, step = np.empty((N, self.num_samples)), block_rows(8 * (N * (n + 1) + n))
+        step = block_rows(8 * (N * (n + 1) + n), "empirical_matrix")
+        out = np.empty((N, self.num_samples))
         for start in range(0, self.num_samples, step):  # sorted draws, gather, mean
             block = np.sort(self.samples[start:start + step], axis=1)
             out[:, start:start + step] = self.loss[:, block].mean(axis=2)
@@ -140,7 +141,8 @@ class LearningProblem:
         self.check_pair_table("empirical_sq_dists")
         N, n = self.num_hypotheses, self.n
         g2 = self.loss_differences**2  # (N, N, m)
-        out, step = np.empty((self.num_samples, N, N)), block_rows(8 * (N * N * (n + 1) + n))
+        step = block_rows(8 * (N * N * (n + 1) + n), "empirical_sq_dists")
+        out = np.empty((self.num_samples, N, N))
         for start in range(0, self.num_samples, step):  # sorted draws, gather, mean
             block = np.sort(self.samples[start:start + step], axis=1)
             out[start:start + step] = g2[:, :, block].mean(axis=3).transpose(2, 0, 1)
@@ -160,7 +162,7 @@ class LearningProblem:
         """
         N = self.num_hypotheses
         u, v = np.triu_indices(N, 1)  # the norm of -X is the norm of X
-        law, step = FiniteMeasure(self.sample_probs), block_rows(8 * self.num_samples)
+        law, step = FiniteMeasure(self.sample_probs), block_rows(8 * self.num_samples, "pair_norms")
         out = np.zeros((N, N))
         for i in range(0, u.size, step):  # one (pairs, S) block of sums per bisection
             a, b = u[i:i + step], v[i:i + step]
@@ -353,19 +355,20 @@ def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, block: int,
 
     Substream `block` of `seed` draws the n outcomes of each sample from p_z
     by `Generator.choice`'s inverse-CDF step (a digit counts the normalized
-    knots <= u), then one uniform per draw picks the hypothesis off the
-    kernel's CDF table. The stream is the one `Generator.choice` produced.
+    knots <= u), then one uniform per draw picks the hypothesis through the
+    kernel's `mc.Sampler`. The stream is the one `Generator.choice` produced.
+    Digits of the narrowest unsigned type give the index exactly by float place values.
     """
-    cols = max(prob.n, prob.num_hypotheses)  # the (size, n) uniforms, the (size, N) CDF rows
+    m, cols = prob.num_outcomes, max(prob.n, prob.num_hypotheses)
     check_memory(8 * size * cols, f"draw_pairs: a (size, max(n, N)) = ({size}, {cols}) block")
     gen = mc.substream(seed, block)
     cdf = np.cumsum(prob.p_z.weights)
     u = gen.random((size, prob.n))
-    digits = np.zeros(u.shape, dtype=np.int64)
+    digits = np.zeros(u.shape, dtype=np.min_scalar_type(m - 1))
     for knot in cdf[:-1] / cdf[-1]:
         digits += knot <= u
-    s_idx = digits @ (prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64))
-    return s_idx, mc.pick(np.take(alg.kernel.cdf, s_idx, axis=0), gen.random(size))
+    s_idx = (digits @ (m ** np.arange(prob.n - 1, -1, -1)).astype(float)).astype(np.intp)
+    return s_idx, alg.kernel.sampler.draw(gen.random(size), s_idx)
 
 
 def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
@@ -388,18 +391,15 @@ def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
         raise ConfigurationError(f"expected_gen: unknown mode {mode!r}")
     if samples is None or seed is None:
         raise ConfigurationError("expected_gen: mc mode needs samples and seed")
-    sizes = mc.block_sizes(samples)
+    sizes, flat = mc.block_sizes(samples), prob.gen_matrix.ravel()
 
     def one_block(b: int):
         s_idx, w_idx = draw_pairs(prob, alg, seed, b, sizes[b])
-        vals = prob.gen_matrix[w_idx, s_idx]
+        vals = flat.take(w_idx * prob.num_samples + s_idx)
         return vals.sum(), np.abs(vals).sum(), (vals**2).sum()
 
     def estimate() -> GenEstimate:
-        parts = mc.run_blocks(one_block, len(sizes), workers)
-        tot = sum(p[0] for p in parts)
-        tot_abs = sum(p[1] for p in parts)
-        tot_sq = sum(p[2] for p in parts)
+        tot, tot_abs, tot_sq = map(sum, zip(*mc.run_blocks(one_block, len(sizes), workers)))
         signed, se_signed = mc.mean_and_stderr(tot, tot_sq, samples)
         absolute, se_abs = mc.mean_and_stderr(tot_abs, tot_sq, samples)
         return GenEstimate(signed, absolute, "mc", samples=samples, seed=seed,

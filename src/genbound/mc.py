@@ -1,14 +1,23 @@
-"""Counter-based Monte Carlo substreams.
+"""Counter-based Monte Carlo substreams, and one exact categorical sampler.
 
 Every MC consumer draws from Philox generators keyed by (seed, task index),
 accumulates per-task partial sums, and reduces them in task order. That makes
-results bitwise identical no matter how many workers ran the tasks. A
-categorical draw reads one uniform against a `cdf_table` through `pick`.
+results bitwise identical no matter how many workers ran the tasks.
+
+A categorical draw takes the first column j with cdf[j] >= u (cdf: the weights
+summed along the last axis, last entry +inf). `Sampler` finds j by a guide table
+(Chen & Asau 1974; Devroye 1986, III.2.4): G = 2^ceil(log2(32 N)) buckets per row,
+halved until the (S, G + 1) int32 guide fits BLOCK_BYTES (at least one). Bucket b holds
+#{cdf < b/G}, the j of every u in [b/G, (b+1)/G), or -1 if a cdf entry lies in it;
+G is a power of two, so u * G and b / G are exact. Only draws in a -1 bucket, at most
+(N - 1) / G, compare u against their own CDF row: no (draws, N) block is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import BLOCK_BYTES
 
 BLOCK = 8192
 _MASK64 = (1 << 64) - 1
@@ -26,17 +35,37 @@ def block_sizes(samples: int) -> list[int]:
     return [BLOCK] * full + ([rem] if rem else [])
 
 
-def cdf_table(weights: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis with the last entry set to +inf."""
-    table = np.cumsum(weights, axis=-1)
-    table[..., -1] = np.inf
-    return table
+class Sampler:
+    """Exact categorical draws from the rows of a weight table (see the module docstring)."""
 
+    def __init__(self, weights: np.ndarray) -> None:
+        cdf = np.cumsum(weights, axis=-1)
+        cdf[..., -1] = np.inf
+        rows = cdf.reshape(-1, cdf.shape[-1])
+        size, cols = rows.shape
+        buckets = 1 << (32 * cols - 1).bit_length()
+        while buckets > 1 and size * (buckets + 1) * 4 > BLOCK_BYTES:
+            buckets //= 2
+        # entry j of row r lies in bucket keys[r, j] of the row; bucket G takes those >= 1
+        keys = np.minimum(rows * buckets, buckets).astype(np.intp)
+        keys += (buckets + 1) * np.arange(size)[:, None]
+        guide = np.zeros(size * (buckets + 1), dtype=np.int32)
+        np.maximum.at(guide, keys, np.arange(1, cols + 1))
+        table = guide.reshape(size, -1)
+        np.maximum.accumulate(table, axis=1, out=table)  # keys rise along a row: #{keys <= b}
+        guide[keys] = -1  # equal to #{keys < b} wherever no key is b
+        self.cdf, self.guide, self.buckets = cdf, guide, buckets
+        self.cdf.flags.writeable = self.guide.flags.writeable = False
 
-def pick(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per uniform u[i], the first j with table[i, j] >= u[i] (a 1-D table serves
-    every draw): min((cumsum < u).sum(), k - 1) of the same rows, bit for bit."""
-    return (table < u[:, None]).argmin(axis=1)
+    def draw(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Per uniform u[i], the first column j with cdf[rows[i], j] >= u[i]
+        (of the 1-D table when rows is None)."""
+        bucket = (u * self.buckets).astype(np.intp)
+        col = self.guide.take(bucket if rows is None else bucket + rows * (self.buckets + 1))
+        split = np.flatnonzero(col < 0)
+        col[split] = (np.searchsorted(self.cdf, u[split]) if rows is None
+                      else (self.cdf[rows[split]] < u[split, None]).argmin(axis=1))
+        return col
 
 
 def run_blocks(fn, n_tasks: int, workers: int = 1) -> list:

@@ -161,9 +161,9 @@ class MarkovKernel:
         return int(self.matrix.shape[1])
 
     @cached_property
-    def cdf(self) -> np.ndarray:
-        """Row-wise `mc.cdf_table`, built once and shared by every Monte Carlo block."""
-        return readonly(mc.cdf_table(self.matrix))
+    def sampler(self) -> mc.Sampler:
+        """Row-wise `mc.Sampler`, built once and shared by every Monte Carlo block."""
+        return mc.Sampler(self.matrix)
 
     @staticmethod
     def constant(measure: FiniteMeasure, input_size: int) -> "MarkovKernel":

@@ -52,7 +52,7 @@ class FiniteMetricSpace:
         d = np.maximum((d + d.T) / 2.0, 0.0)
         np.fill_diagonal(d, 0.0)
         # slack[u, v, w] = d(u,w) + d(v,w) - d(u,v) over blocks of rows u, two (T, T) per row
-        step = block_rows(16 * d.size)
+        step = block_rows(16 * d.size, "FiniteMetricSpace")
         if min((d[lo:lo + step, None, :] + d[None, :, :] - d[lo:lo + step, :, None]).min()
                for lo in range(0, d.shape[0], step)) < -METRIC_TOL:
             raise ConfigurationError("FiniteMetricSpace: triangle inequality fails")
@@ -139,7 +139,7 @@ def tabulated_process(space: FiniteMetricSpace, paths, weights, p: float = 2.0) 
     live = w.weights > 0.0
     xl, wl = x[live], w.weights[live]
     us, vs = np.triu_indices(space.size, 1)
-    step = block_rows(8 * xl.shape[0])  # (draw, pair) gaps
+    step = block_rows(8 * xl.shape[0], "tabulated_process")  # (draw, pair) gaps
     for lo in range(0, us.size, step):
         u, v = us[lo:lo + step], vs[lo:lo + step]
         d = space.dist[u, v]
@@ -301,28 +301,25 @@ def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selec
 
     sizes = mc.block_sizes(samples)
     factor = _gaussian_factor(proc.cov) if proc.kind == "gaussian" else None
-    path_cdf = mc.cdf_table(proc.weights) if proc.kind == "tabulated" else None
+    paths = mc.Sampler(proc.weights) if proc.kind == "tabulated" else None
 
     def one_block(b: int):
         gen = mc.substream(seed, b)
-        if proc.kind == "gaussian":
+        if proc.kind == "gaussian":  # randomized selectors need a tabulated process
             x = gen.standard_normal((sizes[b], space.size)) @ factor.T
-            rows = None
         else:
-            rows = mc.pick(path_cdf, gen.random(sizes[b]))
+            rows = paths.draw(gen.random(sizes[b]))
             x = proc.paths[rows]
         if selector.rule == "argmax":
             picked = x.max(axis=1)
         elif selector.rule == "fixed":
             picked = x[:, selector.index]
         else:
-            t_idx = mc.pick(np.take(selector.kernel.cdf, rows, axis=0), gen.random(sizes[b]))
+            t_idx = selector.kernel.sampler.draw(gen.random(sizes[b]), rows)
             picked = x[np.arange(sizes[b]), t_idx]
         return picked.sum(), (picked**2).sum()
 
-    parts = mc.run_blocks(one_block, len(sizes), workers)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
+    total, total_sq = map(sum, zip(*mc.run_blocks(one_block, len(sizes), workers)))
     return mc.mean_and_stderr(total, total_sq, samples)
 
 

@@ -19,9 +19,10 @@ from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVa
                       optimal_couplings, orlicz_norm, orlicz_norms, psi_inv,
                       subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
                       tail_transductive)
-from genbound import bounds
+from genbound import bounds, mc
 from genbound.bounds import _psi2_inv_ratio
 from genbound.errors import BLOCK_BYTES, block_rows
+from genbound.learning import draw_pairs
 from genbound.orlicz import NORM_REL_TOL
 from genbound.transport import TransportPlan, displacement_interpolation
 
@@ -321,7 +322,7 @@ def looped_ghost_pair_sum(prob, table, keys, train, weights):
     """Reference: _ghost_pair_sum with each draw gathered into an (entries, S)
     table and added to an accumulator, as it was computed before the outer sum."""
     z, p_s, S = prob.samples, prob.sample_probs, prob.num_samples
-    total, step = 0.0, block_rows(8 * S)
+    total, step = 0.0, block_rows(8 * S, "bound_coupling")
     for lo in range(0, len(weights), step):
         k, s = keys[lo:lo + step], train[lo:lo + step]
         sq = np.zeros((len(k), S))
@@ -342,8 +343,8 @@ def test_coupling_sums_match_the_per_draw_loop_bits(monkeypatch):
         alg = gibbs_algorithm(prob, 1.0)
         pi = coupling_chain(prob, alg).couplings[0]
         if (m, n, embed) == (3, 5, False):  # a partial last block reuses the buffers
-            assert np.count_nonzero(pi) % block_rows(8 * prob.num_samples) > 0
-            assert np.count_nonzero(pi) > block_rows(8 * prob.num_samples)
+            assert np.count_nonzero(pi) % block_rows(8 * prob.num_samples, "bound_coupling") > 0
+            assert np.count_nonzero(pi) > block_rows(8 * prob.num_samples, "bound_coupling")
         report = bound_coupling(prob, alg)
         with monkeypatch.context() as patch:
             patch.setattr(bounds, "_ghost_pair_sum", looped_ghost_pair_sum)
@@ -912,6 +913,32 @@ def test_tail_pointwise_delta_edges(small_problem, gibbs_alg):
     for bad in (0.0, 1.5, -0.1):
         with pytest.raises(DomainError):
             tail_pointwise_check(small_problem, gibbs_alg, bad)
+
+
+def looped_pointwise_frequency(prob, alg, delta, sigma, samples, seed):
+    # the Monte Carlo tail as first written: each block's hits by a 2-D fancy index
+    inv, _ = bounds._density_table(prob, alg, alg.matrix, bounds._q_w(prob, alg, None).weights)
+    threshold = sigma * np.sqrt(6.0 / prob.n) * (inv + np.sqrt(np.log(1.0 / delta)))
+    exceed = np.abs(prob.gen_matrix.T) > np.maximum(threshold, bounds._gen_rounding(prob))
+    hits = 0
+    for b, size in enumerate(mc.block_sizes(samples)):
+        s_idx, w_idx = draw_pairs(prob, alg, seed, b, size)
+        hits += exceed[s_idx, w_idx].sum()
+    return hits / samples
+
+
+def test_tail_pointwise_mc_hits_equal_the_looped_lookup():
+    gen = np.random.default_rng(77)
+    seen = set()
+    for _ in range(6):
+        prob = random_problem(gen, m_max=4, n_max=3)
+        for alg in algorithm_family(prob):
+            for sigma in (0.01, 0.1):  # small sigmas make a tail that is often exceeded
+                report = tail_pointwise_check(prob, alg, 0.9, sigma=sigma, mc=(9000, 5))
+                want = looped_pointwise_frequency(prob, alg, 0.9, sigma, 9000, 5)
+                assert report.violation == want
+                seen.add(0.0 < want < 1.0)
+    assert seen == {True, False}
 
 
 def test_tail_pac_bayes_delta_edges(small_problem, gibbs_alg):

@@ -789,6 +789,43 @@ def test_stdout_when_no_out_flag(tmp_path, capsys):
     assert [row["bound_name"] for row in reader] == ["mi"]
 
 
+def test_a_streamed_row_over_the_memory_budget_exits_two(tmp_path, capsys):
+    # one outcome lets n reach 2^17, and one empirical_matrix row of 64 hypotheses
+    # is then 8 (N (n + 1) + n) bytes, over the budget: a 66 MB peak, answered
+    entry = {"m": 1, "N": 64, "n": 131072, "loss": [[i / 64] for i in range(64)], "p_z": [1.0],
+             "bound": 1.0, "algorithm": {"kind": "gibbs", "beta": 1.0}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    tracemalloc.start()
+    try:
+        code = cli.main(["bounds", "--bounds", "mi", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "empirical_matrix: one streamed row needs 68157952 bytes" in captured.err
+    assert "MEMORY_BUDGET" in captured.err
+    assert peak < MEMORY_BUDGET
+
+
+def test_tail_mc_stdout_is_the_same_for_any_worker_count(tmp_path, capsys):
+    # at delta 0.99 these problems exceed the pointwise tail on some draws, so
+    # the frequencies carry the draw stream; 30000 draws make four blocks
+    gen = np.random.default_rng(3)
+    entries = [{"m": 2, "N": 3, "n": 3, "loss": (gen.uniform(size=(3, 2)) ** 4).tolist(),
+                "p_z": gen.dirichlet([0.3, 0.3]).tolist(), "bound": 1.0, "algorithm": alg}
+               for alg in ({"kind": "gibbs", "beta": 1.0}, {"kind": "erm"}) for _ in range(4)]
+    cfg = write_config(tmp_path, {"problems": entries})
+    outs = []
+    for workers in ("1", "3"):
+        argv = ["tail", "--config", cfg, "--mc-samples", "30000", "--delta", "0.99"]
+        assert cli.main(argv + ["--seed", "4", "--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    rows = csv.DictReader(io.StringIO(outs[0]))
+    assert any(float(row["lhs"]) > 0.0 for row in rows if row["bound_name"] == "tail_pointwise")
+
+
 DATA = Path(__file__).resolve().parent / "data"
 
 

@@ -327,6 +327,38 @@ def test_draw_pairs_reproduces_the_choice_stream_bits():
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_draw_pairs_counts_digits_past_one_byte():
+    # a uint8 digit counter would wrap at m = 300; 256 and 257 sit at its edge
+    gen = np.random.default_rng(31)
+    for m in (256, 257, 300):
+        p_z = gen.dirichlet(np.ones(m))
+        p_z[:200][gen.random(200) < 0.2] = 0.0  # the top digits keep their mass
+        prob = LearningProblem(gen.uniform(size=(3, m)), FiniteMeasure(p_z / p_z.sum()), 2,
+                               bound=1.0)
+        for alg in (gibbs_algorithm(prob, 5.0), erm_algorithm(prob)):
+            got = learning.draw_pairs(prob, alg, 9, 1, 8192)
+            want = reference_draw_pairs(prob, alg, 9, 1, 8192)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert (got[0] % m).max() == m - 1
+
+
+def test_expected_gen_mc_equals_the_looped_lookup():
+    # each block's gen values by the 2-D fancy index, as first written
+    gen = np.random.default_rng(8)
+    for _ in range(4):
+        prob = random_problem(gen, m_max=4, n_max=3)
+        for alg in algorithm_family(prob):
+            parts = []
+            for b, size in enumerate(mc.block_sizes(9000)):
+                s_idx, w_idx = learning.draw_pairs(prob, alg, 4, b, size)
+                vals = prob.gen_matrix[w_idx, s_idx]
+                parts.append((vals.sum(), np.abs(vals).sum(), (vals**2).sum()))
+            tot, tot_abs, tot_sq = (sum(p[i] for p in parts) for i in range(3))
+            got = expected_gen(prob, alg, mode="mc", samples=9000, seed=4)
+            assert (got.signed, got.stderr_signed) == mc.mean_and_stderr(tot, tot_sq, 9000)
+            assert (got.absolute, got.stderr_absolute) == mc.mean_and_stderr(tot_abs, tot_sq, 9000)
+
+
 @dataclass(frozen=True)
 class ReferenceSupersample:
     """Dense exact law of (ghost/train pair, signs, hypothesis): the plain

@@ -474,6 +474,33 @@ def test_tabulated_and_randomized_draws_keep_their_bits():
                 assert got == reference_tabulated_mc(proc, space, selector, samples, seed)
 
 
+def test_tabulated_mc_on_many_paths_stays_within_the_block_budget():
+    # the path pick compared each block's uniforms with every path's cumulative
+    # weight: an (8192, 20000) block, a 157 MB peak against a 64 MB budget
+    space = line_space(0.0, 0.4, 1.0)
+    gen = np.random.default_rng(23)
+    half, mass = 0.05 * gen.uniform(-1.0, 1.0, size=(10000, 3)), gen.uniform(size=10000)
+    weights = np.concatenate([mass, mass]) / (2.0 * mass.sum())  # mirrored, so centered
+    proc = tabulated_process(space, np.vstack([half, -half]), weights)
+    kernel = MarkovKernel(gen.dirichlet(np.ones(3), size=20000))
+    for selector in (Selector("argmax"), Selector("randomized", kernel=kernel)):
+        tracemalloc.start()
+        try:
+            expected_sup_mc(proc, space, selector, mc.BLOCK, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * errors.BLOCK_BYTES
+    # and on 300 of those paths the draws are the full comparison's
+    few = tabulated_process(space, np.vstack([half[:150], -half[:150]]),
+                            np.concatenate([mass[:150], mass[:150]]) / (2.0 * mass[:150].sum()))
+    selector = Selector("randomized", kernel=MarkovKernel(kernel.matrix[:300]))
+    for samples, seed in ((5, 1), (8192 + 300, 2)):
+        for sel in (Selector("argmax"), selector):
+            got = expected_sup_mc(few, space, sel, samples, seed)
+            assert got == reference_tabulated_mc(few, space, sel, samples, seed)
+
+
 def test_mc_worker_count_does_not_change_result():
     space = two_point(4.0)
     proc = gaussian_process(space, np.eye(2))
