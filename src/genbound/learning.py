@@ -359,8 +359,8 @@ def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, block: int,
     kernel's `mc.Sampler`. The stream is the one `Generator.choice` produced.
     Digits of the narrowest unsigned type give the index exactly by float place values.
     """
-    m, cols = prob.num_outcomes, max(prob.n, prob.num_hypotheses)
-    check_memory(8 * size * cols, f"draw_pairs: a (size, max(n, N)) = ({size}, {cols}) block")
+    m = prob.num_outcomes
+    check_memory(8 * size * prob.n, f"draw_pairs: a (size, n) = ({size}, {prob.n}) block")
     gen = mc.substream(seed, block)
     cdf = np.cumsum(prob.p_z.weights)
     u = gen.random((size, prob.n))

@@ -10,14 +10,15 @@ summed along the last axis, last entry +inf). `Sampler` finds j by a guide table
 halved until the (S, G + 1) int32 guide fits BLOCK_BYTES (at least one). Bucket b holds
 #{cdf < b/G}, the j of every u in [b/G, (b+1)/G), or -1 if a cdf entry lies in it;
 G is a power of two, so u * G and b / G are exact. Only draws in a -1 bucket, at most
-(N - 1) / G, compare u against their own CDF row: no (draws, N) block is built.
+(N - 1) / G, compare u against their own CDF row, in blocks of rows that fit
+BLOCK_BYTES: no (draws, N) block is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BLOCK_BYTES
+from .errors import BLOCK_BYTES, block_rows
 
 BLOCK = 8192
 _MASK64 = (1 << 64) - 1
@@ -63,8 +64,13 @@ class Sampler:
         bucket = (u * self.buckets).astype(np.intp)
         col = self.guide.take(bucket if rows is None else bucket + rows * (self.buckets + 1))
         split = np.flatnonzero(col < 0)
-        col[split] = (np.searchsorted(self.cdf, u[split]) if rows is None
-                      else (self.cdf[rows[split]] < u[split, None]).argmin(axis=1))
+        if rows is None:
+            col[split] = np.searchsorted(self.cdf, u[split])
+        else:  # a one-bucket guide can split every draw: gather their rows in blocks
+            step = block_rows(self.cdf.itemsize * self.cdf.shape[-1], "Sampler.draw")
+            for lo in range(0, split.size, step):
+                part = split[lo:lo + step]
+                col[part] = (self.cdf[rows[part]] < u[part, None]).argmin(axis=1)
         return col
 
 

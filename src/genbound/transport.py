@@ -4,14 +4,18 @@ Distances come from a linear program solved with HiGHS; at the package's
 desk scale (<= 64 atoms a side) that is exact, deterministic, and returns a
 vertex plan. Many pairs are solved together as the blocks of one LP.
 Geodesics are displacement interpolations of an optimal plan between two
-measures sharing one Euclidean support. HiGHS is called through scipy's
-bundled core on the first LP, not imported with the package.
+measures sharing one Euclidean support. HiGHS is scipy's bundled extension,
+loaded from its file on the first LP: importing it through scipy.optimize would
+load that whole package (about 320 modules and 50 MB of resident memory).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
-
 
 import numpy as np
 
@@ -119,7 +123,36 @@ def diagonal_plan(mu: FiniteMeasure) -> TransportPlan:
     return TransportPlan(np.diag(mu.weights), mu, mu)
 
 
-def linprog(c, start, index, b_eq):
+@functools.cache
+def _highs():
+    """scipy's HiGHS extension, scipy.optimize._highspy._core, executed from its file
+    under its own name, so that neither scipy nor scipy.optimize is imported. CPython
+    keeps one copy of an extension module, so this is the object scipy.optimize uses."""
+    name = "scipy.optimize._highspy._core"
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    stem = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
+    path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.exists(stem + suffix)), None)
+    if path is None:
+        raise ImportError(f"scipy has no HiGHS extension at {stem}.*")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class LPResult:
+    """One HiGHS solve: x and nit (simplex iterations) as scipy's linprog reports them."""
+
+    success: bool
+    status: int
+    message: str
+    x: np.ndarray | None
+    nit: int
+
+
+def linprog(c, start, index, b_eq) -> LPResult:
     """min c.x subject to A x = b_eq, x >= 0, by one direct HiGHS call.
 
     A is the 0/1 transportation matrix in column-wise form: column j has ones
@@ -127,13 +160,11 @@ def linprog(c, start, index, b_eq):
     scipy.optimize.linprog(method="highs") passes it (presolve on, dual
     simplex, output off, feasibility tolerances 1e-10), so the solution is
     the same bit for bit; linprog's input checks, sparse conversions and dual
-    post-processing cost more than the solve at these sizes. Returns an
-    OptimizeResult with success, status, message, x and nit (simplex
-    iterations). scipy is imported on the first call.
+    post-processing cost more than the solve at these sizes. The first call
+    loads the HiGHS extension by itself (see _highs); scipy.optimize is never
+    imported.
     """
-    from scipy.optimize import OptimizeResult
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
     lp.num_row_ = lp.a_matrix_.num_row_ = b_eq.size
@@ -157,10 +188,10 @@ def linprog(c, start, index, b_eq):
     solver.run()
     status = solver.getModelStatus()
     success = status == highs.HighsModelStatus.kOptimal
-    return OptimizeResult(success=success, status=0 if success else 4,
-                          message=solver.modelStatusToString(status),
-                          x=np.array(solver.getSolution().col_value) if success else None,
-                          nit=solver.getInfo().simplex_iteration_count)
+    return LPResult(success=success, status=0 if success else 4,
+                    message=solver.modelStatusToString(status),
+                    x=np.array(solver.getSolution().col_value) if success else None,
+                    nit=solver.getInfo().simplex_iteration_count)
 
 
 def wasserstein(mu: FiniteMeasure, nu: FiniteMeasure, cost: CostMatrix,

@@ -4,6 +4,9 @@ Problems are tiny on purpose: everything downstream is verified against
 exhaustive enumeration, so m^n * N has to stay desk-sized.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,15 @@ def random_problem(gen: np.random.Generator, m_max: int = 3, n_max: int = 3,
         prob = LearningProblem(loss, FiniteMeasure(p_z), n, bound=1.0,
                                embedding=loss_embedding(prob))
     return prob
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, and no GENBOUND_SEED."""
+    env = {k: v for k, v in os.environ.items() if k != "GENBOUND_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
+        if p)
+    return env
 
 
 def algorithm_family(prob: LearningProblem) -> list[Algorithm]:

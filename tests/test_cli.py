@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -11,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from genbound import (ConfigurationError, FiniteMeasure, LearningProblem, algorithm_from_json,
-                      cli, expected_gen, hypothesis_marginal, mc, problem_from_json, transport)
+                      cli, expected_gen, hypothesis_marginal, mc, problem_from_json,
+                      tail_pointwise_check, transport)
 from genbound.errors import MEMORY_BUDGET
 
-from conftest import random_problem
+from conftest import random_problem, src_env
 
 
 def problem_entry(seed=2, algorithm=None):
@@ -232,11 +231,32 @@ def test_monte_carlo_block_over_the_memory_budget_exits_two(tmp_path, capsys):
             tracemalloc.stop()
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv
-        assert "draw_pairs: a (size, max(n, N)) = (8192, 131072) block" in captured.err, argv
+        assert "draw_pairs: a (size, n) = (8192, 131072) block" in captured.err, argv
         assert "MEMORY_BUDGET" in captured.err, argv
         assert peak < 2 * MEMORY_BUDGET, argv
     # the exact bound builds no block and still answers
     assert cli.main(["bounds", "--bounds", "mi", "--config", cfg]) == 0
+
+
+def test_monte_carlo_draws_past_a_thousand_hypotheses(tmp_path, capsys):
+    # draw_pairs checked a (size, max(n, N)) block, though its draws hold only
+    # (size, n) uniforms, so every N > 1024 was refused under --mc-samples
+    gen = np.random.default_rng(8)
+    entry = {"m": 2, "N": 2000, "n": 2, "loss": gen.uniform(size=(2000, 2)).tolist(),
+             "p_z": [0.4, 0.6], "bound": 1.0, "algorithm": {"kind": "gibbs", "beta": 1.0}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    assert cli.main(["bounds", "--bounds", "mi", "--mc-samples", "10000", "--config", cfg]) == 0
+    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert [(row["bound_name"], row["mode"]) for row in rows] == [("mi", "mc")]
+    # tail draws its pointwise tail, then its transductive chain needs an (S, N, N)
+    # table per level, which is over the budget at this N
+    assert cli.main(["tail", "--mc-samples", "10000", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "chain_from_partitions: an (S, N, N) = (4, 2000, 2000) table" in captured.err
+    prob = problem_from_json(entry)
+    report = tail_pointwise_check(prob, algorithm_from_json(prob, entry["algorithm"]), 0.05,
+                                  mc=(10000, 0))
+    assert report.details["samples"] == 10000 and report.passed
 
 
 def test_negative_mc_samples_exits_two(tmp_path, capsys):
@@ -499,22 +519,19 @@ def test_one_hypothesis_is_not_bad_input(tmp_path):
         assert json.loads(rows[name]["components_json"]) == {}
 
 
-def src_env():
-    """The environment with this checkout's src/ first on PYTHONPATH, and no GENBOUND_SEED."""
-    env = {k: v for k, v in os.environ.items() if k != "GENBOUND_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
-        if p)
-    return env
-
-
 # Run in a fresh interpreter: argv[1] is a JSON list of (label, cli argv);
-# prints, per label, the scipy modules loaded once that command has run, and
-# under "mpmath" the mpmath modules loaded after every command.
+# prints, per label, the scipy modules loaded once that command has run (the
+# HiGHS extension, which transport loads by file outside sys.modules, counted
+# once its loader has run), and under "mpmath" the mpmath modules loaded after
+# every command.
 IMPORT_PROBE = """
 import json, sys
+from genbound import transport
 def modules(top):
-    return sorted(m for m in sys.modules if m.split(".")[0] == top)
+    loaded = [m for m in sys.modules if m.split(".")[0] == top]
+    if top == "scipy" and transport._highs.cache_info().currsize:
+        loaded.append(transport._highs().__name__)
+    return sorted(loaded)
 import genbound
 seen = {"import genbound": modules("scipy")}
 from genbound import cli
@@ -551,9 +568,10 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
     seen = json.loads(proc.stdout)
     for label in ["import genbound", "import genbound.cli"] + [lb for lb, _ in numpy_only]:
         assert seen[label] == [], label
-    # the first LP imports the solver; the commands that need one still run
-    assert "scipy.optimize" in seen["coupling"]
-    assert all(isinstance(seen[label], list) for label, _ in with_lp)
+    # the first LP loads the HiGHS extension by itself, never scipy.optimize
+    for label, _ in with_lp:
+        assert "scipy.optimize._highspy._core" in seen[label], label
+        assert "scipy.optimize" not in seen[label], label
     assert seen["mpmath"] == []
 
 
@@ -668,7 +686,8 @@ def test_lp_solver_failure_is_not_an_input_error(tmp_path, monkeypatch):
     # a transport LP between validated measures is always feasible, so a
     # failed solve is a fault of the program, not exit 2 for bad input
     def failing(*args, **kwargs):
-        return OptimizeResult(success=False, status=4, message="numerical difficulties")
+        return transport.LPResult(success=False, status=4, message="numerical difficulties",
+                                  x=None, nit=0)
 
     monkeypatch.setattr(transport, "linprog", failing)
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
@@ -835,14 +854,18 @@ DATA = Path(__file__).resolve().parent / "data"
     (["tail", "--config", "mc_problems.json", "--mc-samples", "3000"], "tail_mc.csv"),
     (["ft", "--config", "mc_spaces.json", "--mc-samples", "2000"], "ft_mc.csv"),
     (["bounds", "--config", "mc_problems.json"], "bounds_exact.csv"),
-    (["tail", "--config", "mc_problems.json"], "tail_exact.csv")])
+    (["tail", "--config", "mc_problems.json"], "tail_exact.csv"),
+    (["tail", "--config", "tail_heavy.json", "--mc-samples", "30000", "--delta", "0.99"],
+     "tail_heavy_mc.csv")])
 def test_mc_stdout_matches_the_recorded_csv(argv, golden, workers, capsys):
     # The benchmark oracle checks Monte Carlo rows within standard errors only,
     # so these recorded bytes are what pins the draw stream itself, and the
     # exact rows to their last bit. The tail
-    # frequencies are 0 (the bound holds); the bounds and ft rows carry the
-    # stream. Zero-mass outcomes, ERM, a sparse ignore prior and tabulated
-    # paths are all drawn. An intended change to an exact bound shows up here
+    # frequencies of mc_problems.json are 0 (the bound holds); the bounds and
+    # ft rows carry the stream, and so do the heavy-tailed losses of
+    # tail_heavy.json at delta 0.99, whose pointwise tail is exceeded on some
+    # of four blocks of draws. Zero-mass outcomes, ERM, a sparse ignore prior
+    # and tabulated paths are all drawn. An intended change to an exact bound shows up here
     # too: re-record the file with the same command and say so.
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     assert cli.main(argv + ["--seed", "5", "--workers", workers]) == 0

@@ -1,5 +1,7 @@
 """The guide-table sampler against a full comparison of every CDF column."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,22 @@ def test_guide_size_rule():
     assert mc.Sampler(np.full(20000, 1 / 20000)).buckets == 2**20
     wide = mc.Sampler(np.full((2**15, 4), 0.25))
     assert wide.buckets == 32 and wide.guide.nbytes <= errors.BLOCK_BYTES
+
+
+def test_one_bucket_guide_compares_in_blocks(monkeypatch):
+    # with one bucket per row every draw of a wide table is compared against its
+    # CDF row: one (8192, 2000) gather would take 131 MB, blocks of rows stay small
+    monkeypatch.setattr(mc, "BLOCK_BYTES", 4)
+    gen = np.random.default_rng(11)
+    weights = gen.dirichlet(np.ones(2000), size=4)
+    sampler = mc.Sampler(weights)
+    assert sampler.buckets == 1
+    u, rows = gen.random(8192), gen.integers(0, 4, 8192)
+    tracemalloc.start()
+    try:
+        got = sampler.draw(u, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, compared(cdf_of(weights), u, rows))
+    assert peak < 2 * errors.BLOCK_BYTES

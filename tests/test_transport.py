@@ -1,5 +1,8 @@
 import itertools
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from genbound import (ConfigurationError, DomainError, EmbeddedSupport, FiniteMe
                       product_plan, run_transport_suite, transport, verify,
                       wasserstein, wasserstein_batch)
 from genbound.transport import LP_COST_CAP, PLAN_MARGINAL_TOL
+
+from conftest import src_env
 
 
 def line(*xs) -> EmbeddedSupport:
@@ -340,12 +345,68 @@ def test_direct_highs_call_matches_scipy_linprog_bit_for_bit(monkeypatch, batch,
 
 def test_the_private_highs_names_the_solver_uses_exist():
     # transport.linprog fills these by hand; a scipy that moves them fails here
-    from scipy.optimize._highspy import _core as highs
-
+    highs = transport._highs()
     for name in ("HighsLp", "_Highs", "HighsOptions", "kHighsInf"):
         assert hasattr(highs, name), name
     assert hasattr(highs.MatrixFormat, "kColwise")
     assert hasattr(highs.HighsModelStatus, "kOptimal")
+
+
+# Run in a fresh interpreter with argv[1] "genbound first" or "scipy first":
+# solves one W_2 LP through genbound and the same LP through
+# scipy.optimize.linprog(method="highs"), in that order or the other, and
+# prints the genbound plans, scipy's optimum, and whether genbound's HiGHS
+# module is the one scipy.optimize imported.
+HIGHS_ORDER_PROBE = """
+import json, sys
+import numpy as np
+from genbound import EmbeddedSupport, FiniteMeasure, euclidean_cost, transport, wasserstein
+mu, nu = FiniteMeasure([0.2, 0.5, 0.3, 0.0]), FiniteMeasure([0.1, 0.1, 0.4, 0.4])
+cost = euclidean_cost(EmbeddedSupport([0.0, 1.0, 3.0, 4.5]), EmbeddedSupport([0.5, 2.0, 2.5, 6.0]))
+def genbound_plan():
+    dist, plan = wasserstein(mu, nu, cost, p=2.0)
+    return [dist, plan.weights.tobytes().hex()]
+def scipy_optimum():
+    import scipy.optimize
+    a_eq = np.vstack([np.kron(np.eye(4), np.ones(4)), np.kron(np.ones(4), np.eye(4))])
+    res = scipy.optimize.linprog((cost.entries**2).ravel(), A_eq=a_eq,
+                                 b_eq=np.concatenate([mu.weights, nu.weights]),
+                                 bounds=(0.0, None), method="highs")
+    return [bool(res.success), float(res.fun)]
+seen = {}
+if sys.argv[1] == "scipy first":
+    seen["scipy"] = scipy_optimum()
+seen["genbound"] = genbound_plan()
+seen["scipy.optimize after genbound"] = "scipy.optimize" in sys.modules
+if sys.argv[1] == "genbound first":
+    seen["scipy"] = scipy_optimum()
+    seen["genbound again"] = genbound_plan()
+from scipy.optimize._highspy import _core
+seen["one module"] = transport._highs() is _core
+print(json.dumps(seen))
+"""
+
+
+def highs_order_probe(order: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", HIGHS_ORDER_PROBE, order], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def test_a_genbound_lp_then_scipy_linprog_share_one_highs():
+    seen = highs_order_probe("genbound first")
+    assert seen["scipy.optimize after genbound"] is False
+    success, optimum = seen["scipy"]
+    assert success and optimum == pytest.approx(seen["genbound"][0] ** 2, rel=1e-12)
+    assert seen["genbound again"] == seen["genbound"]
+    assert seen["one module"] is True
+
+
+def test_genbound_after_scipy_optimize_uses_its_highs_module():
+    seen = highs_order_probe("scipy first")
+    assert seen["scipy"][0] and seen["one module"] is True
+    assert seen["genbound"] == highs_order_probe("genbound first")["genbound"]
 
 
 def test_two_point_w2_just_below_the_cost_cap_is_exact():
