@@ -9,7 +9,7 @@ constructions, majorizing-measure bounds for expected suprema, and
 seeded Monte Carlo with counter-based substreams.
 """
 
-from .bounds import (BoundReport, ChainSpec, TailReport,
+from .bounds import (BoundReport, ChainSpec, PairList, TailReport,
                      bound_chain, bound_cmi, bound_coupling,
                      bound_coupling_simplified, bound_density, bound_mi,
                      bound_stochastic_chain, bound_wasserstein_geodesic,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,16 +141,16 @@ def _psi2_inv_ratio(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, bool]
     return psi_inv(ratio, 2.0), escape
 
 
-def _density_table(prob: LearningProblem, alg: Algorithm, num: np.ndarray,
-                   den: np.ndarray) -> tuple[np.ndarray, bool]:
-    """_psi2_inv_ratio(num, den[None]) as a read-only table, built once per
-    (problem, algorithm, num, den): the kernel's density against Q_W and each
-    coupling's against its reference, whichever bounds read them."""
+def _density_table(prob: LearningProblem, alg: Algorithm, num: np.ndarray, den: np.ndarray,
+                   pairs: PairList | None = None) -> tuple[np.ndarray, bool]:
+    """_psi2_inv_ratio(num, den[None]) as a read-only table, built once per (problem, algorithm,
+    num, den): the kernel's against Q_W, a chain step's (pairs) against its reference."""
     def build():
         inv, escape = _psi2_inv_ratio(num, den[None])
         return readonly(inv), escape
 
-    return prob.table(alg.matrix, ("density", num.shape, num.tobytes(), den.tobytes()), build)
+    where = num.shape if pairs is None else pairs.u.tobytes() + pairs.v.tobytes()
+    return prob.table(alg.matrix, ("density", where, num.tobytes(), den.tobytes()), build)
 
 
 def _escaped_report(name: str, lhs: float, kind: str, rhs: float, components: dict,
@@ -301,6 +302,7 @@ def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | N
     q_w = _q_w(prob, alg, q_w)
 
     def build() -> ChainSpec:
+        prior = MarkovKernel.constant(q_w, prob.num_samples)  # built before the plans
         pi = optimal_couplings(prob, alg, q_w) if couplings is None else [
             c.weights if isinstance(c, TransportPlan) else c for c in couplings]
         try:  # ragged tables, or not one per sample; ChainSpec checks the rest
@@ -309,7 +311,7 @@ def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | N
                   else np.asarray(mu_uv, dtype=float))
         except ValueError as exc:
             raise ConfigurationError(f"coupling_chain: {exc}") from exc
-        return ChainSpec((MarkovKernel.constant(q_w, prob.num_samples), alg.kernel), (pi,), (mu,))
+        return ChainSpec((prior, alg.kernel), (pi,), (mu,))
 
     if couplings is None and mu_uv is None:
         return prob.table(alg.matrix, ("coupling", q_w.weights.tobytes()), build)
@@ -353,19 +355,17 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
     reference are the step of coupling_chain(prob, alg, q_w, couplings, mu_uv).
     """
     chain = coupling_chain(prob, alg, q_w, couplings, mu_uv)
-    pi, mu = chain.couplings[0], chain.references[0]
-    p_s, S = prob.sample_probs, prob.num_samples
+    pairs, mu = chain.couplings[0], chain.references[0]
+    p_s, S, w = prob.sample_probs, prob.num_samples, pairs.weights
     # every sample has a support entry, so this caps the reference term's S^2 n too
-    s, u, v = support = np.nonzero(pi)  # a W_2 plan has at most 2N - 1 per sample
-    if s.size * S * prob.n > 2 * 10**8:
+    if np.count_nonzero(w) * S * prob.n > 2 * 10**8:
         raise ConfigurationError("bound_coupling: too many ghost pairs to enumerate")
-    g = prob.loss_differences
-    d2 = (g[:, :, :, None] - g[:, :, None, :]) ** 2  # (N, N, train outcome, ghost outcome)
-    inv, escape = _density_table(prob, alg, pi, mu)
-    term1 = np.inf if escape else _ghost_pair_sum(
-        prob, d2.reshape(-1, *d2.shape[2:]), u * prob.num_hypotheses + v, s,
-        p_s[s] * pi[support] * inv[support])
-    term2 = _ghost_pair_sum(prob, np.einsum("uv,uvab->ab", mu, d2)[None],
+    s, p = np.nonzero(w)  # a W_2 plan has at most 2N - 1 entries per sample
+    g = prob.loss[pairs.u] - prob.loss[pairs.v]
+    d2 = (g[:, :, None] - g[:, None, :]) ** 2  # (pair, train outcome, ghost outcome)
+    inv, escape = _density_table(prob, alg, w, mu, pairs)
+    term1 = np.inf if escape else _ghost_pair_sum(prob, d2, p, s, p_s[s] * w[s, p] * inv[s, p])
+    term2 = _ghost_pair_sum(prob, np.einsum("p,pab->ab", mu, d2)[None],
                             np.zeros(S, dtype=np.int64), np.arange(S), p_s)
 
     scale = np.sqrt(24.0) / prob.n
@@ -375,15 +375,15 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
                            escape, ("decorrelation",))
 
 
-def _chain_step_terms(prob: LearningProblem, alg: Algorithm, pi: np.ndarray,
+def _chain_step_terms(prob: LearningProblem, alg: Algorithm, pairs: PairList,
                       rho: np.ndarray) -> tuple[float, float, bool]:
-    """Loss-metric chain step: (cross term, reference term, escape flag)."""
-    inv, escape = _density_table(prob, alg, pi, rho)
-    dl = prob.population_dists
-    cross = float(np.einsum("s,suv,suv->", prob.sample_probs, pi * inv,
-                            dl[None, :, :] + prob.empirical_dists))
-    ref = float((rho * dl).sum())
-    return cross, ref, escape
+    """Loss-metric chain step on its pair list: (cross term, reference term, escape flag)."""
+    u, v, w = pairs
+    inv, escape = _density_table(prob, alg, w, rho, pairs)
+    dl = prob.population_dists[u, v]
+    cross = float(np.einsum("s,sp,sp->", prob.sample_probs, w * inv,
+                            dl + np.sqrt(prob.pair_sq_dists(u, v))))
+    return cross, float(rho @ dl), escape
 
 
 def bound_coupling_simplified(prob: LearningProblem, alg: Algorithm,
@@ -405,17 +405,24 @@ def bound_coupling_simplified(prob: LearningProblem, alg: Algorithm,
 # chains
 # ---------------------------------------------------------------------------
 
+class PairList(NamedTuple):
+    """A chain step: weights[s, p] is the coupling's mass on pair (u[p], v[p]) given sample s."""
+    u: np.ndarray
+    v: np.ndarray
+    weights: np.ndarray
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Interpolating kernels, per-sample step couplings, and step references.
 
-    K steps take K + 1 (S, N) kernels, K (S, N, N) couplings and K (N, N)
-    references. couplings[k][s] couples (kernels[k+1] row s, kernels[k] row s)
-    and each reference is a probability table; a chain that breaks any of this
-    is refused when it is built, nan included. The ends are checked by the
-    bounds against their problem: kernels[-1] is the algorithm and kernels[0],
-    the prior end, is sample-free where the bound needs it (K = 0 when they
-    are one, as on one hypothesis).
+    K steps take K + 1 (S, N) kernels, K couplings and K references. couplings[k] is a
+    PairList whose weights couple (kernels[k+1] row s, kernels[k] row s) on its P_k pairs,
+    references[k] a (P_k,) probability table on them; a dense (S, N, N) coupling with an
+    (N, N) reference is converted once, to the pairs where either has mass. A chain that
+    breaks any of this is refused when it is built, nan included. The bounds check the
+    ends: kernels[-1] is the algorithm and kernels[0], the prior end, is sample-free
+    where the bound needs it (K = 0 when they are one, as on one hypothesis).
     """
 
     kernels: tuple
@@ -423,22 +430,38 @@ class ChainSpec:
     references: tuple
 
     def __post_init__(self) -> None:
-        """Every test is written to fail on nan."""
+        """Every test is written to fail on nan. Steps are kept as read-only views."""
         kernels, couplings, references = self.kernels, self.couplings, self.references
         if (not kernels or len(couplings) != len(kernels) - 1 or len(references) != len(couplings)
                 or any(kernel.matrix.shape != kernels[0].matrix.shape for kernel in kernels)):
             raise ConfigurationError("chain: need K+1 kernels of one shape, K couplings, "
                                      "K references")
         S, N = kernels[0].matrix.shape
+        steps = []
         for k, (joint, ref) in enumerate(zip(couplings, references)):
-            if np.shape(joint) != (S, N, N) or np.shape(ref) != (N, N):
-                raise ConfigurationError(
-                    f"chain: step {k} needs ({S}, {N}, {N}) and ({N}, {N}) tables")
-            if not (np.abs(joint.sum(axis=2) - kernels[k + 1].matrix).max() <= 1e-9
-                    and np.abs(joint.sum(axis=1) - kernels[k].matrix).max() <= 1e-9):
-                raise ConfigurationError(f"chain: coupling {k} has wrong marginals")
+            if not isinstance(joint, PairList):  # the pairs where it or its reference has mass
+                joint, ref = np.asarray(joint, dtype=float), np.asarray(ref, dtype=float)
+                if joint.shape != (S, N, N) or ref.shape != (N, N):
+                    raise ConfigurationError(
+                        f"chain: step {k} needs ({S}, {N}, {N}) and ({N}, {N}) tables")
+                u, v = np.nonzero(np.any(joint, axis=0) | (ref != 0.0))  # row-major
+                w = joint.reshape(S, -1) if u.size == N * N else joint[:, u, v]  # full: a view
+                joint, ref = PairList(u, v, w), ref[u, v]
+            (u, v, w), ref = map(np.asarray, joint), np.asarray(ref, dtype=float)
+            if not (w.shape == (S, u.size) and u.shape == v.shape == ref.shape == (u.size,)):
+                raise ConfigurationError(f"chain: step {k} needs P pairs, ({S}, P) weights "
+                                         "and a (P,) reference")
+            for index, kernel in ((u, kernels[k + 1]), (v, kernels[k])):
+                gap = -kernel.matrix  # the marginal on `index`, minus the kernel
+                np.add.at(gap.T, index, w.T)
+                if not (gap.max() <= 1e-9 and gap.min() >= -1e-9):
+                    raise ConfigurationError(f"chain: coupling {k} has wrong marginals")
+                del gap  # one (S, N) table at a time, as w may view a full (S, N, N) coupling
             if not (abs(ref.sum() - 1.0) <= 1e-9 and ref.min() >= -1e-12):
                 raise ConfigurationError(f"chain: reference {k} is not a probability table")
+            steps.append((PairList(*(readonly(a.view()) for a in (u, v, w))), readonly(ref.view())))
+        object.__setattr__(self, "couplings", tuple(pairs for pairs, _ in steps))
+        object.__setattr__(self, "references", tuple(ref for _, ref in steps))
 
 
 def dyadic_partitions(size: int) -> list[np.ndarray]:
@@ -474,10 +497,10 @@ def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions) -> 
 
     Level k maps the drawn hypothesis to the lowest index of its cell, so the
     sample -> hypothesis -> level-k -> level-(k-1) chain is Markov by
-    construction; refinement is validated, not assumed. Couplings are the exact
-    joints of consecutive levels, references their sample mixtures.
+    construction; refinement is validated, not assumed. Step k pairs each level-k cell's
+    u with its parent's v, weighted by the level-k kernel (the exact joint of the levels).
     """
-    N, S = prob.num_hypotheses, prob.num_samples
+    N = prob.num_hypotheses
     labels = [_normalize_partition(p, N) for p in partitions]
     if not labels:
         raise ConfigurationError("chain_from_partitions: empty hierarchy")
@@ -488,20 +511,13 @@ def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions) -> 
         if np.any(labels[k - 1] != labels[k - 1][reps[k]]):
             raise ConfigurationError(
                 f"chain_from_partitions: level {k} does not refine level {k - 1}")
-    prob.check_pair_table("chain_from_partitions")
-    kernels, couplings, references = [], [], []
-    for k, rep in enumerate(reps):
-        mat = np.zeros((S, N))
+    mats = [np.zeros_like(alg.matrix) for _ in reps]  # each level's projected kernel
+    for mat, rep in zip(mats, reps):
         np.add.at(mat.T, rep, alg.matrix.T)
-        kernels.append(MarkovKernel(mat))
-        if k:
-            # joint[s, u, v] = P(level-k representative u, level-(k-1) representative v | s)
-            joint = np.zeros((S, N, N))
-            np.add.at(joint.transpose(1, 2, 0), (rep, reps[k - 1]), alg.matrix.T)
-            couplings.append(readonly(joint))
-            references.append(readonly(np.einsum("s,suv->uv", prob.sample_probs, joint)))
-    return ChainSpec(kernels=tuple(kernels), couplings=tuple(couplings),
-                     references=tuple(references))
+    couplings = [PairList(u, reps[k - 1][u], mats[k][:, u]) for k, u in enumerate(  # u: a
+        np.flatnonzero(rep == np.arange(N)) for rep in reps) if k]  # cell's representative
+    return ChainSpec(tuple(map(MarkovKernel, mats)), tuple(couplings),
+                     tuple(prob.sample_probs @ w for _, _, w in couplings))
 
 
 def root_chain(prob: LearningProblem, alg: Algorithm) -> ChainSpec:
@@ -537,13 +553,9 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     _check_ends(prob, alg, chain, root=True)
     est = expected_gen(prob, alg)
 
-    cross_terms, ref_terms, escape_any = [], [], False
-    for joint, ref in zip(chain.couplings, chain.references):
-        cross, ref_t, escape = _chain_step_terms(prob, alg, joint, ref)
-        cross_terms.append(cross)
-        ref_terms.append(ref_t)
-        escape_any = escape_any or escape
-    loss_scale = np.sqrt(48.0 / prob.n)
+    terms = [_chain_step_terms(prob, alg, *step) for step in zip(chain.couplings, chain.references)]
+    cross_terms, ref_terms = [t[0] for t in terms], [t[1] for t in terms]
+    loss_scale, escape_any = np.sqrt(48.0 / prob.n), any(t[2] for t in terms)
     loss = _escaped_report("chain", est.signed, "signed",
                            loss_scale * (sum(cross_terms) + sum(ref_terms)),
                            {f"step_{k + 1}": loss_scale * (cross_terms[k] + ref_terms[k])
@@ -557,10 +569,10 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     increment_check(prob, metric)
     scale = np.sqrt(2.0 / prob.n)
     steps = []
-    for joint, ref in zip(chain.couplings, chain.references):
-        inv, _ = _density_table(prob, alg, joint, ref)
-        cross = float(np.einsum("s,suv,uv->", prob.sample_probs, joint * inv, metric))
-        steps.append(scale * (cross + float((ref * metric).sum())))
+    for pairs, ref in zip(chain.couplings, chain.references):
+        inv, d = _density_table(prob, alg, pairs.weights, ref, pairs)[0], metric[pairs.u, pairs.v]
+        cross = float(np.einsum("s,sp,p->", prob.sample_probs, pairs.weights * inv, d))
+        steps.append(scale * (cross + float(ref @ d)))
     return _escaped_report("chain_metric", est.signed, "signed", sum(steps),
                            {f"step_{k + 1}": step for k, step in enumerate(steps)},
                            escape_any, loss_form_rhs=loss.rhs, loss_form=loss)
@@ -571,13 +583,12 @@ def markov_slack(prob: LearningProblem, chain: ChainSpec) -> float:
     P(older level | newer level, sample) from being sample-free; zero for
     partition projections."""
     p_s, worst = prob.sample_probs, 0.0
-    for joint in chain.couplings:
-        mix = np.einsum("s,suv->uv", p_s, joint)
-        row, mix_row = joint.sum(axis=2), mix.sum(axis=1)
-        s, u = np.nonzero((p_s[:, None] > 0) & (row > 0) & (mix_row[None, :] > 0))
-        if s.size:
-            gap = joint[s, u] / row[s, u][:, None] - mix[u] / mix_row[u][:, None]
-            worst = max(worst, float(np.abs(gap).max()))
+    for u, _, w in chain.couplings:  # sums over the pairs of each newer-level hypothesis
+        mix, row = p_s @ w, np.zeros_like(chain.kernels[0].matrix)
+        np.add.at(row.T, u, w.T)
+        row, mix_row = row[:, u], np.bincount(u, mix, row.shape[1])[u]
+        s, p = np.nonzero((p_s[:, None] > 0) & (row > 0) & (mix_row[None, :] > 0))
+        worst = max(worst, float(np.abs(w[s, p] / row[s, p] - mix[p] / mix_row[p]).max(initial=0)))
     return worst
 
 
@@ -601,21 +612,21 @@ def bound_stochastic_chain(prob: LearningProblem, alg: Algorithm,
     if markov_slack(prob, chain) > 1e-9:
         raise ConfigurationError("bound_stochastic_chain: chain is not Markov")
     est = expected_gen(prob, alg)
-    first = chain.kernels[0].matrix[:, :, None] * p_w[None, None, :]  # independent prior draw
+    p0 = np.outer(p_s @ chain.kernels[0].matrix, p_w)  # the independent prior draw's mixture
+    mixes = [(*np.nonzero(p0), p0[p0 > 0])] + [(u, v, p_s @ w) for u, v, w in chain.couplings]
 
     form1_terms, form2_terms = [], []
-    for kernel, joint in zip(chain.kernels, (first, *chain.couplings)):
+    for kernel, (u, v, mix) in zip(chain.kernels, mixes):
         tab = p_s[:, None] * kernel.matrix
         col = tab.sum(axis=0)
         # sqrt(D(sample law | level hypothesis u || sample law)); rounding can leave
         # -1e-17 where the conditional is the sample law, so clamp at 0
         div = rel_entr(tab / np.where(col > 0, col, 1.0), p_s[:, None]).sum(axis=0)
         sqrt_div = np.sqrt(np.maximum(div, 0.0))
-        form1_terms.append(float(np.einsum("s,suv,uv->", p_s, joint,
-                                           d * (sqrt_div[:, None] + 1.0))))
-        mix = np.einsum("s,suv->uv", p_s, joint)
+        du = d[u, v]
+        form1_terms.append(float(mix @ (du * (sqrt_div[u] + 1.0))))
         mi = float(rel_entr(tab, np.outer(tab.sum(axis=1), col)).sum())
-        form2_terms.append(float(np.sqrt((mix * d**2).sum()) * (np.sqrt(max(0.0, mi)) + 2.0)))
+        form2_terms.append(float(np.sqrt(mix @ du**2) * (np.sqrt(max(0.0, mi)) + 2.0)))
 
     scale = np.sqrt(2.0 / prob.n)
     rhs = scale * sum(form1_terms)
@@ -761,29 +772,26 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     emp = prob.empirical_matrix  # (N, S)
     lhs = emp.T @ contrast.T - np.einsum("sw,ws->s", contrast, emp)[None, :]  # (ghost, train)
 
-    dsl2 = prob.empirical_sq_dists  # (S, N, N)
-    # a train column reads only its sample's dsl2 and coupling rows: one per distinct byte key
-    first = {}
-    reps, inverse = np.unique([first.setdefault(b"".join(t[s].tobytes() for t in (
-        dsl2, *chain.couplings)), s) for s in range(S)], return_inverse=True)
+    dsl2 = [prob.pair_sq_dists(pairs.u, pairs.v) for pairs in chain.couplings]  # (S, P_k) each
+    # one train column per distinct row of dsl2 and the weights, as bytes of a C-order copy
+    rows = np.hstack([np.zeros((S, 1)), *dsl2, *(w for _, _, w in chain.couplings)]).copy()
+    _, reps, inverse = np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0],
+                                 return_index=True, return_inverse=True)
     rhs = np.zeros((S, reps.size))  # (ghost, distinct train column)
-    for k in range(K):
-        joint, ref = chain.couplings[k], chain.references[k]
-        inv, escape = _density_table(prob, alg, joint, ref)
+    for k, ((_, _, w), ref, d2) in enumerate(zip(chain.couplings, chain.references, dsl2)):
+        inv, escape = _density_table(prob, alg, w, ref, chain.couplings[k])
         if escape:
             rhs[:] = np.inf
             break
         log_term = np.sqrt(np.log(2.0 / (p_k[k] * delta)))
-        ref_dot = np.einsum("uv,suv->s", ref, dsl2)  # <ref, d^2> per half
+        ref_dot = d2 @ ref  # <ref, d^2> per half
         rhs += np.sqrt(0.5 * (ref_dot[:, None] + ref_dot[None, reps]))
-        # the pair distance mixes both halves inside a sqrt: loop the train half,
-        # over the joint's support (a dyadic level k has at most 2^k per sample)
+        # the pair distance mixes both halves in a sqrt: loop the train half, on its support
         for col, s in enumerate(reps):
-            u, v = np.nonzero(joint[s])
-            d = np.sqrt(0.5 * (dsl2[:, u, v] + dsl2[s, u, v]))  # (ghost, support)
-            rhs[:, col] += d @ (joint[s, u, v] * inv[s, u, v])
-            rhs[:, col] += log_term * (d @ joint[s, u, v])
-    rhs = rhs[:, inverse] * np.sqrt(96.0 / prob.n)
+            sup = np.flatnonzero(w[s])
+            d = np.sqrt(0.5 * (d2[:, sup] + d2[s, sup]))  # (ghost, support)
+            rhs[:, col] += d @ (w[s, sup] * (inv[s, sup] + log_term))
+    rhs = rhs[:, inverse.reshape(-1)] * np.sqrt(96.0 / prob.n)
 
     bad = lhs > rhs
     violation = float((p_s[:, None] * p_s[None, :])[bad].sum())

@@ -103,17 +103,20 @@ class LearningProblem:
     def sample_probs(self) -> np.ndarray:
         return readonly(np.prod(self.p_z.weights[self.samples], axis=1))
 
-    @cached_property
-    def empirical_matrix(self) -> np.ndarray:
-        """emp[w, s] = training risk of hypothesis w on sample s; draws are averaged
-        in sorted order, so samples of one type get bit-identical columns."""
-        N, n = self.num_hypotheses, self.n
-        step = block_rows(8 * (N * (n + 1) + n), "empirical_matrix")
-        out = np.empty((N, self.num_samples))
+    def _draw_means(self, table: np.ndarray, what: str) -> np.ndarray:
+        """(R, S) mean of an (R, m) table over each sample's draws, streamed; draws are
+        averaged in sorted order, so samples of one type get bit-identical columns."""
+        step = block_rows(8 * (table.shape[0] * (self.n + 1) + self.n), what)
+        out = np.empty((table.shape[0], self.num_samples))
         for start in range(0, self.num_samples, step):  # sorted draws, gather, mean
             block = np.sort(self.samples[start:start + step], axis=1)
-            out[:, start:start + step] = self.loss[:, block].mean(axis=2)
-        return readonly(out)
+            out[:, start:start + step] = table[:, block].mean(axis=2)
+        return out
+
+    @cached_property
+    def empirical_matrix(self) -> np.ndarray:
+        """emp[w, s] = training risk of hypothesis w on sample s."""
+        return readonly(self._draw_means(self.loss, "empirical_matrix"))
 
     @cached_property
     def population_risks(self) -> np.ndarray:
@@ -134,40 +137,29 @@ class LearningProblem:
         """dl[u, v] = sqrt(E_Z (loss(u, Z) - loss(v, Z))^2)."""
         return readonly(np.sqrt(self.loss_differences**2 @ self.p_z.weights))
 
-    @cached_property
-    def empirical_sq_dists(self) -> np.ndarray:
-        """dsl2[s, u, v] = (1/n) sum_i (loss(u, z_i) - loss(v, z_i))^2, draws in
-        sorted order like empirical_matrix."""
-        self.check_pair_table("empirical_sq_dists")
-        N, n = self.num_hypotheses, self.n
-        g2 = self.loss_differences**2  # (N, N, m)
-        step = block_rows(8 * (N * N * (n + 1) + n), "empirical_sq_dists")
-        out = np.empty((self.num_samples, N, N))
-        for start in range(0, self.num_samples, step):  # sorted draws, gather, mean
-            block = np.sort(self.samples[start:start + step], axis=1)
-            out[start:start + step] = g2[:, :, block].mean(axis=3).transpose(2, 0, 1)
-        return readonly(out)
-
-    @cached_property
-    def empirical_dists(self) -> np.ndarray:
-        """dsl[s, u, v] = sqrt(dsl2[s, u, v]), the empirical loss distance."""
-        return readonly(np.sqrt(self.empirical_sq_dists))
+    def pair_sq_dists(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """dsl2[s, p] = (1/n) sum_i (loss(u[p], z_i) - loss(v[p], z_i))^2, the (S, P)
+        empirical squared distances on a pair list (a transposed view)."""
+        return self._draw_means((self.loss[u] - self.loss[v]) ** 2, "pair_sq_dists").T
 
     @cached_property
     def pair_norms(self) -> np.ndarray:
         """norm[u, v] = psi_2 norm of n (gen[v] - gen[u]) under the sample law.
 
-        These are the sum-increment norms a chain metric must dominate; the
-        diagonal is zero and never compared.
+        These are the sum-increment norms a chain metric must dominate; the diagonal
+        is zero and never compared. gen columns of one type (the sorted draws, read as
+        base-m digits) are equal, so the bisection runs over the law of the types.
         """
-        N = self.num_hypotheses
+        N, m, n = self.num_hypotheses, self.num_outcomes, self.n
         u, v = np.triu_indices(N, 1)  # the norm of -X is the norm of X
-        law, step = FiniteMeasure(self.sample_probs), block_rows(8 * self.num_samples, "pair_norms")
+        key = np.sort(self.samples, axis=1) @ m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        _, first, types = np.unique(key, return_index=True, return_inverse=True)
+        law = FiniteMeasure(np.bincount(types.reshape(-1), weights=self.sample_probs))
+        gen, step = self.gen_matrix[:, first], block_rows(8 * first.size, "pair_norms")
         out = np.zeros((N, N))
-        for i in range(0, u.size, step):  # one (pairs, S) block of sums per bisection
+        for i in range(0, u.size, step):  # one (pairs, types) block of sums per bisection
             a, b = u[i:i + step], v[i:i + step]
-            out[a, b] = out[b, a] = orlicz_norms(self.n * (self.gen_matrix[b] - self.gen_matrix[a]),
-                                                 law, 2.0)
+            out[a, b] = out[b, a] = orlicz_norms(n * (gen[b] - gen[a]), law, 2.0)
         return readonly(out)
 
     @cached_property

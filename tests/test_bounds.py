@@ -21,7 +21,7 @@ from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVa
                       tail_transductive)
 from genbound import bounds, mc
 from genbound.bounds import _psi2_inv_ratio
-from genbound.errors import BLOCK_BYTES, block_rows
+from genbound.errors import BLOCK_BYTES, MEMORY_BUDGET, block_rows
 from genbound.learning import draw_pairs
 from genbound.orlicz import NORM_REL_TOL
 from genbound.transport import TransportPlan, displacement_interpolation
@@ -44,6 +44,23 @@ def xor_problem(embed=False):
 def constant_problem():
     return LearningProblem(np.full((3, 2), 0.5), FiniteMeasure([0.25, 0.75]),
                            n=2, bound=1.0)
+
+
+def dense_step(chain, k):
+    """Reference: step k of a chain as the dense (S, N, N) coupling and (N, N)
+    reference that a chain held before its steps were pair lists."""
+    S, N = chain.kernels[0].matrix.shape
+    (u, v, w), ref = chain.couplings[k], chain.references[k]
+    joint, dense_ref = np.zeros((S, N, N)), np.zeros((N, N))
+    joint[:, u, v], dense_ref[u, v] = w, ref
+    return joint, dense_ref
+
+
+def dense_sq_dists(prob):
+    """Reference: dsl2[s, u, v], the (S, N, N) empirical squared distances, draws
+    in sorted order."""
+    g = prob.loss_differences
+    return np.stack([(g[:, :, np.sort(z)] ** 2).mean(axis=2) for z in prob.samples])
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +257,7 @@ def test_coupling_rejects_wrong_marginals():
 def dense_coupling_terms(prob, alg, **kwargs):
     """Reference: bound_coupling's (decorrelation, reference) components from the
     whole (N, N, S, S, n) ghost-pair tensor, the way they were first computed."""
-    chain = coupling_chain(prob, alg, **kwargs)
-    pi, mu = chain.couplings[0], chain.references[0]
+    pi, mu = dense_step(coupling_chain(prob, alg, **kwargs), 0)
     p_s = prob.sample_probs
     per_draw = prob.loss_differences[:, :, prob.samples]  # (N, N, S, n)
     diff = per_draw[:, :, :, None, :] - per_draw[:, :, None, :, :]  # train s, ghost s'
@@ -341,7 +357,7 @@ def test_coupling_sums_match_the_per_draw_loop_bits(monkeypatch):
         if embed:  # W_2 plans; without an embedding, product couplings
             prob = LearningProblem(loss, prob.p_z, n, bound=1.0, embedding=loss_embedding(prob))
         alg = gibbs_algorithm(prob, 1.0)
-        pi = coupling_chain(prob, alg).couplings[0]
+        pi = coupling_chain(prob, alg).couplings[0].weights
         if (m, n, embed) == (3, 5, False):  # a partial last block reuses the buffers
             assert np.count_nonzero(pi) % block_rows(8 * prob.num_samples, "bound_coupling") > 0
             assert np.count_nonzero(pi) > block_rows(8 * prob.num_samples, "bound_coupling")
@@ -373,19 +389,22 @@ def test_ghost_pair_sums_add_the_draws_in_order():
 
 def test_coupling_refuses_too_many_ghost_pairs_before_allocating():
     # product couplings fill all N^2 entries of every sample: 2187 * 256 support
-    # entries times 2187 ghosts times 7 draws is 8.6e9 > 2e8
+    # entries times 2187 ghosts times 7 draws is 8.6e9 > 2e8. At N = 88, n = 10 the
+    # (S, N, N) product is 63 MB, and np.nonzero then built three more of 63 MB
+    # before the cap was read: the support is counted first
     gen = np.random.default_rng(37)
-    prob = LearningProblem(gen.uniform(0.0, 1.0, size=(16, 3)),
-                           FiniteMeasure(gen.dirichlet(np.ones(3))), 7, bound=1.0)
-    alg = gibbs_algorithm(prob, 1.0)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ConfigurationError, match="too many ghost pairs"):
-            bound_coupling(prob, alg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    for (N, m, n), limit in (((16, 3, 7), 32 * 2**20), ((88, 2, 10), MEMORY_BUDGET)):
+        prob = LearningProblem(gen.uniform(0.0, 1.0, size=(N, m)),
+                               FiniteMeasure(gen.dirichlet(np.ones(m))), n, bound=1.0)
+        alg = gibbs_algorithm(prob, 5.0 if N == 88 else 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="too many ghost pairs"):
+                bound_coupling(prob, alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (N, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +554,7 @@ def test_default_coupling_chain_is_one_table(small_problem, gibbs_alg):
     assert coupling_chain(small_problem, gibbs_algorithm(small_problem, 1.0)) is chain
     q_w = hypothesis_marginal(small_problem, gibbs_alg)
     assert coupling_chain(small_problem, gibbs_alg, q_w=q_w) is chain
-    assert chain.couplings[0] is optimal_couplings(small_problem, gibbs_alg, q_w)
+    assert np.array_equal(dense_step(chain, 0)[0], optimal_couplings(small_problem, gibbs_alg, q_w))
     uniform = FiniteMeasure(np.full(small_problem.num_hypotheses, 0.25))
     assert coupling_chain(small_problem, gibbs_alg, q_w=uniform) is not chain
 
@@ -667,8 +686,7 @@ def test_pair_norms_match_the_scalar_loop():
 
 def test_problem_tables_are_cached_and_read_only(small_problem, gibbs_alg):
     prob = small_problem
-    for name in ("loss_differences", "population_dists", "empirical_sq_dists",
-                 "empirical_dists", "pair_norms"):
+    for name in ("loss_differences", "population_dists", "pair_norms"):
         table = getattr(prob, name)
         assert getattr(prob, name) is table
         assert not table.flags.writeable
@@ -716,18 +734,38 @@ def product_chain(prob, alg):
 
 
 def looped_markov_slack(prob, chain):
-    """Reference: markov_slack as a loop over (sample, newer-level hypothesis)."""
+    """Reference: markov_slack as a loop over (sample, newer-level hypothesis) of
+    each step's pair list, its sums added in pair order."""
     worst = 0.0
-    for joint in chain.couplings:
-        mix = np.einsum("s,suv->uv", prob.sample_probs, joint)
-        mix_new = mix.sum(axis=1)
+    for u, _, w in chain.couplings:
+        mix = prob.sample_probs @ w
+        mix_new = np.zeros(prob.num_hypotheses)
+        for p in range(u.size):
+            mix_new[u[p]] += mix[p]
         for s in range(prob.num_samples):
             if prob.sample_probs[s] == 0.0:
                 continue
-            row_new = joint[s].sum(axis=1)
-            for u in np.nonzero((row_new > 0) & (mix_new > 0))[0]:
-                worst = max(worst, float(np.abs(joint[s, u] / row_new[u]
-                                                - mix[u] / mix_new[u]).max()))
+            row_new = np.zeros(prob.num_hypotheses)
+            for p in range(u.size):
+                row_new[u[p]] += w[s, p]
+            for a in np.nonzero((row_new > 0) & (mix_new > 0))[0]:
+                pairs = u == a
+                worst = max(worst, float(np.abs(w[s, pairs] / row_new[a]
+                                                - mix[pairs] / mix_new[a]).max()))
+    return worst
+
+
+def dense_markov_slack(prob, chain):
+    """Reference: markov_slack over each step's dense (S, N, N) coupling."""
+    p_s, worst = prob.sample_probs, 0.0
+    for k in range(len(chain.couplings)):
+        joint = dense_step(chain, k)[0]
+        mix = np.einsum("s,suv->uv", p_s, joint)
+        row, mix_row = joint.sum(axis=2), mix.sum(axis=1)
+        s, u = np.nonzero((p_s[:, None] > 0) & (row > 0) & (mix_row[None, :] > 0))
+        if s.size:
+            gap = joint[s, u] / row[s, u][:, None] - mix[u] / mix_row[u][:, None]
+            worst = max(worst, float(np.abs(gap).max()))
     return worst
 
 
@@ -742,6 +780,131 @@ def test_markov_slack_matches_the_loop():
                 assert markov_slack(prob, chain) == looped_markov_slack(prob, chain)
             chain = product_chain(prob, alg)
             assert markov_slack(prob, chain) == looped_markov_slack(prob, chain)
+
+
+def dense_chain_steps(prob, chain, metric=None):
+    """Reference: bound_chain's step components from dense (S, N, N) couplings and
+    distances, the loss form or, given a metric, the metric form; inf on escape."""
+    p_s, dl = prob.sample_probs, prob.population_dists
+    dsl = np.sqrt(dense_sq_dists(prob))
+    steps, escape = [], False
+    for k in range(len(chain.couplings)):
+        joint, ref = dense_step(chain, k)
+        inv, escaped = _psi2_inv_ratio(joint, ref[None, :, :])
+        escape = escape or escaped
+        if metric is None:
+            cross = np.einsum("s,suv,suv->", p_s, joint * inv, dl[None, :, :] + dsl)
+            steps.append(np.sqrt(48.0 / prob.n) * (cross + (ref * dl).sum()))
+        else:
+            cross = np.einsum("s,suv,uv->", p_s, joint * inv, metric)
+            steps.append(np.sqrt(2.0 / prob.n) * (cross + (ref * metric).sum()))
+    return [math.inf] * len(steps) if escape else steps
+
+
+def dense_stochastic_chain(prob, alg, chain):
+    """Reference: bound_stochastic_chain's step components and mi_form_rhs from the
+    dense (S, N, N) prior draw and couplings."""
+    d, p_s = chain_metric(prob), prob.sample_probs
+    first = chain.kernels[0].matrix[:, :, None] * hypothesis_marginal(prob, alg).weights
+    form1, form2 = [], []
+    for k, kernel in enumerate(chain.kernels):
+        joint = first if k == 0 else dense_step(chain, k - 1)[0]
+        tab = p_s[:, None] * kernel.matrix
+        col = tab.sum(axis=0)
+        div = rel_entr(tab / np.where(col > 0, col, 1.0), p_s[:, None]).sum(axis=0)
+        form1.append(np.einsum("s,suv,uv->", p_s, joint,
+                               d * (np.sqrt(np.maximum(div, 0.0))[:, None] + 1.0)))
+        mix = np.einsum("s,suv->uv", p_s, joint)
+        mi = rel_entr(tab, np.outer(tab.sum(axis=1), col)).sum()
+        form2.append(np.sqrt((mix * d**2).sum()) * (np.sqrt(max(0.0, mi)) + 2.0))
+    scale = np.sqrt(2.0 / prob.n)
+    return [scale * t for t in form1], scale * sum(form2)
+
+
+def assert_dense_close(got, want):
+    """Pair list against dense reference: within 1e-12 relative, 1e-15 absolute below
+    1e-4, and inf exactly where the reference is inf."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isinf(got), np.isinf(want)), (got, want)
+    fin = np.isfinite(want)
+    tol = np.where(np.abs(want[fin]) < 1e-4, 1e-15, 1e-12 * np.abs(want[fin]))
+    assert np.all(np.abs(got[fin] - want[fin]) <= tol), (got, want)
+
+
+def assert_chain_matches_dense(prob, alg, chain, below_root=None):
+    """Every pair-list reader of `chain` against its dense formula; `below_root`, the
+    chain without its root, for the stochastic chain."""
+    metric = chain_metric(prob)
+    loss = bound_chain(prob, alg, chain, metric)
+    assert_dense_close(list(loss.details["loss_form"].components.values()),
+                       dense_chain_steps(prob, chain))
+    assert_dense_close(list(loss.components.values()), dense_chain_steps(prob, chain, metric))
+    assert_dense_close(markov_slack(prob, chain), dense_markov_slack(prob, chain))
+    tail = tail_transductive(prob, alg, chain, 0.1)
+    assert_dense_close(tail.details["per_pair_rhs"], dense_transductive_rhs(prob, chain, 0.1))
+    if below_root is not None and markov_slack(prob, below_root) <= 1e-9:
+        report = bound_stochastic_chain(prob, alg, below_root)
+        steps, mi_form = dense_stochastic_chain(prob, alg, below_root)
+        assert_dense_close(list(report.components.values()), steps)
+        assert_dense_close(report.details["mi_form_rhs"], mi_form)
+
+
+def test_pair_lists_match_the_dense_formulas_on_the_criterion_04_family():
+    gen = np.random.default_rng(20260815)  # the acceptance suite's domination family
+    for _ in range(200):
+        prob = random_problem(gen)
+        for alg in algorithm_family(prob):
+            parts = dyadic_partitions(prob.num_hypotheses)
+            root, leaf = (chain_from_partitions(prob, alg, p) for p in (parts, parts[1:]))
+            assert markov_slack(prob, root) == markov_slack(prob, leaf) == 0.0
+            assert_chain_matches_dense(prob, alg, root, leaf)
+            simplified = bound_coupling_simplified(prob, alg)
+            assert_dense_close([simplified.rhs],
+                               dense_chain_steps(prob, coupling_chain(prob, alg)))
+
+
+def dense_chain(chain, first=0):
+    """The chain from level `first` on, given to ChainSpec as dense tables."""
+    steps = [dense_step(chain, k) for k in range(first, len(chain.couplings))]
+    return ChainSpec(chain.kernels[first:], tuple(j for j, _ in steps),
+                     tuple(r for _, r in steps))
+
+
+def test_dense_chains_from_python_match_the_dense_formulas():
+    gen = np.random.default_rng(43)
+    for _ in range(10):
+        prob = random_problem(gen, embed=False)
+        for alg in algorithm_family(prob):
+            parts = dyadic_partitions(prob.num_hypotheses)
+            chain = chain_from_partitions(prob, alg, parts)
+            # the dense tables of the partition chain, below its root, and with a level twice
+            assert_chain_matches_dense(prob, alg, dense_chain(chain), dense_chain(chain, 1))
+            twice = chain_from_partitions(prob, alg, [*parts[:2], *parts[1:]])
+            assert_chain_matches_dense(prob, alg, dense_chain(twice), dense_chain(twice, 1))
+            # product couplings: the default coupling chain without an embedding, and the
+            # coarsest projection then the algorithm (its older level depends on the sample)
+            assert_chain_matches_dense(prob, alg, coupling_chain(prob, alg))
+            coarse = chain.kernels[1]
+            joint = alg.matrix[:, :, None] * coarse.matrix[:, None, :]
+            product = ChainSpec((chain.kernels[0], coarse, alg.kernel),
+                                (dense_step(chain, 0)[0], joint),
+                                (dense_step(chain, 0)[1],
+                                 np.einsum("s,suv->uv", prob.sample_probs, joint)))
+            assert_chain_matches_dense(prob, alg, product)
+
+
+def test_zero_mass_outcomes_escape_on_both_paths():
+    # outcome 2 has no mass, so the samples that hold it weigh nothing in the references:
+    # ERM picks hypothesis 0 only there, and its coupling mass escapes the reference
+    loss = np.array([[0.9, 0.9, 0.0], [0.2, 0.6, 0.5], [0.7, 0.1, 0.5], [0.5, 0.4, 0.6]])
+    prob = LearningProblem(loss, FiniteMeasure([0.5, 0.5, 0.0]), n=2, bound=1.0)
+    alg = erm_algorithm(prob)
+    chain = chain_from_partitions(prob, alg, dyadic_partitions(4))
+    report = bound_chain(prob, alg, chain)
+    assert report.rhs == math.inf and not report.details["absolutely_continuous"]
+    assert_chain_matches_dense(prob, alg, chain)
+    assert_chain_matches_dense(prob, alg, dense_chain(chain))
+    assert tail_transductive(prob, alg, chain, 0.1).details["per_pair_rhs"].max() == math.inf
 
 
 def test_stochastic_chain_rejects_a_non_markov_chain(small_problem, gibbs_alg):
@@ -998,9 +1161,9 @@ def dense_transductive_rhs(prob, chain, delta):
     """Reference: tail_transductive's (ghost, train) rhs from the dense loop over
     every (ghost, u, v) cell of each train sample."""
     K = len(chain.couplings)
-    dsl2 = prob.empirical_sq_dists
+    dsl2 = dense_sq_dists(prob)
     rhs = np.zeros((prob.num_samples, prob.num_samples))
-    for joint, ref in zip(chain.couplings, chain.references):
+    for joint, ref in map(lambda k: dense_step(chain, k), range(K)):
         inv, escape = _psi2_inv_ratio(joint, ref[None, :, :])
         if escape:
             return np.full_like(rhs, np.inf)
@@ -1016,28 +1179,27 @@ def dense_transductive_rhs(prob, chain, delta):
 
 def looped_transductive(prob, alg, chain, delta):
     """Reference: tail_transductive's (ghost, train) rhs and violation from one
-    column per train sample, as it was computed before equal columns were shared."""
+    column per train sample on each step's pair list, no equal columns shared."""
     K = len(chain.couplings)
     q_w = chain.kernels[0].matrix[0]
     S, p_s = prob.num_samples, prob.sample_probs
     contrast = alg.matrix - q_w[None, :]
     emp = prob.empirical_matrix
     lhs = emp.T @ contrast.T - np.einsum("sw,ws->s", contrast, emp)[None, :]
-    dsl2 = prob.empirical_sq_dists
     rhs = np.zeros((S, S))
-    for joint, ref in zip(chain.couplings, chain.references):
-        inv, escape = _psi2_inv_ratio(joint, ref[None, :, :])
+    for (u, v, w), ref in zip(chain.couplings, chain.references):
+        inv, escape = _psi2_inv_ratio(w, ref[None, :])
         if escape:
             rhs[:] = np.inf
             break
+        dsl2 = prob.pair_sq_dists(u, v)
         log_term = np.sqrt(np.log(2.0 / (1.0 / K * delta)))  # uniform level weights
-        ref_dot = np.einsum("uv,suv->s", ref, dsl2)
+        ref_dot = dsl2 @ ref
         rhs += np.sqrt(0.5 * (ref_dot[:, None] + ref_dot[None, :]))
         for s in range(S):
-            u, v = np.nonzero(joint[s])
-            d = np.sqrt(0.5 * (dsl2[:, u, v] + dsl2[s, u, v]))
-            rhs[:, s] += d @ (joint[s, u, v] * inv[s, u, v])
-            rhs[:, s] += log_term * (d @ joint[s, u, v])
+            sup = np.flatnonzero(w[s])
+            d = np.sqrt(0.5 * (dsl2[:, sup] + dsl2[s, sup]))
+            rhs[:, s] += d @ (w[s, sup] * (inv[s, sup] + log_term))
     rhs *= np.sqrt(96.0 / prob.n)
     return rhs, float((p_s[:, None] * p_s[None, :])[lhs > rhs].sum())
 

@@ -196,11 +196,12 @@ def test_problem_over_the_memory_budget_exits_two(tmp_path, capsys):
 def test_tables_over_the_memory_budget_exit_two_before_allocating(tmp_path, capsys):
     # both passed the old cell cap and then asked numpy for the table: an 8 GiB (S, S)
     # pair table in tail_transductive, and a 1.3 GiB block of a 118 MB (S, N, N) table
+    # (the chain's then; the product couplings' now, as chains are pair lists)
     tail = {"m": 2, "N": 1, "n": 15, "loss": [[0.2, 0.7]], "p_z": [0.5, 0.5], "bound": 1.0}
     loss = np.random.default_rng(60).uniform(0.0, 1.0, size=(60, 2)).tolist()
     wide = {"m": 2, "N": 60, "n": 12, "loss": loss, "p_z": [0.4, 0.6], "bound": 1.0}
     cases = ((tail, ["tail"], "tail_transductive: an (S, S) = (32768, 32768)"),
-             (wide, ["bounds", "--bounds", "chain"], "(S, N, N) = (4096, 60, 60)"))
+             (wide, ["bounds", "--bounds", "coupling"], "(S, N, N) = (4096, 60, 60)"))
     for entry, argv, site in cases:
         cfg = write_config(tmp_path, {"problems": [entry]})
         tracemalloc.start()
@@ -214,7 +215,32 @@ def test_tables_over_the_memory_budget_exit_two_before_allocating(tmp_path, caps
         assert site in captured.err and "MEMORY_BUDGET" in captured.err, argv
         assert peak < 2 * MEMORY_BUDGET, argv
     # on the N = 60 problem, the bounds that build no (S, N, N) table still answer
-    assert cli.main(["bounds", "--bounds", "thm1,mi", "--config", cfg]) == 0
+    assert cli.main(["bounds", "--bounds", "thm1,mi,chain", "--config", cfg]) == 0
+
+
+def test_chain_ops_stay_within_four_budgets(tmp_path, capsys):
+    # each chain level was an (S, N, N) coupling, its density table and a bytes copy
+    # of it as the store key, beside the (S, N, N) empirical distances: at these edge
+    # shapes chain peaked at 361 and 1521 MiB, transductive at 405 and 1421 MiB, and
+    # tail --mc-samples at N = 2000 at 3610 MB, each array within the budget
+    gen = np.random.default_rng(12)
+    shapes = [(2, 1, 700, ["chain", "stochain", "transductive"]),
+              (2, 10, 88, ["chain", "stochain", "transductive"]), (2, 1, 2000, ["tail"])]
+    for m, n, N, tokens in shapes:
+        entry = {"m": m, "N": N, "n": n, "loss": gen.uniform(size=(N, m)).tolist(),
+                 "p_z": [1.0 / m] * m, "bound": 1.0, "algorithm": {"kind": "gibbs", "beta": 5.0}}
+        cfg = write_config(tmp_path, {"problems": [entry]})
+        for token in tokens:
+            argv = (["tail", "--mc-samples", "10000"] if token == "tail"
+                    else ["bounds", "--bounds", token])
+            tracemalloc.start()
+            try:
+                code = cli.main([*argv, "--config", cfg])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and capsys.readouterr().err == "", (N, token)
+            assert peak <= 4 * MEMORY_BUDGET, (N, token, peak)
 
 
 def test_monte_carlo_block_over_the_memory_budget_exits_two(tmp_path, capsys):
@@ -248,11 +274,12 @@ def test_monte_carlo_draws_past_a_thousand_hypotheses(tmp_path, capsys):
     assert cli.main(["bounds", "--bounds", "mi", "--mc-samples", "10000", "--config", cfg]) == 0
     rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert [(row["bound_name"], row["mode"]) for row in rows] == [("mi", "mc")]
-    # tail draws its pointwise tail, then its transductive chain needs an (S, N, N)
-    # table per level, which is over the budget at this N
-    assert cli.main(["tail", "--mc-samples", "10000", "--config", cfg]) == 2
-    captured = capsys.readouterr()
-    assert "chain_from_partitions: an (S, N, N) = (4, 2000, 2000) table" in captured.err
+    # tail draws its pointwise tail, and its transductive chain, which needed an
+    # (S, N, N) table per level over the budget at this N, is a list of pairs
+    assert cli.main(["tail", "--mc-samples", "10000", "--config", cfg]) == 0
+    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert [row["bound_name"] for row in rows] == ["tail_pointwise", "tail_pac_bayes",
+                                                   "tail_transductive"]
     prob = problem_from_json(entry)
     report = tail_pointwise_check(prob, algorithm_from_json(prob, entry["algorithm"]), 0.05,
                                   mc=(10000, 0))
@@ -441,7 +468,7 @@ def test_chain_token_computes_each_step_once(monkeypatch):
     cli._token_reports(prob, alg, "transductive", 0.05)
     assert len(steps) == len(chain.couplings)
     # one psi_2^{-1} table per step, read by both chain forms and the transductive tail
-    assert densities == [joint.shape for joint in chain.couplings]
+    assert densities == [pairs.weights.shape for pairs in chain.couplings]
     assert loss == plain
     assert metric.bound_name == "chain_metric"
     assert metric.details["loss_form_rhs"] == plain.rhs

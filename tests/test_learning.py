@@ -63,14 +63,16 @@ def test_problem_over_the_cap_is_refused_when_built():
     assert LearningProblem(np.zeros((2, 1)), FiniteMeasure([1.0]), 2**23).num_samples == 1
 
 
-def test_empirical_sq_dists_streams_blocks_of_block_bytes():
-    # its block was 4096 samples whatever N and n: (24, 24, 4096, 12) floats, 226 MB
+def test_pair_sq_dists_streams_blocks_of_block_bytes():
+    # the dense table's block was 4096 samples whatever N and n: (24, 24, 4096, 12)
+    # floats, 226 MB; on the list of all 576 pairs the gather streams the same way
     gen = np.random.default_rng(24)
     prob = LearningProblem(gen.uniform(0.0, 1.0, size=(24, 2)), FiniteMeasure([0.3, 0.7]), 12)
+    u, v = np.divmod(np.arange(24 * 24), 24)
     _ = prob.samples, prob.loss_differences  # built before the trace: not part of the stream
     tracemalloc.start()
     try:
-        table = prob.empirical_sq_dists
+        table = prob.pair_sq_dists(u, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -78,7 +80,7 @@ def test_empirical_sq_dists_streams_blocks_of_block_bytes():
     assert peak <= table.nbytes + BLOCK_BYTES
     g = prob.loss_differences
     dense = np.stack([(g[:, :, np.sort(z)] ** 2).mean(axis=2) for z in prob.samples])
-    assert np.array_equal(table, dense)
+    assert np.array_equal(table, dense.reshape(prob.num_samples, -1))
 
 
 def test_population_and_empirical_oracle(small_problem):
@@ -107,7 +109,8 @@ def test_same_type_samples_share_rows_bit_for_bit():
     probs.append(LearningProblem(loss, FiniteMeasure([0.5, 0.0, 0.5]), n=4, bound=1.0))
     for prob in probs:
         _, types = np.unique(np.sort(prob.samples, axis=1), axis=0, return_inverse=True)
-        rows = {"emp": prob.empirical_matrix.T, "dsl2": prob.empirical_sq_dists,
+        all_pairs = np.divmod(np.arange(prob.num_hypotheses ** 2), prob.num_hypotheses)
+        rows = {"emp": prob.empirical_matrix.T, "dsl2": prob.pair_sq_dists(*all_pairs),
                 "gibbs": gibbs_algorithm(prob, 3.0).matrix, "erm": erm_algorithm(prob).matrix}
         for t in range(types.max() + 1):
             members = np.flatnonzero(types.reshape(-1) == t)
