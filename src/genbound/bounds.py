@@ -702,15 +702,9 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
         return TailReport("tail_pointwise", float(delta), violation,
                           details={"sigma": sig})
     samples, seed = mc
-    from . import mc as _mc
-    sizes, flat = _mc.block_sizes(samples), exceed.ravel()
-
-    def one_block(b: int):
-        s_idx, w_idx = draw_pairs(prob, alg, seed, b, sizes[b])
-        return np.count_nonzero(flat.take(s_idx * prob.num_hypotheses + w_idx))
-
-    hits = sum(_mc.run_blocks(one_block, len(sizes), workers))
-    freq = hits / samples
+    hits = draw_pairs(prob, alg, seed, samples, lambda cells: np.count_nonzero(
+        exceed.ravel().take(cells)), workers)
+    freq = sum(hits) / samples
     stderr = float(np.sqrt(max(freq * (1 - freq), 0.0) / samples))
     return TailReport("tail_pointwise", float(delta), float(freq), mode="mc",
                       details={"sigma": sig, "samples": samples, "seed": seed,
@@ -739,6 +733,12 @@ def tail_pac_bayes(prob: LearningProblem, alg: Algorithm, delta: float,
                                "per_sample_lhs": lhs, "per_sample_rhs": rhs})
 
 
+def check_transductive_pairs(prob: LearningProblem) -> None:
+    """Refuse tail_transductive's (S, S) (ghost, train) pair tables over the memory budget."""
+    S = prob.num_samples
+    check_memory(8 * S * S, f"tail_transductive: an (S, S) = ({S}, {S}) pair table")
+
+
 def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
                       delta: float,
                       level_weights: np.ndarray | None = None) -> TailReport:
@@ -756,7 +756,7 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
         raise DomainError("tail_transductive: delta in (0, 1)")
     _check_ends(prob, alg, chain, root=True)
     S, K = prob.num_samples, len(chain.couplings)
-    check_memory(8 * S * S, f"tail_transductive: an (S, S) = ({S}, {S}) pair table")
+    check_transductive_pairs(prob)
     if level_weights is None:
         p_k = np.ones(K) / K
     else:

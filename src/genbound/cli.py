@@ -197,6 +197,7 @@ def cmd_tail(args) -> int:
     delta = args.delta
     rows, violated = [], False
     for prob, alg in _entries(cfg):
+        bnd.check_transductive_pairs(prob)  # before the other tails and the root chain
         mc_arg = (args.mc_samples, seed) if args.mc_samples else None
         reports = [bnd.tail_pointwise_check(prob, alg, delta, mc=mc_arg, workers=args.workers),
                    bnd.tail_pac_bayes(prob, alg, delta),

@@ -341,26 +341,18 @@ class GenEstimate:
     stderr_absolute: float | None = None
 
 
-def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, block: int,
-               size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample and hypothesis indices of one Monte Carlo block.
+def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, samples: int, reduce,
+               workers: int = 1) -> list:
+    """reduce(cells) of each Monte Carlo block of `samples` draws, in block order.
 
-    Substream `block` of `seed` draws the n outcomes of each sample from p_z
-    by `Generator.choice`'s inverse-CDF step (a digit counts the normalized
-    knots <= u), then one uniform per draw picks the hypothesis through the
-    kernel's `mc.Sampler`. The stream is the one `Generator.choice` produced.
-    Digits of the narrowest unsigned type give the index exactly by float place values.
+    A draw is a (sample, hypothesis) pair from their joint law, as its C-order cell
+    s * N + w of `joint_cells`: block b of `seed`'s substreams takes one uniform per draw
+    and reads the cell off one 1-D `mc.Sampler` over those cells, built once per kernel.
     """
-    m = prob.num_outcomes
-    check_memory(8 * size * prob.n, f"draw_pairs: a (size, n) = ({size}, {prob.n}) block")
-    gen = mc.substream(seed, block)
-    cdf = np.cumsum(prob.p_z.weights)
-    u = gen.random((size, prob.n))
-    digits = np.zeros(u.shape, dtype=np.min_scalar_type(m - 1))
-    for knot in cdf[:-1] / cdf[-1]:
-        digits += knot <= u
-    s_idx = (digits @ (m ** np.arange(prob.n - 1, -1, -1)).astype(float)).astype(np.intp)
-    return s_idx, alg.kernel.sampler.draw(gen.random(size), s_idx)
+    sampler = prob.table(alg.matrix, "sampler", lambda: mc.Sampler(joint_cells(prob, alg).ravel()))
+    sizes = mc.block_sizes(samples)
+    return mc.run_blocks(lambda b: reduce(sampler.draw(mc.substream(seed, b).random(sizes[b]))),
+                         len(sizes), workers)
 
 
 def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
@@ -383,15 +375,15 @@ def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
         raise ConfigurationError(f"expected_gen: unknown mode {mode!r}")
     if samples is None or seed is None:
         raise ConfigurationError("expected_gen: mc mode needs samples and seed")
-    sizes, flat = mc.block_sizes(samples), prob.gen_matrix.ravel()
+    flat = prob.gen_matrix.ravel()
 
-    def one_block(b: int):
-        s_idx, w_idx = draw_pairs(prob, alg, seed, b, sizes[b])
+    def moments(cells: np.ndarray):
+        s_idx, w_idx = np.divmod(cells, prob.num_hypotheses)
         vals = flat.take(w_idx * prob.num_samples + s_idx)
         return vals.sum(), np.abs(vals).sum(), (vals**2).sum()
 
     def estimate() -> GenEstimate:
-        tot, tot_abs, tot_sq = map(sum, zip(*mc.run_blocks(one_block, len(sizes), workers)))
+        tot, tot_abs, tot_sq = map(sum, zip(*draw_pairs(prob, alg, seed, samples, moments, workers)))
         signed, se_signed = mc.mean_and_stderr(tot, tot_sq, samples)
         absolute, se_abs = mc.mean_and_stderr(tot_abs, tot_sq, samples)
         return GenEstimate(signed, absolute, "mc", samples=samples, seed=seed,

@@ -1,17 +1,18 @@
 """Counter-based Monte Carlo substreams, and one exact categorical sampler.
 
-Every MC consumer draws from Philox generators keyed by (seed, task index),
-accumulates per-task partial sums, and reduces them in task order. That makes
-results bitwise identical no matter how many workers ran the tasks.
+Every MC consumer draws from Philox generators keyed by (seed, task index), accumulates
+per-task partial sums, and reduces them in task order, so results are bitwise identical
+however many workers ran the tasks. A draw takes one uniform: a (sample, hypothesis) pair
+of `bounds` and `tail` is one cell of a 1-D table over their joint law.
 
-A categorical draw takes the first column j with cdf[j] >= u (cdf: the weights
-summed along the last axis, last entry +inf). `Sampler` finds j by a guide table
-(Chen & Asau 1974; Devroye 1986, III.2.4): G = 2^ceil(log2(32 N)) buckets per row,
-halved until the (S, G + 1) int32 guide fits BLOCK_BYTES (at least one). Bucket b holds
-#{cdf < b/G}, the j of every u in [b/G, (b+1)/G), or -1 if a cdf entry lies in it;
-G is a power of two, so u * G and b / G are exact. Only draws in a -1 bucket, at most
-(N - 1) / G, compare u against their own CDF row, in blocks of rows that fit
-BLOCK_BYTES: no (draws, N) block is built.
+A categorical draw takes the first column j with cdf[j] >= u (cdf: the weights summed
+along the last axis, last entry +inf). `Sampler` finds j by a guide table (Chen & Asau
+1974; Devroye 1986, III.2.4): G = 2^ceil(log2(32 N)) buckets per row, halved until the
+(S, G + 1) int32 guide fits BLOCK_BYTES (at least one), counted in blocks of GUIDE_STEP
+CDF entries. Bucket b holds #{cdf < b/G}, the j of every u in [b/G, (b+1)/G), or -1 if
+a cdf entry lies in it; G is a power of two, so u * G and b / G are exact. Only draws in
+a -1 bucket, at most (N - 1) / G, compare u against their own CDF row, in blocks of rows
+that fit BLOCK_BYTES: no temporary the size of the CDF is built.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import BLOCK_BYTES, block_rows
 
 BLOCK = 8192
+GUIDE_STEP = 2**18  # CDF entries per block of guide keys
 _MASK64 = (1 << 64) - 1
 
 
@@ -48,13 +50,15 @@ class Sampler:
         while buckets > 1 and size * (buckets + 1) * 4 > BLOCK_BYTES:
             buckets //= 2
         # entry j of row r lies in bucket keys[r, j] of the row; bucket G takes those >= 1
-        keys = np.minimum(rows * buckets, buckets).astype(np.intp)
-        keys += (buckets + 1) * np.arange(size)[:, None]
-        guide = np.zeros(size * (buckets + 1), dtype=np.int32)
-        np.maximum.at(guide, keys, np.arange(1, cols + 1))
+        guide, flat = np.zeros(size * (buckets + 1), dtype=np.int32), rows.reshape(-1)
+        for lo in range(0, flat.size, GUIDE_STEP):  # keys in blocks: none the size of the CDF
+            keys = np.minimum(flat[lo:lo + GUIDE_STEP] * buckets, buckets).astype(np.intp)
+            keys += (buckets + 1) * (np.arange(lo, lo + keys.size) // cols)
+            np.add.at(guide, keys, np.ones(keys.size, dtype=np.int32))
+        split = guide > 0
         table = guide.reshape(size, -1)
-        np.maximum.accumulate(table, axis=1, out=table)  # keys rise along a row: #{keys <= b}
-        guide[keys] = -1  # equal to #{keys < b} wherever no key is b
+        np.add.accumulate(table, axis=1, out=table)  # #{keys <= b}
+        guide[split] = -1  # equal to #{keys < b} wherever no key is b
         self.cdf, self.guide, self.buckets = cdf, guide, buckets
         self.cdf.flags.writeable = self.guide.flags.writeable = False
 

@@ -160,9 +160,10 @@ def linprog(c, start, index, b_eq) -> LPResult:
     scipy.optimize.linprog(method="highs") passes it (presolve on, dual
     simplex, output off, feasibility tolerances 1e-10), so the solution is
     the same bit for bit; linprog's input checks, sparse conversions and dual
-    post-processing cost more than the solve at these sizes. The first call
-    loads the HiGHS extension by itself (see _highs); scipy.optimize is never
-    imported.
+    post-processing cost more than the solve at these sizes. Presolve can call a
+    feasible LP with atoms below 1e-10 infeasible, so a solve that is not optimal
+    runs once more with presolve off. The first call loads the HiGHS extension by
+    itself (see _highs); scipy.optimize is never imported.
     """
     highs = _highs()
     lp = highs.HighsLp()
@@ -178,16 +179,18 @@ def linprog(c, start, index, b_eq) -> LPResult:
     lp.a_matrix_.index_ = index.tolist()
     lp.a_matrix_.value_ = [1.0] * index.size
     options = highs.HighsOptions()
-    options.presolve = "on"
     options.simplex_strategy = 1  # dual simplex
     options.output_flag = options.log_to_console = False
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
-    solver = highs._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
-    solver.run()
-    status = solver.getModelStatus()
-    success = status == highs.HighsModelStatus.kOptimal
+    for presolve in ("on", "off"):
+        options.presolve = presolve
+        solver = highs._Highs()
+        solver.passOptions(options)
+        solver.passModel(lp)
+        solver.run()
+        status = solver.getModelStatus()
+        if success := status == highs.HighsModelStatus.kOptimal:
+            break
     return LPResult(success=success, status=0 if success else 4,
                     message=solver.modelStatusToString(status),
                     x=np.array(solver.getSolution().col_value) if success else None,

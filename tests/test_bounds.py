@@ -19,7 +19,7 @@ from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVa
                       optimal_couplings, orlicz_norm, orlicz_norms, psi_inv,
                       subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
                       tail_transductive)
-from genbound import bounds, mc
+from genbound import bounds
 from genbound.bounds import _psi2_inv_ratio
 from genbound.errors import BLOCK_BYTES, MEMORY_BUDGET, block_rows
 from genbound.learning import draw_pairs
@@ -1084,8 +1084,8 @@ def looped_pointwise_frequency(prob, alg, delta, sigma, samples, seed):
     threshold = sigma * np.sqrt(6.0 / prob.n) * (inv + np.sqrt(np.log(1.0 / delta)))
     exceed = np.abs(prob.gen_matrix.T) > np.maximum(threshold, bounds._gen_rounding(prob))
     hits = 0
-    for b, size in enumerate(mc.block_sizes(samples)):
-        s_idx, w_idx = draw_pairs(prob, alg, seed, b, size)
+    for cells in draw_pairs(prob, alg, seed, samples, lambda cells: cells):
+        s_idx, w_idx = np.divmod(cells, prob.num_hypotheses)
         hits += exceed[s_idx, w_idx].sum()
     return hits / samples
 

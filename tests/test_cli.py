@@ -243,9 +243,29 @@ def test_chain_ops_stay_within_four_budgets(tmp_path, capsys):
             assert peak <= 4 * MEMORY_BUDGET, (N, token, peak)
 
 
-def test_monte_carlo_block_over_the_memory_budget_exits_two(tmp_path, capsys):
-    # one outcome lets n reach 2^17 within the problem's own tables, and each Monte
-    # Carlo block then asked numpy for an 8 GiB (8192, n) table of uniforms
+def test_tail_refuses_its_sample_pair_table_before_other_work(tmp_path, capsys):
+    # tail ran the pointwise and PAC-Bayes tails and built the root chain before
+    # tail_transductive refused its (S, S) tables: 3.4 s and a 1002 MiB peak here
+    gen = np.random.default_rng(5)
+    entry = {"m": 2, "N": 1000, "n": 12, "loss": gen.uniform(size=(1000, 2)).tolist(),
+             "p_z": [0.5, 0.5], "bound": 1.0, "algorithm": {"kind": "gibbs", "beta": 5.0}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    tracemalloc.start()
+    try:
+        code = cli.main(["tail", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "tail_transductive: an (S, S) = (4096, 4096) pair table" in captured.err
+    assert peak <= 4 * MEMORY_BUDGET, peak
+
+
+def test_monte_carlo_draws_at_a_huge_n_stay_within_the_memory_budget(tmp_path, capsys):
+    # one outcome lets n reach 2^17 within the problem's own tables; each Monte Carlo
+    # block once asked numpy for an 8 GiB (8192, n) table of uniforms, and a draw now
+    # takes one uniform for its (sample, hypothesis) cell whatever n is
     entry = {"m": 1, "N": 2, "n": 131072, "loss": [[1.0], [0.0]], "p_z": [1.0], "bound": 1.0}
     cfg = write_config(tmp_path, {"problems": [entry]})
     for argv in (["bounds", "--bounds", "mi"], ["tail"]):
@@ -256,12 +276,10 @@ def test_monte_carlo_block_over_the_memory_budget_exits_two(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "", argv
-        assert "draw_pairs: a (size, n) = (8192, 131072) block" in captured.err, argv
-        assert "MEMORY_BUDGET" in captured.err, argv
+        assert code == 0 and captured.err == "", argv
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert rows[0]["mode"] == "mc" and float(rows[0]["lhs"]) == 0.0, argv
         assert peak < 2 * MEMORY_BUDGET, argv
-    # the exact bound builds no block and still answers
-    assert cli.main(["bounds", "--bounds", "mi", "--config", cfg]) == 0
 
 
 def test_monte_carlo_draws_past_a_thousand_hypotheses(tmp_path, capsys):

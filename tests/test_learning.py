@@ -292,15 +292,23 @@ def test_expected_gen_mc_deterministic_across_workers(small_problem, gibbs_alg):
     assert one.absolute == many.absolute
 
 
-def reference_draw_pairs(prob, alg, seed, block, size):
-    # the draw as first written: Generator.choice for the outcomes, then a
-    # cumsum of the gathered posterior rows in every block, capped at N - 1
-    gen = mc.substream(seed, block)
-    draws = gen.choice(prob.num_outcomes, size=(size, prob.n), p=prob.p_z.weights)
-    s_idx = draws @ (prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64))
-    u = gen.random(size)
-    w_idx = (np.cumsum(alg.matrix[s_idx], axis=1) < u[:, None]).sum(axis=1)
-    return s_idx, np.minimum(w_idx, prob.num_hypotheses - 1)
+def reference_cells(prob, alg, seed, samples):
+    # an independent reference: per block, np.searchsorted of its substream uniforms
+    # over the cumulative joint cells with a +inf last entry
+    cdf = np.cumsum(learning.joint_cells(prob, alg).ravel())
+    cdf[-1] = np.inf
+    return [np.searchsorted(cdf, mc.substream(seed, b).random(size))
+            for b, size in enumerate(mc.block_sizes(samples))]
+
+
+def check_draws(prob, alg, seed, samples):
+    got = learning.draw_pairs(prob, alg, seed, samples, lambda cells: cells)
+    want = reference_cells(prob, alg, seed, samples)
+    assert len(got) == len(want)
+    for cells, ref in zip(got, want):
+        assert np.array_equal(cells, ref)
+        assert np.all(learning.joint_cells(prob, alg).ravel()[cells] > 0.0)  # no zero-mass cell
+    return got
 
 
 def draw_edge_cases():
@@ -322,27 +330,35 @@ def draw_edge_cases():
     return cases
 
 
-def test_draw_pairs_reproduces_the_choice_stream_bits():
+def test_draw_pairs_equals_a_search_of_the_cumulative_joint_cells():
     for prob, alg in draw_edge_cases():
-        for seed, block, size in ((0, 0, 1), (3, 1, 7), (7, 2, 8192), (2**63, 5, 64)):
-            got = learning.draw_pairs(prob, alg, seed, block, size)
-            want = reference_draw_pairs(prob, alg, seed, block, size)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-
-def test_draw_pairs_counts_digits_past_one_byte():
-    # a uint8 digit counter would wrap at m = 300; 256 and 257 sit at its edge
+        for seed, samples in ((0, 1), (3, 7), (7, 8192 + 7), (2**63, 2 * 8192 + 64)):
+            check_draws(prob, alg, seed, samples)
+    # many outcomes, some of zero mass; the top outcomes keep theirs
     gen = np.random.default_rng(31)
     for m in (256, 257, 300):
         p_z = gen.dirichlet(np.ones(m))
-        p_z[:200][gen.random(200) < 0.2] = 0.0  # the top digits keep their mass
+        p_z[:200][gen.random(200) < 0.2] = 0.0
         prob = LearningProblem(gen.uniform(size=(3, m)), FiniteMeasure(p_z / p_z.sum()), 2,
                                bound=1.0)
         for alg in (gibbs_algorithm(prob, 5.0), erm_algorithm(prob)):
-            got = learning.draw_pairs(prob, alg, 9, 1, 8192)
-            want = reference_draw_pairs(prob, alg, 9, 1, 8192)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert (got[0] % m).max() == m - 1
+            cells = check_draws(prob, alg, 9, 8192)[0]
+        assert (cells // prob.num_hypotheses % m).max() == m - 1
+
+
+def test_draw_pairs_follow_the_joint_law():
+    # 2^17 draws: each cell's frequency lies within 6 standard errors of its mass
+    gen = np.random.default_rng(17)
+    prob = random_problem(gen, m_max=3, n_max=3)
+    sparse = np.zeros(prob.num_hypotheses)
+    sparse[[0, -1]] = 0.5
+    for alg in (gibbs_algorithm(prob, 2.0), ignore_algorithm(prob, FiniteMeasure(sparse))):
+        mass = learning.joint_cells(prob, alg).ravel()
+        counts = sum(learning.draw_pairs(prob, alg, 3, 2**17,
+                                         lambda cells: np.bincount(cells, minlength=mass.size)))
+        assert counts.sum() == 2**17
+        freq = counts / 2**17
+        assert np.all(np.abs(freq - mass) <= 6 * np.sqrt(mass * (1 - mass) / 2**17))
 
 
 def test_expected_gen_mc_equals_the_looped_lookup():
@@ -352,8 +368,8 @@ def test_expected_gen_mc_equals_the_looped_lookup():
         prob = random_problem(gen, m_max=4, n_max=3)
         for alg in algorithm_family(prob):
             parts = []
-            for b, size in enumerate(mc.block_sizes(9000)):
-                s_idx, w_idx = learning.draw_pairs(prob, alg, 4, b, size)
+            for cells in learning.draw_pairs(prob, alg, 4, 9000, lambda cells: cells):
+                s_idx, w_idx = np.divmod(cells, prob.num_hypotheses)
                 vals = prob.gen_matrix[w_idx, s_idx]
                 parts.append((vals.sum(), np.abs(vals).sum(), (vals**2).sum()))
             tot, tot_abs, tot_sq = (sum(p[i] for p in parts) for i in range(3))

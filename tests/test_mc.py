@@ -79,6 +79,18 @@ def test_guide_shrinks_to_its_budget_and_stays_exact(monkeypatch, block_bytes):
         assert 1 in smallest  # one bucket per row, every draw compared
 
 
+def test_guide_counted_in_blocks_that_cut_rows(monkeypatch):
+    # the guide counts CDF entries in blocks of GUIDE_STEP; blocks of 7 cut most rows
+    gen = np.random.default_rng(7)
+    tables = list(weight_tables(gen, 40))
+    whole = [mc.Sampler(w).guide for w in tables]
+    monkeypatch.setattr(mc, "GUIDE_STEP", 7)
+    for weights, guide in zip(tables, whole):
+        assert np.array_equal(mc.Sampler(weights).guide, guide)
+        check_table(gen, weights)
+        check_table(gen, weights.ravel() / weights.sum())  # a 1-D table of S N entries
+
+
 def test_guide_size_rule():
     # G = 2^ceil(log2(32 N)), halved while the (S, G + 1) int32 guide is over BLOCK_BYTES
     assert mc.Sampler(np.full(6, 1 / 6)).buckets == 256

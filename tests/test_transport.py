@@ -275,7 +275,7 @@ def test_wasserstein_batch_splits_large_batches(monkeypatch):
     assert wasserstein_batch([], 2.0) == [] and calls == []
 
 
-def scipy_linprog_blocks(pairs, p):
+def scipy_linprog_blocks(pairs, p, presolve=True):
     """Reference: the block LP of `pairs` as scipy.optimize.linprog solved it
     before HiGHS was called directly, from a CSR matrix with the same rows."""
     costs, rows, cols, b_eq = [], [], [], []
@@ -295,7 +295,8 @@ def scipy_linprog_blocks(pairs, p):
     a_eq = csr_array((np.ones(rows.size), (rows, cols)), shape=(row0, col0))
     return linprog(np.concatenate(costs), A_eq=a_eq, b_eq=np.concatenate(b_eq), bounds=(0.0, None),
                    method="highs", options={"primal_feasibility_tolerance": 1e-10,
-                                            "dual_feasibility_tolerance": 1e-10})
+                                            "dual_feasibility_tolerance": 1e-10,
+                                            "presolve": presolve})
 
 
 def zero_mass_batch(gen, count):
@@ -341,6 +342,26 @@ def test_direct_highs_call_matches_scipy_linprog_bit_for_bit(monkeypatch, batch,
         ref = scipy_linprog_blocks(chunk_pairs, p)
         assert res.success and ref.success
         assert np.array_equal(res.x, ref.x) and res.nit == ref.nit
+
+
+def test_an_lp_that_presolve_calls_infeasible_is_solved_without_presolve():
+    # a Gibbs posterior row (m=2, n=10, N=88, beta 5) had 49 atoms below 1e-10, and
+    # presolve declared its W_2 LP infeasible: bounds --bounds coupling,wass crashed
+    emb = EmbeddedSupport(np.sqrt(6) * np.array([
+        [0.11667603767547563, 0.05677287133168574], [0.23049780280524468, 0.014942682598072299],
+        [0.9983731454249419, 0.33122182658156085], [0.21212881272861428, 0.6737268697269871],
+        [0.7227387011296027, 0.8761564879385845]]))
+    mu = FiniteMeasure([0.5605192995441535, 0.4394807003316581, 6.809879113023898e-11,
+                        5.608946145114988e-11, 2.2159660392311448e-17])
+    nu = FiniteMeasure([0.6411421915315197, 0.3588571441718008, 1.1049213209500618e-09,
+                        6.631917579347026e-07, 2.5834780505033095e-16])
+    cost = euclidean_cost(emb, emb)
+    assert not scipy_linprog_blocks([(mu, nu, cost)], 2.0).success
+    ref = scipy_linprog_blocks([(mu, nu, cost)], 2.0, presolve=False)
+    assert ref.success
+    dist, plan = wasserstein(mu, nu, cost, 2.0)
+    assert dist == max(float((cost.entries**2).ravel() @ ref.x), 0.0) ** 0.5
+    assert np.array_equal(plan.weights, np.clip(ref.x, 0.0, None).reshape(5, 5))
 
 
 def test_the_private_highs_names_the_solver_uses_exist():
