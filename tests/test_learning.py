@@ -330,15 +330,34 @@ def draw_edge_cases():
     return cases
 
 
+DRAW_SEEDS = ((0, 1), (3, 7), (7, 8192 + 7), (2**63, 2 * 8192 + 64))
+
+
 def test_draw_pairs_equals_a_search_of_the_cumulative_joint_cells():
     for prob, alg in draw_edge_cases():
-        for seed, samples in ((0, 1), (3, 7), (7, 8192 + 7), (2**63, 2 * 8192 + 64)):
+        for seed, samples in DRAW_SEEDS:
             check_draws(prob, alg, seed, samples)
-    # many outcomes, some of zero mass; the top outcomes keep theirs
+
+
+def test_draw_pairs_reproduces_the_choice_stream_bits():
+    # numpy's own categorical draw: Generator.choice over the joint cells, fed each
+    # block's substream, takes the same uniforms and lands in the same cells
+    for prob, alg in draw_edge_cases():
+        mass = learning.joint_cells(prob, alg).ravel()
+        for seed, samples in DRAW_SEEDS:
+            got = learning.draw_pairs(prob, alg, seed, samples, lambda cells: cells)
+            want = [mc.substream(seed, b).choice(mass.size, size=size, p=mass)
+                    for b, size in enumerate(mc.block_sizes(samples))]
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_draw_pairs_counts_digits_past_one_byte():
+    # a uint8 digit counter would wrap at m = 300; 256 and 257 sit at its edge
     gen = np.random.default_rng(31)
     for m in (256, 257, 300):
         p_z = gen.dirichlet(np.ones(m))
-        p_z[:200][gen.random(200) < 0.2] = 0.0
+        p_z[:200][gen.random(200) < 0.2] = 0.0  # the top digits keep their mass
         prob = LearningProblem(gen.uniform(size=(3, m)), FiniteMeasure(p_z / p_z.sum()), 2,
                                bound=1.0)
         for alg in (gibbs_algorithm(prob, 5.0), erm_algorithm(prob)):
