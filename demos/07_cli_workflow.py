@@ -7,6 +7,7 @@ bytes, regardless of worker count.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -76,3 +77,4 @@ first = run("bounds", "--config", str(problems_cfg), "--seed", "3", "--workers",
 second = run("bounds", "--config", str(problems_cfg), "--seed", "3", "--workers", "8")
 print(f"\n1 worker vs 8 workers, byte-identical output: "
       f"{first.stdout == second.stdout}")
+shutil.rmtree(tmp)

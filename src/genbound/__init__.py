@@ -27,7 +27,7 @@ from .learning import (Algorithm, GenEstimate, LearningProblem,
                        ignore_algorithm, problem_from_json, subgaussian_sigma)
 from .measures import (FiniteMeasure, JointMeasure, MarkovKernel,
                        conditional_divergence, conditional_mutual_information,
-                       kl_divergence, mutual_information, product)
+                       kl_divergence, mutual_information)
 from .orlicz import (DecorrelationTerms, DiscreteRandomVariable,
                      PsiPropertyResult, StepFunction, check_psi_kl,
                      check_psi_properties, check_sum_to_integral,
@@ -36,11 +36,11 @@ from .suprema import (FiniteMetricSpace, ProcessSpec, Selector, ball_mass,
                       expected_sup_mc, ft_bound, ft_sup_bound,
                       gaussian_from_metric, gaussian_process,
                       majorizing_integral, optimize_mu, process_from_json,
-                      tabulated_process, telescoping_check)
+                      tabulated_process)
 from .transport import (CostMatrix, EmbeddedSupport, Geodesic, GeodesicPoint,
-                        TransportPlan, consecutive_couplings, diagonal_plan,
+                        TransportPlan, consecutive_couplings,
                         displacement_interpolation, euclidean_cost, geodesic,
-                        product_plan, wasserstein, wasserstein_batch)
+                        wasserstein, wasserstein_batch)
 from .verify import (SuiteResult, run_golden_suite, run_lemma_suite,
                      run_psi_suite, run_suite, run_transport_suite)
 

@@ -125,6 +125,7 @@ def _token_reports(prob, alg, token: str, delta: float):
     if token == "wass":
         return [bnd.bound_wasserstein_geodesic(prob, alg)]
     if token == "transductive":
+        bnd.check_transductive_pairs(prob)  # before the root chain
         return [bnd.tail_transductive(prob, alg, bnd.root_chain(prob, alg), delta)]
     raise GenboundError(f"unknown bound name {token!r}")
 
@@ -157,11 +158,26 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _violated(report) -> bool:
-    """A Monte Carlo lhs counts as a violation only beyond four standard errors."""
+def _violated(prob, report) -> bool:
+    """A Monte Carlo lhs counts as a violation only beyond four standard errors, an
+    exact expectation lhs only beyond SLACK_TOL plus its rounding level.
+
+    That lhs, E[gen] or E|gen|, sums cell * gen over the S N (sample, hypothesis)
+    cells. Each gen is within bnd._gen_rounding(prob) = (m + n) eps L of its exact
+    value (L the largest |loss|), and the cells, of total mass 1, carry that into
+    the sum. Each cell rounds n + 1 times (its n-fold sample probability and the
+    product with gen) and the sum S N - 1 times more, each by at most eps / 2 of
+    sum |cell * gen| = E|gen| <= 2 L. That adds (S N + n) eps L, so the level is
+    (m + 2n + S N) eps L. The rhs is compared as computed.
+    """
     if report.mode == "mc":
         return report.lhs - 4.0 * report.details["stderr"] > report.rhs + SLACK_TOL
-    return report.slack < -SLACK_TOL
+    violated = report.slack < -SLACK_TOL
+    if violated and isinstance(report, bnd.BoundReport):  # the level costs a pass over the losses
+        cells, digits = prob.num_samples * prob.num_hypotheses, prob.num_outcomes + prob.n
+        level = bnd._gen_rounding(prob) * (digits + cells + prob.n) / digits
+        violated = report.slack < -(SLACK_TOL + level)
+    return violated
 
 
 def cmd_bounds(args) -> int:
@@ -186,7 +202,7 @@ def cmd_bounds(args) -> int:
                                      details={**report.details, "samples": est.samples,
                                               "stderr": stderr})
                 rows.append(_report_rows(prob, report, seed, getattr(report, "components", {})))
-                violated = violated or _violated(report)
+                violated = violated or _violated(prob, report)
     _write(args.out, _csv_text(CSV_COLUMNS, rows))
     return 1 if violated else 0
 

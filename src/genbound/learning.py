@@ -209,12 +209,6 @@ class LearningProblem:
 
         return self.table(matrix, ("w2", target.weights.tobytes()), solve)
 
-    def sample_index(self, sample) -> int:
-        digits = np.asarray(sample, dtype=np.int64)
-        if digits.shape != (self.n,) or digits.min() < 0 or digits.max() >= self.num_outcomes:
-            raise ConfigurationError("sample_index: bad sample")
-        return int(digits @ (self.num_outcomes ** np.arange(self.n - 1, -1, -1, dtype=np.int64)))
-
     def to_json(self) -> str:
         obj = {"m": self.num_outcomes, "N": self.num_hypotheses, "n": self.n,
                "loss": self.loss.tolist(), "p_z": self.p_z.weights.tolist()}

@@ -9,7 +9,7 @@ scipy.special functions of the same names, so nothing here imports scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,8 +19,6 @@ from .errors import ConfigurationError
 
 # Constructors renormalize silent drift up to this much and reject anything worse.
 DRIFT_TOL = 1e-9
-# Post-construction mass and marginal checks hold to this.
-MASS_TOL = 1e-12
 # Individual weights may be negative by at most this (LP round-off); they are clipped.
 NEG_TOL = 1e-12
 _TINY = np.finfo(float).tiny
@@ -114,21 +112,9 @@ class FiniteMeasure:
     def support_size(self) -> int:
         return int(self.weights.size)
 
-    def expectation(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
-            raise ConfigurationError("expectation: value vector shape mismatch")
-        return float(self.weights @ values)
-
     @staticmethod
     def uniform(k: int) -> "FiniteMeasure":
         return FiniteMeasure(np.full(k, 1.0 / k))
-
-    @staticmethod
-    def point_mass(i: int, k: int) -> "FiniteMeasure":
-        w = np.zeros(k)
-        w[i] = 1.0
-        return FiniteMeasure(w)
 
 
 @dataclass(frozen=True)
@@ -172,42 +158,15 @@ class MarkovKernel:
 
 @dataclass(frozen=True)
 class JointMeasure:
-    """Probability matrix over a product of two finite sets.
-
-    Declared marginals, when attached, are re-checked against the row and
-    column sums to MASS_TOL.
-    """
+    """Probability matrix over a product of two finite sets."""
 
     weights: np.ndarray
-    marginals: tuple | None = field(default=None, compare=False)
 
-    def __init__(self, weights, marginals: tuple | None = None) -> None:
+    def __init__(self, weights) -> None:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2:
             raise ConfigurationError("JointMeasure: weights must be a 2-d array")
-        flat = _clean_weights(w.ravel(), "JointMeasure")
-        w = flat.reshape(w.shape)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "marginals", marginals)
-        if marginals is not None:
-            mx, my = marginals
-            if (np.abs(w.sum(axis=1) - mx.weights).max() > MASS_TOL
-                    or np.abs(w.sum(axis=0) - my.weights).max() > MASS_TOL):
-                raise ConfigurationError("JointMeasure: declared marginals do not match")
-
-    def marginal_x(self) -> FiniteMeasure:
-        return FiniteMeasure(self.weights.sum(axis=1))
-
-    def marginal_y(self) -> FiniteMeasure:
-        return FiniteMeasure(self.weights.sum(axis=0))
-
-
-def product(p_x: FiniteMeasure, kernel: MarkovKernel) -> JointMeasure:
-    """Joint law of (X, Y) when X ~ p_x and Y | X=x follows the kernel row."""
-    if kernel.input_size != p_x.support_size:
-        raise ConfigurationError("product: kernel input size != measure support size")
-    return JointMeasure(p_x.weights[:, None] * kernel.matrix)
+        object.__setattr__(self, "weights", _clean_weights(w.ravel(), "JointMeasure").reshape(w.shape))
 
 
 def rowdot(a, b) -> np.ndarray:

@@ -10,7 +10,6 @@ measure inequality that the bounds are built from.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,58 +195,29 @@ class StepFunction:
         return float(widths @ self.values)
 
 
-def check_sum_to_integral(f, r: float, terms: int) -> tuple[float, float, float]:
+def check_sum_to_integral(f: StepFunction, r: float, terms: int) -> tuple[float, float, float]:
     """Sandwich sum_{k=1}^K r^{-k} f(r^{-k}) <= r * int_0^1 f <= r^2 * sum_{k>=0} r^{-k} f(r^{-k}).
 
-    f may be a StepFunction (everything closed-form, including the infinite
-    tail) or a plain callable (adaptive quadrature; divergence near 0 is
-    rejected). Raises if the sandwich fails, which only a broken f can cause.
+    f is a StepFunction, so everything is closed-form, including the infinite
+    tail. Raises if the sandwich fails, which only a broken f can cause.
     """
+    if not isinstance(f, StepFunction):
+        raise ConfigurationError("check_sum_to_integral: f must be a StepFunction")
     if r < 2.0:
         raise DomainError(f"sandwich needs r >= 2, got {r}")
     if terms < 1:
         raise DomainError("need at least one term")
 
-    if isinstance(f, StepFunction):
-        lhs = sum(r**-k * f(r**-k) for k in range(1, terms + 1))
-        mid = r * f.integral()
-        # Below the leftmost breakpoint f is constant, so the tail is geometric.
-        b0 = f.breakpoints[0]
-        k0 = 0
-        while r**-k0 > b0:
-            k0 += 1
-        head = sum(r**-k * f(r**-k) for k in range(0, k0))
-        tail = f.values[0] * r**-k0 / (1.0 - 1.0 / r)
-        rhs = r**2 * (head + tail)
-    else:
-        probe = [r**-k for k in range(0, 60)] + list(np.linspace(1e-6, 1.0, 64))
-        vals = [float(f(t)) for t in sorted(probe)]
-        if any(v <= 0.0 for v in vals):
-            raise DomainError("f must be positive on (0, 1]")
-        if any(vals[i] < vals[i + 1] - 1e-12 for i in range(len(vals) - 1)):
-            raise DomainError("f must be nonincreasing on (0, 1]")
-        from scipy import integrate  # imported here only: a plain callable needs quad
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            try:
-                quad_val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-10, epsrel=1e-8)
-            except integrate.IntegrationWarning as exc:
-                raise DomainError(f"f looks non-integrable near 0: {exc}") from exc
-        if not np.isfinite(quad_val):
-            raise DomainError("f is non-integrable on (0, 1]")
-        lhs = sum(r**-k * f(r**-k) for k in range(1, terms + 1))
-        mid = r * quad_val
-        rhs_sum, k = 0.0, 0
-        while True:
-            term = r**-k * float(f(r**-k))
-            rhs_sum += term
-            k += 1
-            if k > 10 and term <= 1e-16 * max(rhs_sum, 1.0):
-                break
-            if k > 5000:
-                raise DomainError("tail sum fails to converge; f is not integrable")
-        rhs = r**2 * rhs_sum
+    lhs = sum(r**-k * f(r**-k) for k in range(1, terms + 1))
+    mid = r * f.integral()
+    # Below the leftmost breakpoint f is constant, so the tail is geometric.
+    b0 = f.breakpoints[0]
+    k0 = 0
+    while r**-k0 > b0:
+        k0 += 1
+    head = sum(r**-k * f(r**-k) for k in range(0, k0))
+    tail = f.values[0] * r**-k0 / (1.0 - 1.0 / r)
+    rhs = r**2 * (head + tail)
 
     if not (lhs <= mid * (1 + 1e-9) + 1e-12 and mid <= rhs * (1 + 1e-9) + 1e-12):
         raise DomainError(f"sandwich violated: {lhs} <= {mid} <= {rhs} fails")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,12 +92,6 @@ class ProcessSpec:
     cov: np.ndarray | None = None
     paths: np.ndarray | None = None
     weights: np.ndarray | None = None
-
-    def to_json(self) -> str:
-        if self.kind == "gaussian":
-            return json.dumps({"kind": "gaussian", "cov": self.cov.tolist(), "p": self.p})
-        return json.dumps({"kind": "tabulated", "paths": self.paths.tolist(),
-                           "weights": self.weights.tolist(), "p": self.p})
 
 
 def gaussian_process(space: FiniteMetricSpace, cov, p: float = 2.0) -> ProcessSpec:
@@ -323,14 +316,12 @@ def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selec
     return mc.mean_and_stderr(total, total_sq, samples)
 
 
-def gaussian_from_metric(space: FiniteMetricSpace, p: float = 2.0,
-                         fallback_cov=None) -> ProcessSpec:
+def gaussian_from_metric(space: FiniteMetricSpace, p: float = 2.0) -> ProcessSpec:
     """Gaussian process saturating the psi_2 increment condition.
 
     Targets Var(X_u - X_v) = (3/8) d(u,v)^2 via the double-centered Gram
-    matrix of (3/8) d^2. When that target is not positive semidefinite (the
-    metric is not Euclidean-embeddable) a caller-supplied covariance is
-    rescaled so its worst pair attains the increment limit with equality.
+    matrix of (3/8) d^2; a metric for which that target is not positive
+    semidefinite (not Euclidean-embeddable) is refused.
     """
     if p != 2.0:
         raise InvalidProcessError("gaussian_from_metric: p = 2 only")
@@ -341,27 +332,12 @@ def gaussian_from_metric(space: FiniteMetricSpace, p: float = 2.0,
     gram = -0.5 * center @ sq @ center
     gram = (gram + gram.T) / 2.0
     scale = max(1.0, float(np.abs(gram).max()))
-    if np.linalg.eigvalsh(gram).min() >= -1e-10 * scale:
-        vals, vecs = np.linalg.eigh(gram)
-        gram = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        return gaussian_process(space, gram)
-    if fallback_cov is None:
+    if not np.linalg.eigvalsh(gram).min() >= -1e-10 * scale:
         raise UnsupportedGeometryError(
-            "gaussian_from_metric: metric is not Euclidean-embeddable; "
-            "pass fallback_cov to rescale")
-    c = np.asarray(fallback_cov, dtype=float)
-    if c.shape != (space.size, space.size):
-        raise ConfigurationError("gaussian_from_metric: fallback covariance shape mismatch")
-    variances = np.diag(c)
-    pair_var = variances[:, None] + variances[None, :] - 2.0 * c
-    off = ~np.eye(space.size, dtype=bool)
-    limit = GAUSSIAN_VAR_RATIO * space.dist**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(pair_var[off] > 0, limit[off] / pair_var[off], np.inf)
-    factor = float(ratio.min())
-    if not math.isfinite(factor):
-        factor = 0.0  # fallback has no varying pair; the zero process complies
-    return gaussian_process(space, factor * c)
+            "gaussian_from_metric: metric is not Euclidean-embeddable")
+    vals, vecs = np.linalg.eigh(gram)
+    gram = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    return gaussian_process(space, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -436,47 +412,3 @@ def optimize_mu(nu: FiniteMeasure, space: FiniteMetricSpace, p: float,
         if val < best:
             best_mu, best = cand, val
     return best_mu, best
-
-
-# ---------------------------------------------------------------------------
-# telescoping diagnostic
-# ---------------------------------------------------------------------------
-
-def telescoping_check(proc: ProcessSpec, space: FiniteMetricSpace,
-                      mu: FiniteMeasure, r: float = 2.0) -> dict:
-    """Exact check of the ball-kernel telescoping identity on a tabulated process.
-
-    With Q_k(. | path) = mu restricted to the radius diam * r^{-k} ball around
-    the argmax and renormalized, the step sums must reproduce
-    E[X_argmax] - <mu, E[X]> exactly; returns both sides and the per-level terms.
-    """
-    if proc.kind != "tabulated":
-        raise ConfigurationError("telescoping_check: tabulated processes only")
-    if r < 2.0:
-        raise DomainError("telescoping_check: r >= 2")
-    if np.any(mu.weights <= 0.0):
-        raise ConfigurationError("telescoping_check: mu needs full support")
-    x, w = proc.paths, proc.weights
-    taus = np.argmax(x, axis=1)
-    diam = space.diam
-    positive = space.dist[space.dist > 0]
-    levels = 0
-    if positive.size and diam > 0:
-        while diam * r ** (-levels) >= positive.min():
-            levels += 1
-
-    def kernel_row(tau: int, k: int) -> np.ndarray:
-        inside = space.dist[tau] <= diam * r ** (-k)
-        row = np.where(inside, mu.weights, 0.0)
-        return row / row.sum()
-
-    terms = []
-    for k in range(1, levels + 1):
-        term = 0.0
-        for rix in range(x.shape[0]):
-            diff = kernel_row(taus[rix], k) - kernel_row(taus[rix], k - 1)
-            term += w[rix] * float(diff @ x[rix])
-        terms.append(term)
-    lhs = float(w @ x[np.arange(x.shape[0]), taus]) - float(w @ (x @ mu.weights))
-    return {"telescoped": lhs, "level_terms": terms, "sum": float(sum(terms)),
-            "levels": levels, "gap": abs(lhs - float(sum(terms)))}

@@ -111,17 +111,6 @@ class TransportPlan:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
 
-    def cost(self, cost: CostMatrix, p: float) -> float:
-        return float((self.weights * cost.entries**p).sum()) ** (1.0 / p)
-
-
-def product_plan(mu: FiniteMeasure, nu: FiniteMeasure) -> TransportPlan:
-    return TransportPlan(np.outer(mu.weights, nu.weights), mu, nu)
-
-
-def diagonal_plan(mu: FiniteMeasure) -> TransportPlan:
-    return TransportPlan(np.diag(mu.weights), mu, mu)
-
 
 @functools.cache
 def _highs():

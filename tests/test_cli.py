@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -562,6 +563,52 @@ def test_one_hypothesis_is_not_bad_input(tmp_path):
     for name in ("chain", "chain_metric"):
         assert float(rows[name]["rhs"]) == 0.0
         assert json.loads(rows[name]["components_json"]) == {}
+
+
+def test_one_hypothesis_rounding_is_no_violation_at_any_loss_scale(tmp_path, capsys):
+    # E[gen] is exactly 0 on one hypothesis; at losses near 1e9 it computed as 1.1e-8,
+    # past SLACK_TOL against the chain's exact rhs 0, and the op exited 1
+    tokens = "thm1,mi,cmi,coupling,chain,stochain,transductive"
+    for k in range(-9, 4):
+        scale = 10.0**k
+        entry = {"m": 3, "N": 1, "n": 3, "loss": [[0.47e9 * scale, 0.9e9 * scale, 0.46e9 * scale]],
+                 "p_z": [0.2, 0.3, 0.5], "bound": 1e9 * scale, "algorithm": {"kind": "erm"}}
+        cfg = write_config(tmp_path, {"problems": [entry]})
+        assert cli.main(["bounds", "--config", cfg, "--bounds", tokens]) == 0, k
+        assert capsys.readouterr().err == "", k
+
+
+def test_an_exact_row_below_its_lhs_still_exits_one(tmp_path, monkeypatch):
+    # chain_metric reads lhs / rhs = 0.25 on this problem; at a tenth of its rhs it fails
+    cfg = write_config(tmp_path, {"problems": [problem_entry(47, {"kind": "erm"})]})
+    out = tmp_path / "rows.csv"
+    argv = ["bounds", "--config", cfg, "--bounds", "chain", "--out", str(out)]
+    assert cli.main(argv) == 0
+    real = cli.bnd.bound_chain
+
+    def shrunk(*args):
+        report = real(*args)
+        return replace(report, rhs=0.1 * report.rhs,
+                       components={k: 0.1 * v for k, v in report.components.items()})
+
+    monkeypatch.setattr(cli.bnd, "bound_chain", shrunk)
+    assert cli.main(argv) == 1
+    metric = {row["bound_name"]: row for row in read_rows(str(out))}["chain_metric"]
+    assert 2.0 < float(metric["lhs"]) / float(metric["rhs"]) < 3.0
+
+
+def test_bounds_transductive_refuses_its_pair_table_before_the_root_chain(tmp_path, monkeypatch,
+                                                                          capsys):
+    # the root chain was built first, and then tail_transductive refused its (S, S) tables
+    calls, real = [], cli.bnd.root_chain
+    monkeypatch.setattr(cli.bnd, "root_chain", lambda *args: calls.append(args) or real(*args))
+    gen = np.random.default_rng(5)
+    entry = {"m": 2, "N": 3, "n": 12, "loss": gen.uniform(size=(3, 2)).tolist(),
+             "p_z": [0.5, 0.5], "bound": 1.0, "algorithm": {"kind": "erm"}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    assert cli.main(["bounds", "--config", cfg, "--bounds", "transductive"]) == 2
+    assert calls == []
+    assert "tail_transductive: an (S, S) = (4096, 4096) pair table" in capsys.readouterr().err
 
 
 # Run in a fresh interpreter: argv[1] is a JSON list of (label, cli argv);

@@ -1,8 +1,4 @@
-"""Each narrative demo runs to completion.
-
-Demo 07 is left out: it takes about 15 s, and tests/test_cli.py covers the
-CLI paths it walks through.
-"""
+"""Each narrative demo runs to completion."""
 
 import os
 import subprocess
@@ -12,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-7]_*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

