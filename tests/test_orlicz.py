@@ -146,11 +146,17 @@ def test_sandwich_constant_function():
 
 
 def test_sandwich_callable_branch():
-    # a plain callable is refused, a divergent or increasing one included: the
+    # a plain callable is refused, an increasing one included: the
     # sandwich is closed-form, and so checked, on StepFunctions only
-    for f in (lambda t: 1.0 + (1.0 - t), lambda t: 1.0 / t, lambda t: t + 0.1):
+    for f in (lambda t: 1.0 + (1.0 - t), lambda t: t + 0.1):
         with pytest.raises(ConfigurationError, match="StepFunction"):
             check_sum_to_integral(f, 2.0, 3)
+
+
+def test_sandwich_rejects_divergent_integrand():
+    # 1/t has no finite integral on (0, 1]; it is refused before any sum is formed
+    with pytest.raises(ConfigurationError, match="StepFunction"):
+        check_sum_to_integral(lambda t: 1.0 / t, 2.0, 3)
 
 
 def test_sandwich_rejects_increasing_function():
