@@ -81,15 +81,16 @@ class FiniteMetricSpace:
 class ProcessSpec:
     """A centered process on a finite space with validated psi_p increments.
 
-    kind "gaussian" carries a covariance (p must be 2, where the increment
-    condition has the closed form Var(X_u - X_v) <= (3/8) d(u,v)^2); kind
-    "tabulated" carries finitely many weighted paths and is checked by
-    direct summation for any p >= 1.
+    kind "gaussian" carries a covariance and its (T, r) factor, r the numerical
+    rank (p must be 2, where the increment condition has the closed form
+    Var(X_u - X_v) <= (3/8) d(u,v)^2); kind "tabulated" carries finitely many
+    weighted paths and is checked by direct summation for any p >= 1.
     """
 
     kind: str
     p: float
     cov: np.ndarray | None = None
+    factor: np.ndarray | None = None
     paths: np.ndarray | None = None
     weights: np.ndarray | None = None
 
@@ -101,19 +102,22 @@ def gaussian_process(space: FiniteMetricSpace, cov, p: float = 2.0) -> ProcessSp
     c = np.asarray(cov, dtype=float)
     if c.shape != (space.size, space.size):
         raise ConfigurationError("gaussian_process: covariance shape mismatch")
-    if np.abs(c - c.T).max() > 1e-10:
-        raise ConfigurationError("gaussian_process: covariance must be symmetric")
+    scale = float(np.abs(c).max())  # tolerances scale with max|c|, so verdicts hold at any scale
+    if not np.abs(c - c.T).max() <= 1e-10 * scale:  # nan and inf fail here
+        raise ConfigurationError("gaussian_process: covariance must be finite and symmetric")
     c = (c + c.T) / 2.0
-    if np.linalg.eigvalsh(c).min() < -1e-9 * max(1.0, np.abs(c).max()):
+    vals, vecs = np.linalg.eigh(c)
+    if vals[0] < -1e-9 * scale:
         raise ConfigurationError("gaussian_process: covariance not positive semidefinite")
-    variances = np.diag(c)
-    pair_var = variances[:, None] + variances[None, :] - 2.0 * c
-    limit = GAUSSIAN_VAR_RATIO * space.dist**2
-    off = ~np.eye(space.size, dtype=bool)
-    if np.any(pair_var[off] > limit[off] * (1.0 + INCREMENT_TOL) + 1e-15):
+    pair_var = np.add.outer(np.diag(c), np.diag(c)) - 2.0 * c  # 0 on the diagonal, exactly
+    # 2 T ulps of max|c|: gaussian_from_metric's Gram rounds pair variances by up to 0.75 T
+    slack = 2.0 * space.size * np.finfo(float).eps * scale
+    if np.any(pair_var > GAUSSIAN_VAR_RATIO * space.dist**2 * (1.0 + INCREMENT_TOL) + slack):
         raise InvalidProcessError("gaussian_process: psi_2 increment condition fails")
-    c.flags.writeable = False
-    return ProcessSpec(kind="gaussian", p=2.0, cov=c)
+    keep = vals > space.size * np.finfo(float).eps * vals[-1]  # numpy.linalg.matrix_rank's cut
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    c.flags.writeable = factor.flags.writeable = False
+    return ProcessSpec(kind="gaussian", p=2.0, cov=c, factor=factor)
 
 
 def tabulated_process(space: FiniteMetricSpace, paths, weights, p: float = 2.0) -> ProcessSpec:
@@ -123,9 +127,8 @@ def tabulated_process(space: FiniteMetricSpace, paths, weights, p: float = 2.0) 
     w = FiniteMeasure(weights)
     if x.ndim != 2 or x.shape != (w.support_size, space.size):
         raise ConfigurationError("tabulated_process: paths must be (draws, points)")
-    scale = max(1.0, float(np.abs(x).max()))
     mean = w.weights @ x
-    if np.abs(mean).max() > CENTER_TOL * scale:
+    if np.abs(mean).max() > CENTER_TOL * np.abs(x).max():
         raise InvalidProcessError("tabulated_process: process is not centered")
     # pairs go in lexicographic blocks, so an error names the first bad (u, v);
     # massless draws are dropped: one that overflows psi_p made a moment nan
@@ -267,18 +270,14 @@ def ft_sup_bound(mu, space: FiniteMetricSpace, p: float) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)[None, :]
-
-
 def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selector,
                     samples: int, seed: int, workers: int = 1) -> tuple[float, float]:
     """Monte Carlo estimate of E[X_tau] with its standard error.
 
     Counter-based substreams make the result bitwise independent of the
-    worker count; ties in the argmax rule go to the lowest index.
+    worker count; ties in the argmax rule go to the lowest index. A Gaussian draw
+    takes r normals (r = rank of proc.factor), built into paths in row chunks of
+    BLOCK_BYTES; a tabulated draw reads its pick off proc.paths, gathering no rows.
     """
     if samples < 1:
         raise ConfigurationError("expected_sup_mc: samples >= 1")
@@ -293,23 +292,28 @@ def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selec
             raise ConfigurationError("expected_sup_mc: selector kernel shape mismatch")
 
     sizes = mc.block_sizes(samples)
-    factor = _gaussian_factor(proc.cov) if proc.kind == "gaussian" else None
-    paths = mc.Sampler(proc.weights) if proc.kind == "tabulated" else None
+    if proc.kind == "tabulated":
+        paths, path_max = mc.Sampler(proc.weights), proc.paths.max(axis=1)
+    else:  # normals and paths of a chunk of rows
+        step = block_rows(8 * (space.size + proc.factor.shape[1]), "expected_sup_mc")
 
     def one_block(b: int):
         gen = mc.substream(seed, b)
-        if proc.kind == "gaussian":  # randomized selectors need a tabulated process
-            x = gen.standard_normal((sizes[b], space.size)) @ factor.T
-        else:
+        if proc.kind == "tabulated":
             rows = paths.draw(gen.random(sizes[b]))
-            x = proc.paths[rows]
-        if selector.rule == "argmax":
-            picked = x.max(axis=1)
-        elif selector.rule == "fixed":
-            picked = x[:, selector.index]
-        else:
-            t_idx = selector.kernel.sampler.draw(gen.random(sizes[b]), rows)
-            picked = x[np.arange(sizes[b]), t_idx]
+            if selector.rule == "argmax":
+                picked = path_max[rows]
+            elif selector.rule == "fixed":
+                picked = proc.paths[rows, selector.index]
+            else:
+                picked = proc.paths[rows, selector.kernel.sampler.draw(gen.random(sizes[b]), rows)]
+        else:  # randomized selectors need a tabulated process
+            picked, buf = np.empty(sizes[b]), np.empty((min(step, sizes[b]), space.size))
+            for lo in range(0, sizes[b], step):
+                part = picked[lo:lo + step]
+                x = np.matmul(gen.standard_normal((part.size, proc.factor.shape[1])),
+                              proc.factor.T, out=buf[:part.size])
+                part[:] = x.max(axis=1) if selector.rule == "argmax" else x[:, selector.index]
         return picked.sum(), (picked**2).sum()
 
     total, total_sq = map(sum, zip(*mc.run_blocks(one_block, len(sizes), workers)))
@@ -323,21 +327,16 @@ def gaussian_from_metric(space: FiniteMetricSpace, p: float = 2.0) -> ProcessSpe
     matrix of (3/8) d^2; a metric for which that target is not positive
     semidefinite (not Euclidean-embeddable) is refused.
     """
-    if p != 2.0:
-        raise InvalidProcessError("gaussian_from_metric: p = 2 only")
     sq = GAUSSIAN_VAR_RATIO * space.dist**2
-    if space.size == 1:
-        return gaussian_process(space, np.zeros((1, 1)))
     center = np.eye(space.size) - np.full((space.size, space.size), 1.0 / space.size)
     gram = -0.5 * center @ sq @ center
     gram = (gram + gram.T) / 2.0
-    scale = max(1.0, float(np.abs(gram).max()))
-    if not np.linalg.eigvalsh(gram).min() >= -1e-10 * scale:
+    vals, vecs = np.linalg.eigh(gram)
+    if not vals[0] >= -1e-10 * np.abs(gram).max():
         raise UnsupportedGeometryError(
             "gaussian_from_metric: metric is not Euclidean-embeddable")
-    vals, vecs = np.linalg.eigh(gram)
     gram = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    return gaussian_process(space, gram)
+    return gaussian_process(space, gram, p)
 
 
 # ---------------------------------------------------------------------------

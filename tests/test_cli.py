@@ -857,6 +857,22 @@ def test_ft_single_point_space(tmp_path):
     assert float(row["mc_mean"]) == 0.0
 
 
+def test_ft_refuses_tiny_covariances_that_break_their_process(tmp_path, capsys):
+    # absolute tolerances let both through: an increment variance 5e4 times its
+    # psi_2 limit (ft exited 1), and an indefinite cov (ft exited 0); scaled to
+    # unit cov, both exited 2, as they now do at any scale
+    cases = (([[0, 1e-10], [1e-10, 0]], [[1e-16, 0], [0, 1e-16]], 1e16,
+              "psi_2 increment condition fails"),
+             ([[0, 1], [1, 0]], [[1e-12, 2e-12], [2e-12, 1e-12]], 1e12,
+              "covariance not positive semidefinite"))
+    for dist, cov, unit, msg in cases:
+        for scale in (1.0, unit):
+            space = {"dist": (math.sqrt(scale) * np.array(dist)).tolist(),
+                     "process": {"kind": "gaussian", "cov": (scale * np.array(cov)).tolist()}}
+            assert cli.main(["ft", "--config", write_config(tmp_path, {"spaces": [space]})]) == 2
+            assert msg in capsys.readouterr().err
+
+
 def test_ft_spaces_list_and_modes(tmp_path):
     dist = [[0.0, 1.0], [1.0, 0.0]]
     cfg = write_config(tmp_path, {"spaces": [
@@ -948,7 +964,8 @@ DATA = Path(__file__).resolve().parent / "data"
     (["bounds", "--config", "mc_problems.json"], "bounds_exact.csv"),
     (["tail", "--config", "mc_problems.json"], "tail_exact.csv"),
     (["tail", "--config", "tail_heavy.json", "--mc-samples", "30000", "--delta", "0.99"],
-     "tail_heavy_mc.csv")])
+     "tail_heavy_mc.csv"),
+    (["ft", "--config", "ft_gauss.json", "--mc-samples", "10000"], "ft_gauss.csv")])
 def test_mc_stdout_matches_the_recorded_csv(argv, golden, workers, capsys):
     # The benchmark oracle checks Monte Carlo rows within standard errors only,
     # so these recorded bytes are what pins the draw stream itself, and the
@@ -957,8 +974,10 @@ def test_mc_stdout_matches_the_recorded_csv(argv, golden, workers, capsys):
     # ft rows carry the stream, and so do the heavy-tailed losses of
     # tail_heavy.json at delta 0.99, whose pointwise tail is exceeded on some
     # of four blocks of draws. Zero-mass outcomes, ERM, a sparse ignore prior
-    # and tabulated paths are all drawn. An intended change to an exact bound shows up here
-    # too: re-record the file with the same command and say so.
+    # and tabulated paths are all drawn. ft_gauss.json pins the Gaussian stream over
+    # two blocks: a rank-2 Gram of points in R^2 and a full-rank explicit cov. An
+    # intended change to an exact bound shows up here too: re-record the file with
+    # the same command and say so.
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     assert cli.main(argv + ["--seed", "5", "--workers", workers]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()

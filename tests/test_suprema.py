@@ -28,6 +28,11 @@ def line_space(*coords):
     return FiniteMetricSpace(np.abs(c[:, None] - c[None, :]))
 
 
+def plane_space(size, seed, dim=2):
+    pts = np.random.default_rng(seed).normal(size=(size, dim))
+    return FiniteMetricSpace(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2)))
+
+
 def c4_cycle():
     return FiniteMetricSpace([[0, 1, 2, 1], [1, 0, 1, 2],
                               [2, 1, 0, 1], [1, 2, 1, 0]])
@@ -287,6 +292,70 @@ def test_gaussian_process_validation():
     assert proc.kind == "gaussian"
 
 
+def verdict(build):
+    try:
+        build()
+        return "ok"
+    except (ConfigurationError, InvalidProcessError, UnsupportedGeometryError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_process_verdicts_do_not_move_with_scale():
+    # cov scales by s^2 and distances by s: each tolerance is relative to the
+    # process's own scale, so no verdict may change. With absolute tolerances an
+    # increment variance 5e4 times the limit passed at 1e-16, an indefinite cov
+    # passed at 1e-12, and the Gram of a valid metric failed at distances ~ 1e5.
+    line = 0.3 * (np.array([0.0, 0.4, 1.0]) - 1.4 / 3)
+
+    def gauss(cov):
+        return lambda s, d: gaussian_process(d, s * s * np.array(cov))
+
+    def tab(*paths):
+        return lambda s, d: tabulated_process(d, s * np.vstack(paths), [0.5, 0.5])
+
+    cases = [("two_point", gauss([[0.09, -0.09], [-0.09, 0.09]])),
+             ("two_point", gauss(np.eye(2))),
+             ("two_point", gauss([[1.0, 0.5], [0.5 + 1e-6, 1.0]])),
+             ("far_pair", gauss([[1.0, 2.0], [2.0, 1.0]])),
+             ("plane", lambda s, d: gaussian_from_metric(d)),
+             ("line", tab(line, -line)),
+             ("line", tab(line, 1e-7 - line)),
+             ("line", tab(5 * line, -5 * line))]
+    metrics = {"two_point": two_point().dist, "far_pair": two_point(10.0).dist,
+               "plane": plane_space(6, 3).dist, "line": line_space(0.0, 0.4, 1.0).dist}
+    want = ["ok", "InvalidProcessError: gaussian_process: psi_2 increment condition fails",
+            "ConfigurationError: gaussian_process: covariance must be finite and symmetric",
+            "ConfigurationError: gaussian_process: covariance not positive semidefinite",
+            "ok", "ok", "InvalidProcessError: tabulated_process: process is not centered",
+            "InvalidProcessError: tabulated_process: increment moment"]
+    for k in (-150, -10, 0, 10):
+        s = 10.0 ** (k / 2)
+        for (name, build), expect in zip(cases, want):
+            space = FiniteMetricSpace(s * metrics[name])
+            assert verdict(lambda: build(s, space)).startswith(expect), (k, name, expect)
+
+
+def test_gaussian_factor_reproduces_cov_in_its_numerical_rank():
+    # eigh's own rounding: on 2000 such spaces the worst error was 3.6 T ulps of max|cov|
+    gen = np.random.default_rng(11)
+    eps = 8.0 * np.finfo(float).eps
+    for _ in range(60):
+        size, dim = int(gen.integers(2, 30)), int(gen.integers(1, 5))
+        pts = gen.normal(size=(size, dim)) * 10.0 ** gen.uniform(-3, 3)
+        space = FiniteMetricSpace(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2)))
+        proc = gaussian_from_metric(space)
+        assert proc.factor.shape[0] == size and proc.factor.shape[1] <= dim
+        err = np.abs(proc.factor @ proc.factor.T - proc.cov).max()
+        assert err <= size * eps * np.abs(proc.cov).max()
+    # a full-rank covariance keeps all T columns: equilateral points, pair variance 0.2
+    size = 6
+    space = FiniteMetricSpace(1.0 - np.eye(size))
+    cov = 0.1 * np.eye(size) + 0.05 * np.ones((size, size))
+    proc = gaussian_process(space, cov)
+    assert proc.factor.shape == (size, size)
+    assert np.abs(proc.factor @ proc.factor.T - cov).max() <= size * eps * np.abs(cov).max()
+
+
 def test_tabulated_process_validation():
     space = two_point()
     with pytest.raises(InvalidProcessError):
@@ -400,6 +469,7 @@ def test_cycle_metric_is_refused():
 def test_mc_single_point_is_exact_zero():
     one = FiniteMetricSpace([[0.0]])
     proc = gaussian_from_metric(one)
+    assert proc.factor.shape == (1, 0)  # rank 0: a draw takes no normals
     assert expected_sup_mc(proc, one, Selector("argmax"), 1000, 0) == (0.0, 0.0)
 
 
@@ -496,12 +566,66 @@ def test_tabulated_mc_on_many_paths_stays_within_the_block_budget():
             assert got == reference_tabulated_mc(few, space, sel, samples, seed)
 
 
-def test_mc_worker_count_does_not_change_result():
+def test_mc_worker_count_does_not_change_result(monkeypatch):
     space = two_point(4.0)
     proc = gaussian_process(space, np.eye(2))
     one = expected_sup_mc(proc, space, Selector("argmax"), 30000, 3, workers=1)
     eight = expected_sup_mc(proc, space, Selector("argmax"), 30000, 3, workers=8)
     assert one == eight
+    # a rank-deficient process: 12 points in R^2 draw 2 normals each
+    space = plane_space(12, 4)
+    proc = gaussian_from_metric(space)
+    assert proc.factor.shape == (12, 2)
+    one = expected_sup_mc(proc, space, Selector("argmax"), 30000, 3, workers=1)
+    assert one == expected_sup_mc(proc, space, Selector("argmax"), 30000, 3, workers=3)
+    # the row chunks of a block draw one stream: five rows a chunk, the same normals
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 5 * 8 * (12 + 2))
+    chunked = expected_sup_mc(proc, space, Selector("argmax"), 30000, 3, workers=3)
+    assert chunked == pytest.approx(one, rel=1e-12)
+
+
+def full_factor_sup_mc(cov, samples, seed):
+    """The sampler before the rank cut: T normals a draw through the full eigen-factor."""
+    vals, vecs = np.linalg.eigh(cov)
+    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+    total = total_sq = 0.0
+    for b, size in enumerate(mc.block_sizes(samples)):
+        normals = mc.substream(seed, b).standard_normal((size, cov.shape[0]))
+        picked = (normals @ factor.T).max(axis=1)
+        total, total_sq = total + picked.sum(), total_sq + (picked**2).sum()
+    return mc.mean_and_stderr(total, total_sq, samples)
+
+
+def test_rank_cut_sampler_agrees_with_the_full_factor():
+    space = plane_space(40, 9, dim=3)
+    proc = gaussian_from_metric(space)
+    assert proc.factor.shape == (40, 3)
+    mean, stderr = expected_sup_mc(proc, space, Selector("argmax"), 100000, 61)
+    ref, ref_err = full_factor_sup_mc(proc.cov, 100000, 61)
+    assert mean != ref  # the stream changed: r = 3 normals a draw, not 40
+    assert abs(mean - ref) <= 4.0 * math.hypot(stderr, ref_err)
+
+
+def test_sup_mc_on_1200_points_stays_within_two_blocks():
+    # an 8192-draw block built its (8192, T) paths at once: at T = 1200 a
+    # Gaussian call peaked at 161 MiB, 2.5 x MEMORY_BUDGET
+    pts = np.random.default_rng(8).normal(size=(1200, 3))
+    space = FiniteMetricSpace(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2)))
+    centered = pts - pts.mean(axis=0)
+    gauss = gaussian_process(space, 0.3 * centered @ centered.T)
+    assert gauss.factor.shape == (1200, 3)
+    path = 0.3 * pts[:, 0]
+    tab = tabulated_process(space, np.vstack([path, -path]), np.array([0.5, 0.5]))
+    kernel = MarkovKernel(np.random.default_rng(9).dirichlet(np.ones(1200), size=2))
+    for proc, selector in ((gauss, Selector("argmax")), (tab, Selector("argmax")),
+                           (tab, Selector("randomized", kernel=kernel))):
+        tracemalloc.start()
+        try:
+            expected_sup_mc(proc, space, selector, mc.BLOCK, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * errors.BLOCK_BYTES
 
 
 def test_selector_validation():

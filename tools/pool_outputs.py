@@ -16,9 +16,13 @@ parent's tree and the change's tree, one process each, and comparing.
 With ``--rel-tol X``, a CSV op (``bounds``, ``tail``, ``ft``) whose argv, exit
 code, stderr, columns, row count and non-numeric fields match exactly may
 differ in its numeric fields, the numbers inside ``components_json``
-included, by at most X relative (inf, -inf and nan must match as text). It
-prints the largest relative change per ``bound_name`` (per column for ``ft``)
-and exits 1 on any op outside the tolerance.
+included, by at most X relative (inf, -inf and nan must match as text). An
+``ft`` row's ``mc_mean`` is a Monte Carlo estimate, so it is judged by the two
+rows' standard errors instead: |a - b| <= 4 sqrt(se_a^2 + se_b^2); its
+``mc_stderr`` is reported as a relative change and judged by neither rule. It
+prints the largest relative change per ``bound_name`` (per column for ``ft``),
+the largest ``mc_mean`` move in combined standard errors, and a count of the
+``ft`` ops whose ``mc_mean`` moved; it exits 1 on any op outside the tolerance.
 
 `reach` runs the ops that `dump` runs, then every script in TREE/demos, all in
 this process under ``sys.setprofile`` (and ``threading.setprofile`` for the
@@ -45,6 +49,7 @@ import threading
 from pathlib import Path
 
 VERIFY_PASSES = 3
+MC_SIGMAS = 4.0  # an ft mc_mean may move by this many combined standard errors
 
 
 def pool(workloads) -> list[tuple[str, object]]:
@@ -163,46 +168,65 @@ def _row_changes(x: dict, y: dict):
             yield f"{field}.{name}", _change(json.dumps(cx[name]), json.dumps(cy[name]))
 
 
-def _csv_change(x: dict, y: dict, worst: dict) -> float:
-    """Largest relative change between two records of one CSV op, also kept per
-    bound_name (or column) in `worst`; inf where anything but a number differs."""
+def _csv_change(x: dict, y: dict, worst: dict) -> tuple[float, float]:
+    """(largest relative change, largest ft mc_mean move in combined standard
+    errors) between two records of one CSV op; each relative change is also kept
+    per bound_name (or column) in `worst`. An ft row's mc_mean and mc_stderr
+    count only there and in the second number; inf where anything but a number differs."""
     if x["argv"] != y["argv"] or x["code"] != y["code"] or x["stderr"] != y["stderr"]:
-        return math.inf
+        return math.inf, 0.0
     rx, ry = (list(csv.DictReader(io.StringIO(r["stdout"]))) for r in (x, y))
     if len(rx) != len(ry) or any(a.keys() != b.keys() for a, b in zip(rx, ry)):
-        return math.inf
-    top = 0.0
+        return math.inf, 0.0
+    top = sigmas = 0.0
+    ft = x["argv"][0] == "ft"
     for a, b in zip(rx, ry):
         for label, change in _row_changes(a, b):
             key = a.get("bound_name", label)
             worst[key] = max(worst.get(key, 0.0), change)
-            top = max(top, change)
-    return top
+            if not (ft and label in ("mc_mean", "mc_stderr")):
+                top = max(top, change)
+        if ft and a["mc_mean"] != b["mc_mean"]:
+            try:
+                gap = abs(float(a["mc_mean"]) - float(b["mc_mean"]))
+                move = gap / math.hypot(float(a["mc_stderr"]), float(b["mc_stderr"]))
+            except (ValueError, ZeroDivisionError):
+                move = math.inf
+            sigmas = max(sigmas, move if move == move else math.inf)  # nan counts as inf
+    return top, sigmas
 
 
 def compare(a: Path, b: Path, rel_tol: float | None = None) -> int:
     left, right = json.loads(a.read_text()), json.loads(b.read_text())
     keys = left.keys() | right.keys()
     differ = sorted(key for key in keys if left.get(key) != right.get(key))
-    worst, failed = {}, 0
+    worst, failed, moved, top_sigmas = {}, 0, 0, 0.0
     for key in differ:
         if key not in left or key not in right:
             print(f"{key}: only in {a if key in left else b}")
             failed += 1
         elif rel_tol is not None and left[key]["argv"][0] in ("bounds", "tail", "ft"):
-            change = _csv_change(left[key], right[key], worst)
-            if not change <= rel_tol:
-                print(f"{key}: differs by {change:.3g} relative, or not only in numbers")
+            change, sigmas = _csv_change(left[key], right[key], worst)
+            top_sigmas = max(top_sigmas, sigmas)
+            if not (change <= rel_tol and sigmas <= MC_SIGMAS):
+                print(f"{key}: differs by {change:.3g} relative and its mc_mean by "
+                      f"{sigmas:.3g} standard errors, or not only in numbers")
                 failed += 1
+            elif sigmas > 0.0:
+                moved += 1
         else:
             fields = [f for f in left[key] if left[key][f] != right[key][f]]
             print(f"{key}: {', '.join(fields)} differ")
             failed += 1
     for name in sorted(worst):
         print(f"largest relative change, {name}: {worst[name]:.3g}")
+    if rel_tol is not None:
+        print(f"largest ft mc_mean move: {top_sigmas:.3g} combined standard errors")
     print(f"{len(keys) - len(differ)} of {len(keys)} ops identical"
-          + (f", {len(differ) - failed} more within {rel_tol:g} relative"
+          + (f", {len(differ) - failed - moved} more within {rel_tol:g} relative"
              if rel_tol is not None else ""))
+    if rel_tol is not None:
+        print(f"{moved} ft ops whose mc_mean moved within {MC_SIGMAS:g} combined standard errors")
     return 1 if failed else 0
 
 
