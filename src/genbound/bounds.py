@@ -12,11 +12,11 @@ certificate. Conventions:
 * tail checks (tail_pointwise_check, tail_pac_bayes, tail_transductive)
   report an exact violation probability against the requested delta.
 
-All expectations are enumerated unless a Monte Carlo mode is explicitly
-requested; `components` always sums to rhs, and anything informative but
-non-additive lives in `details`. When a density ratio escapes its reference
-measure the report comes back with rhs = +inf and a diagnostic flag instead
-of an exception, so sweeps over many problems never die halfway.
+Every expectation and probability is enumerated, never sampled; `components`
+always sums to rhs, and anything informative but non-additive lives in
+`details`. When a density ratio escapes its reference measure the report
+comes back with rhs = +inf and a diagnostic flag instead of an exception, so
+sweeps over many problems never die halfway.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, block_rows, check_memory
-from .learning import (Algorithm, LearningProblem, delta_bound, draw_pairs, exact_joint,
-                       expected_gen, joint_cells, subgaussian_sigma)
+from .learning import (Algorithm, LearningProblem, delta_bound, exact_joint, expected_gen,
+                       joint_cells, subgaussian_sigma)
 from .measures import FiniteMeasure, MarkovKernel, mutual_information, readonly, rel_entr
 from .orlicz import psi_inv
 # plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
@@ -47,7 +47,6 @@ class BoundReport:
     rhs: float
     lhs_kind: str
     components: dict
-    mode: str = "exact"
     details: dict = field(default_factory=dict)
 
     @property
@@ -66,7 +65,6 @@ class TailReport:
     bound_name: str
     delta: float
     violation: float
-    mode: str = "exact"
     details: dict = field(default_factory=dict)
 
     @property
@@ -685,8 +683,7 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm) -> BoundRe
 
 def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
                          q_w: FiniteMeasure | None = None,
-                         sigma: float | None = None,
-                         mc: tuple[int, int] | None = None, workers: int = 1) -> TailReport:
+                         sigma: float | None = None) -> TailReport:
     """P{ |gen| > sigma sqrt(6/n) (psi_2^{-1}(density) + sqrt(log 1/delta)) } <= delta,
     where a |gen| within _gen_rounding of zero never exceeds."""
     if not 0.0 < delta <= 1.0:
@@ -697,18 +694,8 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
     threshold = sig * np.sqrt(6.0 / prob.n) * base if sig > 0 else np.zeros_like(base)
     # a |gen| at rounding level counts as zero; an inf threshold is never exceeded
     exceed = np.abs(prob.gen_matrix.T) > np.maximum(threshold, _gen_rounding(prob))
-    if mc is None:
-        violation = float(joint_cells(prob, alg)[exceed].sum())
-        return TailReport("tail_pointwise", float(delta), violation,
-                          details={"sigma": sig})
-    samples, seed = mc
-    hits = draw_pairs(prob, alg, seed, samples, lambda cells: np.count_nonzero(
-        exceed.ravel().take(cells)), workers)
-    freq = sum(hits) / samples
-    stderr = float(np.sqrt(max(freq * (1 - freq), 0.0) / samples))
-    return TailReport("tail_pointwise", float(delta), float(freq), mode="mc",
-                      details={"sigma": sig, "samples": samples, "seed": seed,
-                               "stderr": stderr})
+    violation = float(joint_cells(prob, alg)[exceed].sum())
+    return TailReport("tail_pointwise", float(delta), violation, details={"sigma": sig})
 
 
 def tail_pac_bayes(prob: LearningProblem, alg: Algorithm, delta: float,

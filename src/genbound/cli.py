@@ -1,9 +1,9 @@
 """Command-line harness: seeded verification suites and batch bound reports.
 
-Exit codes: 0 all checks pass, 1 an inequality was violated, 2 bad input (a
-GenboundError or an unreadable file); any other exception is a bug and
-propagates. Outputs are byte-deterministic for a fixed seed and config,
-whatever the worker count.
+Exit codes: 0 all checks pass, 1 an inequality was violated (one stderr line
+per failing row names it), 2 bad input (a GenboundError or an unreadable file);
+any other exception is a bug and propagates. Outputs are byte-deterministic for
+a fixed seed and config, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import bounds as bnd
 from . import suprema as sup
 from .errors import ConfigurationError, GenboundError, read_field
-from .learning import algorithm_from_json, expected_gen, gibbs_algorithm, problem_from_json
+from .learning import algorithm_from_json, gibbs_algorithm, problem_from_json
 from .measures import FiniteMeasure
 from .verify import SUITES, run_suite
 
@@ -102,7 +101,7 @@ def _entries(cfg: dict):
                              None) or gibbs_algorithm(prob, 1.0)
         except ConfigurationError as exc:
             raise ConfigurationError(f"problems[{idx}]: {exc}") from exc
-        yield prob, alg
+        yield f"problems[{idx}]", prob, alg
 
 
 def _token_reports(prob, alg, token: str, delta: float):
@@ -131,7 +130,7 @@ def _token_reports(prob, alg, token: str, delta: float):
 
 
 def _report_rows(prob, report, seed: int, components: dict) -> dict:
-    return {"bound_name": report.bound_name, "mode": report.mode,
+    return {"bound_name": report.bound_name, "mode": "exact",
             "lhs": _fmt(float(report.lhs)), "rhs": _fmt(float(report.rhs)),
             "slack": _fmt(float(report.slack)), "n": prob.n, "m": prob.num_outcomes,
             "N": prob.num_hypotheses, "seed": seed,
@@ -147,6 +146,16 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
+def _finish(out: str | None, text: str, offenders: list) -> int:
+    """Write the CSV, then one stderr line per failing row, each given as (config
+    entry, row name, lhs, rhs); exit 1 if there is any."""
+    _write(out, text)
+    for where, name, lhs, rhs in offenders:
+        print(f"violated: {where} {name}: lhs {_fmt(float(lhs))}, rhs {_fmt(float(rhs))}, "
+              f"slack {_fmt(float(rhs) - float(lhs))}", file=sys.stderr)
+    return 1 if offenders else 0
+
+
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -159,8 +168,8 @@ def cmd_verify(args) -> int:
 
 
 def _violated(prob, report) -> bool:
-    """A Monte Carlo lhs counts as a violation only beyond four standard errors, an
-    exact expectation lhs only beyond SLACK_TOL plus its rounding level.
+    """An expectation lhs counts as a violation only beyond SLACK_TOL plus its
+    rounding level.
 
     That lhs, E[gen] or E|gen|, sums cell * gen over the S N (sample, hypothesis)
     cells. Each gen is within bnd._gen_rounding(prob) = (m + n) eps L of its exact
@@ -170,8 +179,6 @@ def _violated(prob, report) -> bool:
     sum |cell * gen| = E|gen| <= 2 L. That adds (S N + n) eps L, so the level is
     (m + 2n + S N) eps L. The rhs is compared as computed.
     """
-    if report.mode == "mc":
-        return report.lhs - 4.0 * report.details["stderr"] > report.rhs + SLACK_TOL
     violated = report.slack < -SLACK_TOL
     if violated and isinstance(report, bnd.BoundReport):  # the level costs a pass over the losses
         cells, digits = prob.num_samples * prob.num_hypotheses, prob.num_outcomes + prob.n
@@ -187,44 +194,32 @@ def cmd_bounds(args) -> int:
     for token in tokens:
         if token not in BOUND_TOKENS:
             raise GenboundError(f"unknown bound name {token!r}")
-    rows, violated = [], False
-    for prob, alg in _entries(cfg):
+    rows, offenders = [], []
+    for where, prob, alg in _entries(cfg):
         for token in sorted(set(tokens)):
             for report in _token_reports(prob, alg, token, args.delta):
-                kind = getattr(report, "lhs_kind", None)
-                if args.mc_samples and kind in ("absolute", "signed"):
-                    est = expected_gen(prob, alg, mode="mc", samples=args.mc_samples,
-                                       seed=seed, workers=args.workers)
-                    lhs = est.absolute if kind == "absolute" else est.signed
-                    stderr = (est.stderr_absolute if kind == "absolute"
-                              else est.stderr_signed)
-                    report = replace(report, lhs=lhs, mode="mc",
-                                     details={**report.details, "samples": est.samples,
-                                              "stderr": stderr})
                 rows.append(_report_rows(prob, report, seed, getattr(report, "components", {})))
-                violated = violated or _violated(prob, report)
-    _write(args.out, _csv_text(CSV_COLUMNS, rows))
-    return 1 if violated else 0
+                if _violated(prob, report):
+                    offenders.append((where, report.bound_name, report.lhs, report.rhs))
+    return _finish(args.out, _csv_text(CSV_COLUMNS, rows), offenders)
 
 
 def cmd_tail(args) -> int:
     seed = _resolve_seed(args)
     cfg = _load_config(args.config)
     delta = args.delta
-    rows, violated = [], False
-    for prob, alg in _entries(cfg):
+    rows, offenders = [], []
+    for where, prob, alg in _entries(cfg):
         bnd.check_transductive_pairs(prob)  # before the other tails and the root chain
-        mc_arg = (args.mc_samples, seed) if args.mc_samples else None
-        reports = [bnd.tail_pointwise_check(prob, alg, delta, mc=mc_arg, workers=args.workers),
+        reports = [bnd.tail_pointwise_check(prob, alg, delta),
                    bnd.tail_pac_bayes(prob, alg, delta),
                    bnd.tail_transductive(prob, alg, bnd.root_chain(prob, alg), delta)]
         for rep in reports:
             rows.append(_report_rows(prob, rep, seed, {
                 k: v for k, v in rep.details.items() if not isinstance(v, np.ndarray)}))
             if not rep.passed:
-                violated = True
-    _write(args.out, _csv_text(CSV_COLUMNS, rows))
-    return 1 if violated else 0
+                offenders.append((where, rep.bound_name, rep.lhs, rep.rhs))
+    return _finish(args.out, _csv_text(CSV_COLUMNS, rows), offenders)
 
 
 def cmd_ft(args) -> int:
@@ -233,7 +228,7 @@ def cmd_ft(args) -> int:
     spaces = cfg.get("spaces")
     if spaces is None:
         spaces = [cfg]
-    rows, violated = [], False
+    rows, offenders = [], []
     for idx, entry in enumerate(spaces):
         try:
             space = read_field(entry, "dist", sup.FiniteMetricSpace)
@@ -251,13 +246,12 @@ def cmd_ft(args) -> int:
         est, stderr = sup.expected_sup_mc(proc, space, sup.Selector("argmax"),
                                           args.mc_samples, seed, workers=args.workers)
         if est - 4.0 * stderr > bound:
-            violated = True
+            offenders.append((f"spaces[{idx}]", "ft_sup_bound", est, bound))
         rows.append({"space_id": entry.get("id", idx), "p": _fmt(p),
                      "mu_mode": args.mu_mode, "bound": _fmt(bound),
                      "mc_mean": _fmt(est), "mc_stderr": _fmt(stderr),
                      "samples": args.mc_samples, "seed": seed})
-    _write(args.out, _csv_text(FT_COLUMNS, rows))
-    return 1 if violated else 0
+    return _finish(args.out, _csv_text(FT_COLUMNS, rows), offenders)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,13 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--delta", type=float, default=0.05)
     pt.add_argument("--delta", type=float, default=0.05)
     pf.add_argument("--mu-mode", choices=("uniform", "grid", "eg"), default="uniform")
+    ignored = "accepted and ignored: every %(prog)s row is exact"
     for sub in (pb, pt, pf):
-        sub.add_argument("--mc-samples", type=int, default=10000 if sub is pf else 0)
+        sub.add_argument("--mc-samples", type=int, default=10000 if sub is pf else 0,
+                         help=None if sub is pf else ignored)
     for sub in (pv, pb, pt, pf):
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--out", default=None)
     for sub in (pb, pt, pf):
-        sub.add_argument("--workers", type=int, default=1)
+        sub.add_argument("--workers", type=int, default=1, help=None if sub is pf else ignored)
     return parser
 
 

@@ -5,7 +5,7 @@ sample size n small enough that the m^n training samples can be enumerated.
 Samples are indexed lexicographically (first draw most significant, base-m
 digits), algorithms are row-stochastic kernels from sample index to
 hypothesis index, and all population quantities are computed by summation,
-never by approximation, unless Monte Carlo is explicitly requested.
+never by approximation or sampling.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import mc
 from .errors import ConfigurationError, DomainError, block_rows, check_memory, integer, read_field
 from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, readonly
 from .orlicz import orlicz_norms
@@ -328,62 +327,16 @@ def exact_joint(prob: LearningProblem, alg: Algorithm) -> JointMeasure:
 class GenEstimate:
     signed: float
     absolute: float
-    mode: str
-    samples: int | None = None
-    seed: int | None = None
-    stderr_signed: float | None = None
-    stderr_absolute: float | None = None
 
 
-def draw_pairs(prob: LearningProblem, alg: Algorithm, seed: int, samples: int, reduce,
-               workers: int = 1) -> list:
-    """reduce(cells) of each Monte Carlo block of `samples` draws, in block order.
+def expected_gen(prob: LearningProblem, alg: Algorithm) -> GenEstimate:
+    """E[gen] and E|gen| over the joint of (sample, hypothesis), summed over its
+    cells once per kernel."""
+    def exact() -> GenEstimate:
+        cells, gen = joint_cells(prob, alg), prob.gen_matrix.T
+        return GenEstimate(float((cells * gen).sum()), float((cells * np.abs(gen)).sum()))
 
-    A draw is a (sample, hypothesis) pair from their joint law, as its C-order cell
-    s * N + w of `joint_cells`: block b of `seed`'s substreams takes one uniform per draw
-    and reads the cell off one 1-D `mc.Sampler` over those cells, built once per kernel.
-    """
-    sampler = prob.table(alg.matrix, "sampler", lambda: mc.Sampler(joint_cells(prob, alg).ravel()))
-    sizes = mc.block_sizes(samples)
-    return mc.run_blocks(lambda b: reduce(sampler.draw(mc.substream(seed, b).random(sizes[b]))),
-                         len(sizes), workers)
-
-
-def expected_gen(prob: LearningProblem, alg: Algorithm, mode: str = "exact",
-                 samples: int | None = None, seed: int | None = None,
-                 workers: int = 1) -> GenEstimate:
-    """E[gen] and E|gen| over the joint of (sample, hypothesis).
-
-    mode="exact" enumerates; mode="mc" averages gen over counter-based
-    substreams (bitwise reproducible for any worker count, so one estimate
-    per (samples, seed) is kept) and reports standard errors.
-    """
-    if mode == "exact":
-        def exact() -> GenEstimate:
-            cells, gen = joint_cells(prob, alg), prob.gen_matrix.T
-            return GenEstimate(float((cells * gen).sum()), float((cells * np.abs(gen)).sum()),
-                               "exact")
-
-        return prob.table(alg.matrix, "gen", exact)
-    if mode != "mc":
-        raise ConfigurationError(f"expected_gen: unknown mode {mode!r}")
-    if samples is None or seed is None:
-        raise ConfigurationError("expected_gen: mc mode needs samples and seed")
-    flat = prob.gen_matrix.ravel()
-
-    def moments(cells: np.ndarray):
-        s_idx, w_idx = np.divmod(cells, prob.num_hypotheses)
-        vals = flat.take(w_idx * prob.num_samples + s_idx)
-        return vals.sum(), np.abs(vals).sum(), (vals**2).sum()
-
-    def estimate() -> GenEstimate:
-        tot, tot_abs, tot_sq = map(sum, zip(*draw_pairs(prob, alg, seed, samples, moments, workers)))
-        signed, se_signed = mc.mean_and_stderr(tot, tot_sq, samples)
-        absolute, se_abs = mc.mean_and_stderr(tot_abs, tot_sq, samples)
-        return GenEstimate(signed, absolute, "mc", samples=samples, seed=seed,
-                           stderr_signed=se_signed, stderr_absolute=se_abs)
-
-    return prob.table(alg.matrix, ("mc", samples, seed), estimate)
+    return prob.table(alg.matrix, "gen", exact)
 
 
 # ---------------------------------------------------------------------------

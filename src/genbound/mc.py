@@ -1,9 +1,11 @@
 """Counter-based Monte Carlo substreams, and one exact categorical sampler.
 
-Every MC consumer draws from Philox generators keyed by (seed, task index), accumulates
-per-task partial sums, and reduces them in task order, so results are bitwise identical
-however many workers ran the tasks. A draw takes one uniform: a (sample, hypothesis) pair
-of `bounds` and `tail` is one cell of a 1-D table over their joint law.
+Monte Carlo estimates only what has no exact value yet, the expected supremum of an `ft`
+process (`suprema.expected_sup_mc`); `bounds` and `tail` enumerate. Every MC consumer draws
+from Philox generators keyed by (seed, task index), accumulates per-task partial sums, and
+reduces them in task order, so results are bitwise identical however many workers ran the
+tasks. A tabulated path is one categorical draw over the path weights, and a randomized
+selector's point one over its kernel's row.
 
 A categorical draw takes the first column j with cdf[j] >= u (cdf: the weights summed
 along the last axis, last entry +inf). `Sampler` finds j by a guide table (Chen & Asau

@@ -32,7 +32,8 @@ MU_FLOOR = 1e-6
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Symmetric nonnegative distance matrix with zero diagonal; triangle
-    inequality enforced to METRIC_TOL. Distances carry abstract length units."""
+    inequality enforced to METRIC_TOL times the largest |distance|, so a verdict
+    does not depend on the units the distances carry."""
 
     dist: np.ndarray
 
@@ -42,18 +43,19 @@ class FiniteMetricSpace:
             raise ConfigurationError("FiniteMetricSpace: square matrix required")
         if not np.all(np.isfinite(d)):
             raise ConfigurationError("FiniteMetricSpace: non-finite distances")
-        if np.abs(d - d.T).max() > METRIC_TOL:
+        tol = METRIC_TOL * float(np.abs(d).max())
+        if np.abs(d - d.T).max() > tol:
             raise ConfigurationError("FiniteMetricSpace: distances must be symmetric")
-        if np.abs(np.diag(d)).max() > METRIC_TOL:
+        if np.abs(np.diag(d)).max() > tol:
             raise ConfigurationError("FiniteMetricSpace: diagonal must be zero")
-        if d.min() < -METRIC_TOL:
+        if d.min() < -tol:
             raise ConfigurationError("FiniteMetricSpace: negative distance")
         d = np.maximum((d + d.T) / 2.0, 0.0)
         np.fill_diagonal(d, 0.0)
         # slack[u, v, w] = d(u,w) + d(v,w) - d(u,v) over blocks of rows u, two (T, T) per row
         step = block_rows(16 * d.size, "FiniteMetricSpace")
         if min((d[lo:lo + step, None, :] + d[None, :, :] - d[lo:lo + step, :, None]).min()
-               for lo in range(0, d.shape[0], step)) < -METRIC_TOL:
+               for lo in range(0, d.shape[0], step)) < -tol:
             raise ConfigurationError("FiniteMetricSpace: triangle inequality fails")
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)

@@ -210,6 +210,10 @@ def test_criterion_10_byte_identical_runs(tmp_path):
     cfg_f = tmp_path / "spaces.json"
     cfg_f.write_text(json.dumps({"dist": [[0.0, 2.0], [2.0, 0.0]]}))
 
+    # bounds ignores --mc-samples and --workers: both runs print the exact rows
+    exact = tmp_path / "bounds_exact.csv"
+    assert cli.main(["bounds", "--config", str(cfg_b), "--bounds", "thm1,mi,cmi",
+                     "--seed", "12", "--out", str(exact)]) == 0
     outs = []
     for tag, workers in (("a", "1"), ("b", "8")):
         out_b = tmp_path / f"bounds_{tag}.csv"
@@ -221,5 +225,5 @@ def test_criterion_10_byte_identical_runs(tmp_path):
                          "--seed", "12", "--workers", workers,
                          "--out", str(out_f)]) == 0
         outs.append((out_b.read_bytes(), out_f.read_bytes()))
-    ok = outs[0] == outs[1]
+    ok = outs[0] == outs[1] and outs[0][0] == exact.read_bytes()
     _report(10, ok, "1-worker and 8-worker runs emit byte-identical reports")

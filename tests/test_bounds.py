@@ -21,8 +21,8 @@ from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVa
                       tail_transductive)
 from genbound import bounds
 from genbound.bounds import _psi2_inv_ratio
+from genbound.learning import joint_cells
 from genbound.errors import BLOCK_BYTES, MEMORY_BUDGET, block_rows
-from genbound.learning import draw_pairs
 from genbound.orlicz import NORM_REL_TOL
 from genbound.transport import TransportPlan, displacement_interpolation
 
@@ -1078,30 +1078,32 @@ def test_tail_pointwise_delta_edges(small_problem, gibbs_alg):
             tail_pointwise_check(small_problem, gibbs_alg, bad)
 
 
-def looped_pointwise_frequency(prob, alg, delta, sigma, samples, seed):
-    # the Monte Carlo tail as first written: each block's hits by a 2-D fancy index
+def looped_pointwise_frequency(prob, alg, delta, sigma):
+    # the pointwise tail as a loop: the mass of each (sample, hypothesis) cell whose
+    # |gen| exceeds its threshold, by the 2-D index, summed exactly
     inv, _ = bounds._density_table(prob, alg, alg.matrix, bounds._q_w(prob, alg, None).weights)
     threshold = sigma * np.sqrt(6.0 / prob.n) * (inv + np.sqrt(np.log(1.0 / delta)))
-    exceed = np.abs(prob.gen_matrix.T) > np.maximum(threshold, bounds._gen_rounding(prob))
-    hits = 0
-    for cells in draw_pairs(prob, alg, seed, samples, lambda cells: cells):
-        s_idx, w_idx = np.divmod(cells, prob.num_hypotheses)
-        hits += exceed[s_idx, w_idx].sum()
-    return hits / samples
+    cells, floor = joint_cells(prob, alg), bounds._gen_rounding(prob)
+    return math.fsum(cells[s, w] for s in range(prob.num_samples)
+                     for w in range(prob.num_hypotheses)
+                     if abs(prob.gen_matrix[w, s]) > max(threshold[s, w], floor))
 
 
 def test_tail_pointwise_mc_hits_equal_the_looped_lookup():
+    # the tail has no Monte Carlo form: its violation is the exact mass the loop sums
     gen = np.random.default_rng(77)
     seen = set()
     for _ in range(6):
         prob = random_problem(gen, m_max=4, n_max=3)
         for alg in algorithm_family(prob):
             for sigma in (0.01, 0.1):  # small sigmas make a tail that is often exceeded
-                report = tail_pointwise_check(prob, alg, 0.9, sigma=sigma, mc=(9000, 5))
-                want = looped_pointwise_frequency(prob, alg, 0.9, sigma, 9000, 5)
-                assert report.violation == want
+                report = tail_pointwise_check(prob, alg, 0.9, sigma=sigma)
+                want = looped_pointwise_frequency(prob, alg, 0.9, sigma)
+                assert report.violation == pytest.approx(want, abs=1e-14)
                 seen.add(0.0 < want < 1.0)
     assert seen == {True, False}
+    with pytest.raises(TypeError):
+        tail_pointwise_check(prob, alg, 0.9, sigma=0.1, mc=(9000, 5))
 
 
 def test_tail_pac_bayes_delta_edges(small_problem, gibbs_alg):

@@ -39,6 +39,30 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def without_mc_flags(argv):
+    """argv without --mc-samples and --workers and their values."""
+    out, skip = [], False
+    for arg in argv:
+        if skip:
+            skip = False
+        elif arg in ("--mc-samples", "--workers"):
+            skip = True
+        else:
+            out.append(arg)
+    return out
+
+
+def run_exact_and_flagged(argv, capsys):
+    """(code, stdout, stderr) of argv; each must equal the run without the Monte Carlo flags."""
+    outs = []
+    for args in (argv, without_mc_flags(argv)):
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        outs.append((code, captured.out, captured.err))
+    assert outs[0] == outs[1], argv
+    return outs[0]
+
+
 def test_verify_single_suite_exit_zero(tmp_path, capsys):
     rc = cli.main(["verify", "--suite", "psi", "--trials", "200", "--seed", "1"])
     out = capsys.readouterr().out
@@ -265,44 +289,46 @@ def test_tail_refuses_its_sample_pair_table_before_other_work(tmp_path, capsys):
 
 def test_monte_carlo_draws_at_a_huge_n_stay_within_the_memory_budget(tmp_path, capsys):
     # one outcome lets n reach 2^17 within the problem's own tables; each Monte Carlo
-    # block once asked numpy for an 8 GiB (8192, n) table of uniforms, and a draw now
-    # takes one uniform for its (sample, hypothesis) cell whatever n is
+    # block once asked numpy for an 8 GiB (8192, n) table of uniforms. bounds and tail
+    # now draw nothing: the flags are ignored, and the rows are the exact ones
     entry = {"m": 1, "N": 2, "n": 131072, "loss": [[1.0], [0.0]], "p_z": [1.0], "bound": 1.0}
     cfg = write_config(tmp_path, {"problems": [entry]})
     for argv in (["bounds", "--bounds", "mi"], ["tail"]):
         tracemalloc.start()
         try:
-            code = cli.main([*argv, "--mc-samples", "10000", "--config", cfg])
+            code, out, err = run_exact_and_flagged(
+                [*argv, "--mc-samples", "10000", "--config", cfg], capsys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        captured = capsys.readouterr()
-        assert code == 0 and captured.err == "", argv
-        rows = list(csv.DictReader(io.StringIO(captured.out)))
-        assert rows[0]["mode"] == "mc" and float(rows[0]["lhs"]) == 0.0, argv
+        assert code == 0 and err == "", argv
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows[0]["mode"] == "exact" and float(rows[0]["lhs"]) == 0.0, argv
         assert peak < 2 * MEMORY_BUDGET, argv
 
 
 def test_monte_carlo_draws_past_a_thousand_hypotheses(tmp_path, capsys):
-    # draw_pairs checked a (size, max(n, N)) block, though its draws hold only
-    # (size, n) uniforms, so every N > 1024 was refused under --mc-samples
+    # the Monte Carlo draws checked a (size, max(n, N)) block, though they held only
+    # (size, n) uniforms, so every N > 1024 was refused under --mc-samples; the
+    # flags are now ignored, and the exact rows answer at this N
     gen = np.random.default_rng(8)
     entry = {"m": 2, "N": 2000, "n": 2, "loss": gen.uniform(size=(2000, 2)).tolist(),
              "p_z": [0.4, 0.6], "bound": 1.0, "algorithm": {"kind": "gibbs", "beta": 1.0}}
     cfg = write_config(tmp_path, {"problems": [entry]})
-    assert cli.main(["bounds", "--bounds", "mi", "--mc-samples", "10000", "--config", cfg]) == 0
-    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
-    assert [(row["bound_name"], row["mode"]) for row in rows] == [("mi", "mc")]
-    # tail draws its pointwise tail, and its transductive chain, which needed an
-    # (S, N, N) table per level over the budget at this N, is a list of pairs
-    assert cli.main(["tail", "--mc-samples", "10000", "--config", cfg]) == 0
-    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
-    assert [row["bound_name"] for row in rows] == ["tail_pointwise", "tail_pac_bayes",
-                                                   "tail_transductive"]
+    code, out, _ = run_exact_and_flagged(
+        ["bounds", "--bounds", "mi", "--mc-samples", "10000", "--config", cfg], capsys)
+    rows = csv.DictReader(io.StringIO(out))
+    assert code == 0 and [(row["bound_name"], row["mode"]) for row in rows] == [("mi", "exact")]
+    # the transductive chain, which needed an (S, N, N) table per level over the
+    # budget at this N, is a list of pairs
+    code, out, _ = run_exact_and_flagged(["tail", "--mc-samples", "10000", "--config", cfg],
+                                         capsys)
+    rows = csv.DictReader(io.StringIO(out))
+    assert code == 0 and [row["bound_name"] for row in rows] == [
+        "tail_pointwise", "tail_pac_bayes", "tail_transductive"]
     prob = problem_from_json(entry)
-    report = tail_pointwise_check(prob, algorithm_from_json(prob, entry["algorithm"]), 0.05,
-                                  mc=(10000, 0))
-    assert report.details["samples"] == 10000 and report.passed
+    report = tail_pointwise_check(prob, algorithm_from_json(prob, entry["algorithm"]), 0.05)
+    assert set(report.details) == {"sigma"} and report.passed
 
 
 def test_negative_mc_samples_exits_two(tmp_path, capsys):
@@ -391,19 +417,19 @@ def test_bounds_ignore_coupling_rows_are_zero(tmp_path):
         assert float(row["rhs"]) == 0.0
 
 
-def test_bounds_mc_mode_marks_rows(tmp_path):
+def test_bounds_mc_mode_marks_rows(tmp_path, capsys):
+    # --mc-samples is accepted and ignored: the row is the exact one
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
-    out = tmp_path / "rows.csv"
-    rc = cli.main(["bounds", "--config", cfg, "--bounds", "mi",
-                   "--mc-samples", "2000", "--seed", "9", "--out", str(out)])
-    assert rc == 0
-    (row,) = read_rows(str(out))
-    assert row["mode"] == "mc"
+    code, out, _ = run_exact_and_flagged(["bounds", "--config", cfg, "--bounds", "mi",
+                                          "--mc-samples", "2000", "--seed", "9"], capsys)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["mode"] == "exact"
 
 
-def test_bounds_mc_draws_once_per_problem(tmp_path, monkeypatch):
-    # every absolute and signed report of a problem shares one estimate; the
-    # draws are keyed by seed, so each row equals the row of its token alone
+def test_bounds_mc_draws_once_per_problem(tmp_path, monkeypatch, capsys):
+    # every absolute and signed report of a problem shares one exact estimate, and
+    # no Monte Carlo block runs, so each row equals the row of its token alone
     entries = [problem_entry(seed=2), problem_entry(seed=3)]
     cfg = write_config(tmp_path, {"problems": entries})
     draws = []
@@ -418,13 +444,15 @@ def test_bounds_mc_draws_once_per_problem(tmp_path, monkeypatch):
     base = ["--config", cfg, "--mc-samples", "3000", "--seed", "5"]
     out = tmp_path / "rows.csv"
     assert cli.main(["bounds", *base, "--bounds", tokens, "--out", str(out)]) == 0
-    assert len(draws) == len(entries)
+    assert draws == []
     together = read_rows(str(out))
+    assert cli.main(["bounds", *without_mc_flags(base), "--bounds", tokens]) == 0
+    assert capsys.readouterr().out == out.read_text()
     alone = []
     for token in tokens.split(","):
         assert cli.main(["bounds", *base, "--bounds", token, "--out", str(out)]) == 0
         alone += read_rows(str(out))
-    assert {row["mode"] for row in together} == {"mc"}
+    assert {row["mode"] for row in together} == {"exact"}
     text = [json.dumps(row, sort_keys=True) for row in together]
     assert sorted(text) == sorted(json.dumps(row, sort_keys=True) for row in alone)
 
@@ -597,6 +625,66 @@ def test_an_exact_row_below_its_lhs_still_exits_one(tmp_path, monkeypatch):
     assert 2.0 < float(metric["lhs"]) / float(metric["rhs"]) < 3.0
 
 
+def test_monte_carlo_flags_on_a_constant_loss_give_the_exact_rows(tmp_path, capsys):
+    # under --mc-samples every draw read the same rounded gen, so the row's standard
+    # error was 0: lhs 1.49e-8 against the chain's rhs 0 exited 1 with empty stderr
+    entry = {"m": 3, "N": 1, "n": 3, "loss": [[123456789.123] * 3], "p_z": [0.2, 0.3, 0.5],
+             "bound": 2e9, "algorithm": {"kind": "erm"}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    code, out, err = run_exact_and_flagged(
+        ["bounds", "--bounds", "chain", "--mc-samples", "10000", "--config", cfg], capsys)
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["bound_name"], row["mode"], row["rhs"]) for row in rows] == [
+        ("chain", "exact", "0"), ("chain_metric", "exact", "0")]
+
+
+def test_an_exit_one_names_each_failing_row(tmp_path, capsys):
+    # at losses near 1e-170 the squares underflow and these rows fail; both
+    # commands exited 1 with nothing on stderr
+    entry = {"m": 2, "N": 3, "n": 3, "loss": [[0.3e-170, 0.9e-170], [0.5e-170, 0.2e-170],
+                                              [0.7e-170, 0.6e-170]],
+             "p_z": [0.4, 0.6], "bound": 1e-170, "algorithm": {"kind": "erm"}}
+    cfg = write_config(tmp_path, {"problems": [problem_entry(), entry]})
+    for argv, names in ((["tail"], ["tail_pac_bayes", "tail_transductive"]),
+                        (["bounds", "--bounds", "mi,chain,transductive"],
+                         ["tail_transductive"])):
+        assert cli.main([*argv, "--config", cfg]) == 1, argv
+        captured = capsys.readouterr()
+        rows = [row for row in csv.DictReader(io.StringIO(captured.out))
+                if row["bound_name"] in names and float(row["slack"]) < 0.0][-len(names):]
+        assert [row["bound_name"] for row in rows] == names, argv
+        assert captured.err.splitlines() == [
+            f"violated: problems[1] {row['bound_name']}: lhs {row['lhs']}, rhs {row['rhs']}, "
+            f"slack {row['slack']}" for row in rows], argv
+
+
+def test_an_ft_exit_one_names_its_space(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.sup, "ft_sup_bound", lambda mu, space, p: 0.0)
+    cfg = write_config(tmp_path, {"spaces": [{"dist": [[0.0]]}, {"dist": [[0.0, 1.0],
+                                                                          [1.0, 0.0]]}]})
+    assert cli.main(["ft", "--config", cfg, "--mc-samples", "2000", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    row = list(csv.DictReader(io.StringIO(captured.out)))[1]
+    assert captured.err == (f"violated: spaces[1] ft_sup_bound: lhs {row['mc_mean']}, rhs 0, "
+                            f"slack {cli._fmt(-float(row['mc_mean']))}\n")
+
+
+@pytest.mark.parametrize("k", [-150, -13, 0, 10])
+def test_metric_checks_do_not_depend_on_the_scale(tmp_path, capsys, k):
+    # the checks were absolute (1e-12): this non-metric passed at 1e-13 and below
+    bad = 10.0**k * np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    paths = {"kind": "tabulated", "paths": [[0.0] * 3], "weights": [1.0]}
+    cfg = write_config(tmp_path, {"spaces": [{"dist": bad.tolist(), "process": paths}]})
+    assert cli.main(["ft", "--config", cfg, "--mc-samples", "100"]) == 2
+    assert "triangle inequality fails" in capsys.readouterr().err
+    pts = np.random.default_rng(40).normal(size=(40, 3))
+    euclid = 10.0**k * np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    cfg = write_config(tmp_path, {"spaces": [{"dist": euclid.tolist()}]})
+    assert cli.main(["ft", "--config", cfg, "--mc-samples", "100"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bounds_transductive_refuses_its_pair_table_before_the_root_chain(tmp_path, monkeypatch,
                                                                           capsys):
     # the root chain was built first, and then tail_transductive refused its (S, S) tables
@@ -721,20 +809,20 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsy
     assert [row["seed"] for row in csv.DictReader(io.StringIO(out))] == ["0", "0"]
 
 
-def test_bounds_mc_noise_is_not_a_violation(tmp_path, small_problem):
+def test_bounds_mc_noise_is_not_a_violation(tmp_path, small_problem, capsys):
     # A data-ignoring learner has exact rhs 0 for the coupling bounds, so the
-    # Monte Carlo lhs is pure noise around 0; a bare slack test flagged it on
-    # seeds 2, 3, 4, 5 and 7.
+    # Monte Carlo lhs was pure noise around 0; a bare slack test flagged it on
+    # seeds 2, 3, 4, 5 and 7. The flags are now ignored and the lhs is exact.
     entry = json.loads(small_problem.to_json())
     entry["algorithm"] = {"kind": "ignore"}
     cfg = write_config(tmp_path, {"problems": [entry]})
-    out = tmp_path / "rows.csv"
     for seed in range(8):
-        rc = cli.main(["bounds", "--config", cfg, "--bounds", "coupling",
-                       "--mc-samples", "2000", "--seed", str(seed), "--out", str(out)])
-        assert rc == 0, seed
-        for row in read_rows(str(out)):
-            assert row["mode"] == "mc" and float(row["rhs"]) == 0.0
+        code, out, err = run_exact_and_flagged(
+            ["bounds", "--config", cfg, "--bounds", "coupling", "--mc-samples", "2000",
+             "--seed", str(seed)], capsys)
+        assert code == 0 and err == "", seed
+        for row in csv.DictReader(io.StringIO(out)):
+            assert row["mode"] == "exact" and float(row["rhs"]) == 0.0
 
 
 def count_linprog_calls(monkeypatch) -> list:
@@ -794,7 +882,7 @@ def test_bounds_repeat_runs_are_byte_identical(tmp_path):
     argv = ["bounds", "--config", cfg, "--bounds", "thm1,cmi",
             "--mc-samples", "500", "--seed", "11"]
     assert cli.main(argv + ["--out", str(a)]) == 0
-    assert cli.main(argv + ["--out", str(b)]) == 0
+    assert cli.main(without_mc_flags(argv) + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -828,6 +916,7 @@ def test_tail_rows_and_delta_validation(tmp_path):
 
 
 def test_tail_mc_honours_workers_with_identical_stdout(tmp_path, capsys, monkeypatch):
+    # tail draws nothing: --mc-samples and --workers are ignored, the rows are exact
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
     counts = []
     run_blocks = mc.run_blocks
@@ -839,12 +928,13 @@ def test_tail_mc_honours_workers_with_identical_stdout(tmp_path, capsys, monkeyp
     monkeypatch.setattr(mc, "run_blocks", recorded)
     outs = []
     for workers in ("1", "2"):
-        assert cli.main(["tail", "--config", cfg, "--mc-samples", "20000", "--seed", "4",
-                         "--workers", workers]) == 0
-        outs.append(capsys.readouterr().out)
+        code, out, _ = run_exact_and_flagged(["tail", "--config", cfg, "--mc-samples", "20000",
+                                              "--seed", "4", "--workers", workers], capsys)
+        assert code == 0
+        outs.append(out)
     assert outs[0] == outs[1]
-    assert "mc" in outs[0]
-    assert counts == [1, 2]
+    assert {row["mode"] for row in csv.DictReader(io.StringIO(outs[0]))} == {"exact"}
+    assert counts == []
 
 def test_ft_single_point_space(tmp_path):
     cfg = write_config(tmp_path, {"dist": [[0.0]]})
@@ -936,8 +1026,8 @@ def test_a_streamed_row_over_the_memory_budget_exits_two(tmp_path, capsys):
 
 
 def test_tail_mc_stdout_is_the_same_for_any_worker_count(tmp_path, capsys):
-    # at delta 0.99 these problems exceed the pointwise tail on some draws, so
-    # the frequencies carry the draw stream; 30000 draws make four blocks
+    # at delta 0.99 these problems exceed the pointwise tail with positive mass;
+    # the flags are ignored, so every worker count prints the exact rows
     gen = np.random.default_rng(3)
     entries = [{"m": 2, "N": 3, "n": 3, "loss": (gen.uniform(size=(3, 2)) ** 4).tolist(),
                 "p_z": gen.dirichlet([0.3, 0.3]).tolist(), "bound": 1.0, "algorithm": alg}
@@ -946,8 +1036,10 @@ def test_tail_mc_stdout_is_the_same_for_any_worker_count(tmp_path, capsys):
     outs = []
     for workers in ("1", "3"):
         argv = ["tail", "--config", cfg, "--mc-samples", "30000", "--delta", "0.99"]
-        assert cli.main(argv + ["--seed", "4", "--workers", workers]) == 0
-        outs.append(capsys.readouterr().out)
+        code, out, _ = run_exact_and_flagged(argv + ["--seed", "4", "--workers", workers],
+                                             capsys)
+        assert code == 0
+        outs.append(out)
     assert outs[0] == outs[1]
     rows = csv.DictReader(io.StringIO(outs[0]))
     assert any(float(row["lhs"]) > 0.0 for row in rows if row["bound_name"] == "tail_pointwise")
@@ -967,15 +1059,15 @@ DATA = Path(__file__).resolve().parent / "data"
      "tail_heavy_mc.csv"),
     (["ft", "--config", "ft_gauss.json", "--mc-samples", "10000"], "ft_gauss.csv")])
 def test_mc_stdout_matches_the_recorded_csv(argv, golden, workers, capsys):
-    # The benchmark oracle checks Monte Carlo rows within standard errors only,
-    # so these recorded bytes are what pins the draw stream itself, and the
-    # exact rows to their last bit. The tail
-    # frequencies of mc_problems.json are 0 (the bound holds); the bounds and
-    # ft rows carry the stream, and so do the heavy-tailed losses of
-    # tail_heavy.json at delta 0.99, whose pointwise tail is exceeded on some
-    # of four blocks of draws. Zero-mass outcomes, ERM, a sparse ignore prior
-    # and tabulated paths are all drawn. ft_gauss.json pins the Gaussian stream over
-    # two blocks: a rank-2 Gram of points in R^2 and a full-rank explicit cov. An
+    # The benchmark oracle checks ft means within standard errors only, so these
+    # recorded bytes are what pins the draw stream itself, and the exact rows to
+    # their last bit. bounds and tail ignore --mc-samples and --workers, so their
+    # *_mc.csv files hold the exact rows: bounds_mc.csv is bounds_exact.csv byte
+    # for byte, tail_mc.csv is tail_exact.csv, and tail_heavy_mc.csv is the exact
+    # tail of the heavy-tailed losses of tail_heavy.json at delta 0.99, whose
+    # pointwise tail has positive mass. The ft rows carry the stream: tabulated
+    # paths over mc_spaces.json, and ft_gauss.json pins the Gaussian stream over
+    # two blocks, a rank-2 Gram of points in R^2 and a full-rank explicit cov. An
     # intended change to an exact bound shows up here too: re-record the file with
     # the same command and say so.
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]

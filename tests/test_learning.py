@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -264,32 +265,54 @@ def test_expected_gen_matches_bruteforce(small_problem, gibbs_alg):
     assert abs(est.absolute - absolute) < 1e-12
 
 
+def joint_draws(prob, alg, seed, samples, workers=1):
+    # the flat cells s * N + w of Monte Carlo (sample, hypothesis) draws, one list entry
+    # per block of seed's substreams: one 1-D mc.Sampler over the flattened joint cells
+    sampler = mc.Sampler(learning.joint_cells(prob, alg).ravel())
+    sizes = mc.block_sizes(samples)
+    return mc.run_blocks(lambda b: sampler.draw(mc.substream(seed, b).random(sizes[b])),
+                         len(sizes), workers)
+
+
+def sampled_gen(prob, alg, seed, samples):
+    # (mean, standard error) of gen and of |gen| over joint draws
+    vals = prob.gen_matrix.T.ravel()[np.concatenate(joint_draws(prob, alg, seed, samples))]
+    total_sq = float((vals**2).sum())
+    return (mc.mean_and_stderr(float(vals.sum()), total_sq, samples),
+            mc.mean_and_stderr(float(np.abs(vals).sum()), total_sq, samples))
+
+
 def test_expected_gen_mc_matches_exact(small_problem, gibbs_alg):
+    # expected_gen has no Monte Carlo mode; joint draws average to its exact
+    # value within four standard errors
     exact = expected_gen(small_problem, gibbs_alg)
-    mc = expected_gen(small_problem, gibbs_alg, mode="mc",
-                      samples=40000, seed=5)
-    assert abs(mc.signed - exact.signed) <= 4 * mc.stderr_signed
-    assert abs(mc.absolute - exact.absolute) <= 4 * max(mc.stderr_absolute, 1e-12)
+    (signed, se), (absolute, se_abs) = sampled_gen(small_problem, gibbs_alg, 5, 40000)
+    assert abs(signed - exact.signed) <= 4 * se
+    assert abs(absolute - exact.absolute) <= 4 * max(se_abs, 1e-12)
+    with pytest.raises(TypeError):
+        expected_gen(small_problem, gibbs_alg, mode="mc", samples=40000, seed=5)
 
 
 def test_expected_gen_mc_coverage(small_problem, gibbs_alg):
     exact = expected_gen(small_problem, gibbs_alg)
     hits = 0
     for seed in range(10):
-        mc = expected_gen(small_problem, gibbs_alg, mode="mc",
-                          samples=4000, seed=seed)
-        if abs(mc.signed - exact.signed) <= 4 * mc.stderr_signed:
+        (signed, se), _ = sampled_gen(small_problem, gibbs_alg, seed, 4000)
+        if abs(signed - exact.signed) <= 4 * se:
             hits += 1
     assert hits >= 9
 
 
 def test_expected_gen_mc_deterministic_across_workers(small_problem, gibbs_alg):
-    one = expected_gen(small_problem, gibbs_alg, mode="mc", samples=9000,
-                       seed=11, workers=1)
-    many = expected_gen(small_problem, gibbs_alg, mode="mc", samples=9000,
-                        seed=11, workers=4)
-    assert one.signed == many.signed
-    assert one.absolute == many.absolute
+    # the draws do not depend on the worker count; the exact estimate is one
+    # stored entry per kernel, and it carries no Monte Carlo fields
+    one = joint_draws(small_problem, gibbs_alg, 11, 9000, workers=1)
+    many = joint_draws(small_problem, gibbs_alg, 11, 9000, workers=4)
+    assert len(one) == len(many) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(one, many))
+    est = expected_gen(small_problem, gibbs_alg)
+    assert expected_gen(small_problem, gibbs_alg) is est
+    assert [f.name for f in dataclasses.fields(est)] == ["signed", "absolute"]
 
 
 def reference_cells(prob, alg, seed, samples):
@@ -302,7 +325,7 @@ def reference_cells(prob, alg, seed, samples):
 
 
 def check_draws(prob, alg, seed, samples):
-    got = learning.draw_pairs(prob, alg, seed, samples, lambda cells: cells)
+    got = joint_draws(prob, alg, seed, samples)
     want = reference_cells(prob, alg, seed, samples)
     assert len(got) == len(want)
     for cells, ref in zip(got, want):
@@ -345,7 +368,7 @@ def test_draw_pairs_reproduces_the_choice_stream_bits():
     for prob, alg in draw_edge_cases():
         mass = learning.joint_cells(prob, alg).ravel()
         for seed, samples in DRAW_SEEDS:
-            got = learning.draw_pairs(prob, alg, seed, samples, lambda cells: cells)
+            got = joint_draws(prob, alg, seed, samples)
             want = [mc.substream(seed, b).choice(mass.size, size=size, p=mass)
                     for b, size in enumerate(mc.block_sizes(samples))]
             assert len(got) == len(want)
@@ -373,28 +396,27 @@ def test_draw_pairs_follow_the_joint_law():
     sparse[[0, -1]] = 0.5
     for alg in (gibbs_algorithm(prob, 2.0), ignore_algorithm(prob, FiniteMeasure(sparse))):
         mass = learning.joint_cells(prob, alg).ravel()
-        counts = sum(learning.draw_pairs(prob, alg, 3, 2**17,
-                                         lambda cells: np.bincount(cells, minlength=mass.size)))
+        counts = sum(np.bincount(cells, minlength=mass.size)
+                     for cells in joint_draws(prob, alg, 3, 2**17))
         assert counts.sum() == 2**17
         freq = counts / 2**17
         assert np.all(np.abs(freq - mass) <= 6 * np.sqrt(mass * (1 - mass) / 2**17))
 
 
 def test_expected_gen_mc_equals_the_looped_lookup():
-    # each block's gen values by the 2-D fancy index, as first written
+    # the exact sums against each (sample, hypothesis) cell by the 2-D index, as
+    # first written for the Monte Carlo blocks, summed exactly by math.fsum
     gen = np.random.default_rng(8)
     for _ in range(4):
         prob = random_problem(gen, m_max=4, n_max=3)
         for alg in algorithm_family(prob):
-            parts = []
-            for cells in learning.draw_pairs(prob, alg, 4, 9000, lambda cells: cells):
-                s_idx, w_idx = np.divmod(cells, prob.num_hypotheses)
-                vals = prob.gen_matrix[w_idx, s_idx]
-                parts.append((vals.sum(), np.abs(vals).sum(), (vals**2).sum()))
-            tot, tot_abs, tot_sq = (sum(p[i] for p in parts) for i in range(3))
-            got = expected_gen(prob, alg, mode="mc", samples=9000, seed=4)
-            assert (got.signed, got.stderr_signed) == mc.mean_and_stderr(tot, tot_sq, 9000)
-            assert (got.absolute, got.stderr_absolute) == mc.mean_and_stderr(tot_abs, tot_sq, 9000)
+            cells = learning.joint_cells(prob, alg)
+            s_idx, w_idx = np.divmod(np.arange(cells.size), prob.num_hypotheses)
+            vals = prob.gen_matrix[w_idx, s_idx]
+            got = expected_gen(prob, alg)
+            assert got.signed == pytest.approx(math.fsum(cells.ravel() * vals), abs=1e-13)
+            assert got.absolute == pytest.approx(math.fsum(cells.ravel() * np.abs(vals)),
+                                                 abs=1e-13)
 
 
 @dataclass(frozen=True)
