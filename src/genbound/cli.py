@@ -223,11 +223,24 @@ def cmd_tail(args) -> int:
 
 
 def cmd_ft(args) -> int:
+    """One row per space: ft_sup_bound against E[sup X], exact for a tabulated process.
+
+    A Gaussian row is a Monte Carlo estimate, a violation only beyond four standard
+    errors. A tabulated row is `weights @ paths.max(axis=1)` over its P paths (stderr
+    0, samples 0), a violation only beyond its rounding level. The max is exact; the
+    dot product's P products and P - 1 sums round by at most P eps / 2 of
+    sum w |x| <= max|paths|. The weights, renormalized by FiniteMeasure, sum to 1
+    within P eps / 2, which moves the mean by that much of max|paths|. One more
+    eps max|paths| takes the second-order terms: the level is (P + 1) eps max|paths|.
+    The bound is compared as computed.
+    """
     seed = _resolve_seed(args)
     cfg = _load_config(args.config)
     spaces = cfg.get("spaces")
     if spaces is None:
         spaces = [cfg]
+    elif not isinstance(spaces, list) or not spaces:
+        raise GenboundError("config needs a non-empty 'spaces' list")
     rows, offenders = [], []
     for idx, entry in enumerate(spaces):
         try:
@@ -235,6 +248,9 @@ def cmd_ft(args) -> int:
             p = read_field(entry, "p", float, 2.0)
             proc = read_field(entry, "process", lambda obj: sup.process_from_json(space, obj),
                               None) or sup.gaussian_from_metric(space, p)
+            if proc.p != p:
+                raise ConfigurationError(f"process has p = {_fmt(proc.p)}, "
+                                         f"the entry p = {_fmt(p)}: give both the same p")
         except ConfigurationError as exc:
             raise ConfigurationError(f"spaces[{idx}]: {exc}") from exc
         if args.mu_mode == "uniform":
@@ -245,12 +261,15 @@ def cmd_ft(args) -> int:
         bound = sup.ft_sup_bound(mu, space, p)
         est, stderr = sup.expected_sup_mc(proc, space, sup.Selector("argmax"),
                                           args.mc_samples, seed, workers=args.workers)
-        if est - 4.0 * stderr > bound:
+        samples, level = args.mc_samples, 4.0 * stderr
+        if proc.kind == "tabulated":  # nothing drawn, and the rounding level of the docstring
+            samples, level = 0, (len(proc.paths) + 1) * 2.0**-52 * np.abs(proc.paths).max()
+        if est - level > bound:
             offenders.append((f"spaces[{idx}]", "ft_sup_bound", est, bound))
         rows.append({"space_id": entry.get("id", idx), "p": _fmt(p),
                      "mu_mode": args.mu_mode, "bound": _fmt(bound),
                      "mc_mean": _fmt(est), "mc_stderr": _fmt(stderr),
-                     "samples": args.mc_samples, "seed": seed})
+                     "samples": samples, "seed": seed})
     return _finish(args.out, _csv_text(FT_COLUMNS, rows), offenders)
 
 
@@ -261,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = subs.add_parser("verify", help="run property suites")
     pb = subs.add_parser("bounds", help="evaluate expectation bounds on problems")
     pt = subs.add_parser("tail", help="evaluate tail bounds on problems")
-    pf = subs.add_parser("ft", help="majorizing-measure bound vs MC supremum")
+    pf = subs.add_parser("ft", help="majorizing-measure bound vs expected supremum")
     # options are added in the order --help lists them
     for sub in (pb, pt, pf):
         sub.add_argument("--config")

@@ -10,11 +10,9 @@ scipy.special functions of the same names, so nothing here imports scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from . import mc
 from .errors import ConfigurationError
 
 # Constructors renormalize silent drift up to this much and reject anything worse.
@@ -145,11 +143,6 @@ class MarkovKernel:
     @property
     def output_size(self) -> int:
         return int(self.matrix.shape[1])
-
-    @cached_property
-    def sampler(self) -> mc.Sampler:
-        """Row-wise `mc.Sampler`, built once and shared by every Monte Carlo block."""
-        return mc.Sampler(self.matrix)
 
     @staticmethod
     def constant(measure: FiniteMeasure, input_size: int) -> "MarkovKernel":

@@ -2,8 +2,9 @@
 
 The majorizing-measure integral is a finite step sum here (ball masses jump
 only at the sorted distances from each center), so the Fernique-Talagrand
-style bound with the proof's explicit constant is computed exactly; Monte
-Carlo enters only to estimate the expected supremum it must dominate.
+style bound with the proof's explicit constant is computed exactly. So is the
+expected supremum it must dominate when the process is tabulated (a weighted
+sum over its paths); Monte Carlo estimates it only for a Gaussian process.
 """
 
 from __future__ import annotations
@@ -269,17 +270,18 @@ def ft_sup_bound(mu, space: FiniteMetricSpace, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# expected suprema
 # ---------------------------------------------------------------------------
 
 def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selector,
                     samples: int, seed: int, workers: int = 1) -> tuple[float, float]:
-    """Monte Carlo estimate of E[X_tau] with its standard error.
+    """E[X_tau] with its standard error: exact for a tabulated process, else Monte Carlo.
 
-    Counter-based substreams make the result bitwise independent of the
-    worker count; ties in the argmax rule go to the lowest index. A Gaussian draw
-    takes r normals (r = rank of proc.factor), built into paths in row chunks of
-    BLOCK_BYTES; a tabulated draw reads its pick off proc.paths, gathering no rows.
+    A tabulated process has finitely many paths, so E[X_tau] is the weighted sum of
+    each path's pick, with standard error 0; seed goes unused, samples only checked.
+    A Gaussian draw takes r normals (r = rank of proc.factor), built into paths in
+    row chunks of BLOCK_BYTES. Counter-based substreams make the estimate bitwise
+    independent of the worker count; ties in the argmax rule go to the lowest index.
     """
     if samples < 1:
         raise ConfigurationError("expected_sup_mc: samples >= 1")
@@ -293,29 +295,26 @@ def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selec
                 or selector.kernel.output_size != space.size):
             raise ConfigurationError("expected_sup_mc: selector kernel shape mismatch")
 
-    sizes = mc.block_sizes(samples)
     if proc.kind == "tabulated":
-        paths, path_max = mc.Sampler(proc.weights), proc.paths.max(axis=1)
-    else:  # normals and paths of a chunk of rows
-        step = block_rows(8 * (space.size + proc.factor.shape[1]), "expected_sup_mc")
+        if selector.rule == "argmax":
+            picked = proc.paths.max(axis=1)
+        elif selector.rule == "fixed":
+            picked = proc.paths[:, selector.index]
+        else:
+            picked = np.einsum("ij,ij->i", selector.kernel.matrix, proc.paths)
+        return float(proc.weights @ picked), 0.0
 
-    def one_block(b: int):
+    sizes = mc.block_sizes(samples)
+    step = block_rows(8 * (space.size + proc.factor.shape[1]), "expected_sup_mc")
+
+    def one_block(b: int):  # normals and paths of a chunk of rows
         gen = mc.substream(seed, b)
-        if proc.kind == "tabulated":
-            rows = paths.draw(gen.random(sizes[b]))
-            if selector.rule == "argmax":
-                picked = path_max[rows]
-            elif selector.rule == "fixed":
-                picked = proc.paths[rows, selector.index]
-            else:
-                picked = proc.paths[rows, selector.kernel.sampler.draw(gen.random(sizes[b]), rows)]
-        else:  # randomized selectors need a tabulated process
-            picked, buf = np.empty(sizes[b]), np.empty((min(step, sizes[b]), space.size))
-            for lo in range(0, sizes[b], step):
-                part = picked[lo:lo + step]
-                x = np.matmul(gen.standard_normal((part.size, proc.factor.shape[1])),
-                              proc.factor.T, out=buf[:part.size])
-                part[:] = x.max(axis=1) if selector.rule == "argmax" else x[:, selector.index]
+        picked, buf = np.empty(sizes[b]), np.empty((min(step, sizes[b]), space.size))
+        for lo in range(0, sizes[b], step):
+            part = picked[lo:lo + step]
+            x = np.matmul(gen.standard_normal((part.size, proc.factor.shape[1])),
+                          proc.factor.T, out=buf[:part.size])
+            part[:] = x.max(axis=1) if selector.rule == "argmax" else x[:, selector.index]
         return picked.sum(), (picked**2).sum()
 
     total, total_sq = map(sum, zip(*mc.run_blocks(one_block, len(sizes), workers)))

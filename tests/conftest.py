@@ -4,6 +4,7 @@ Problems are tiny on purpose: everything downstream is verified against
 exhaustive enumeration, so m^n * N has to stay desk-sized.
 """
 
+import math
 import os
 from pathlib import Path
 
@@ -42,6 +43,21 @@ def src_env():
         p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
         if p)
     return env
+
+
+def tabulated_sup_by_fsum(proc, selector) -> float:
+    """E[X_tau] of a tabulated process path by path, each selector rule's pick
+    weighted and summed exactly by math.fsum: the reference for expected_sup_mc."""
+    picks = []
+    for row, (weight, path) in enumerate(zip(proc.weights, proc.paths)):
+        if selector.rule == "argmax":
+            pick = max(path)
+        elif selector.rule == "fixed":
+            pick = path[selector.index]
+        else:
+            pick = math.fsum(k * x for k, x in zip(selector.kernel.matrix[row], path))
+        picks.append(weight * pick)
+    return math.fsum(picks)
 
 
 def algorithm_family(prob: LearningProblem) -> list[Algorithm]:

@@ -997,6 +997,70 @@ def test_ft_worker_count_is_immaterial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_ft_refuses_a_spaces_value_that_is_not_a_non_empty_list(tmp_path, capsys):
+    # 5 raised a TypeError traceback and exited 1, [] printed a bare header and
+    # exited 0, and an object was walked as its keys
+    for spaces in (5, [], {"a": 1}):
+        cfg = write_config(tmp_path, {"spaces": spaces})
+        assert cli.main(["ft", "--config", cfg]) == 2, spaces
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config needs a non-empty 'spaces' list\n"
+
+
+def test_ft_refuses_a_process_checked_at_another_p(tmp_path, capsys):
+    # the process was validated at its own p and bounded at the entry's
+    dist = [[0.0, 1.0], [1.0, 0.0]]
+    tab = {"kind": "tabulated", "paths": [[0.1, -0.1], [-0.1, 0.1]], "weights": [0.5, 0.5]}
+    gauss = {"kind": "gaussian", "cov": [[0.1, 0.0], [0.0, 0.1]]}
+    for entry, proc_p, entry_p in (({"dist": dist, "process": dict(tab, p=1)}, "1", "2"),
+                                   ({"dist": dist, "process": gauss, "p": 1}, "2", "1")):
+        cfg = write_config(tmp_path, {"spaces": [entry]})
+        assert cli.main(["ft", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: spaces[0]: process has p = {proc_p}, the entry "
+                                f"p = {entry_p}: give both the same p\n")
+    # the same p on both runs, and the row is bounded at that p
+    cfg = write_config(tmp_path, {"spaces": [{"dist": dist, "process": dict(tab, p=1), "p": 1}]})
+    out = tmp_path / "rows.csv"
+    assert cli.main(["ft", "--config", cfg, "--out", str(out)]) == 0
+    assert read_rows(str(out))[0]["p"] == "1"
+
+
+def test_ft_tabulated_row_is_the_exact_sum(tmp_path):
+    # every path has max 0.1: 10000 draws at seed 4 read 0.10000000000000002, stderr 1.3e-11
+    paths = [[0.1, -0.1, 0.0], [-0.1, 0.1, 0.0], [0.1, -0.1, 0.1], [-0.1, 0.1, -0.1]]
+    cfg = write_config(tmp_path, {"spaces": [{
+        "dist": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+        "process": {"kind": "tabulated", "paths": paths, "weights": [0.25] * 4}}]})
+    outs = []
+    for workers, samples in (("1", "10000"), ("3", "7")):
+        out = tmp_path / f"rows{workers}.csv"
+        assert cli.main(["ft", "--config", cfg, "--mc-samples", samples, "--seed", "4",
+                         "--workers", workers, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    (row,) = read_rows(str(out))
+    assert (row["mc_mean"], row["mc_stderr"], row["samples"]) == (cli._fmt(0.1), "0", "0")
+
+
+def test_ft_tabulated_verdict_allows_its_rounding_level(tmp_path, monkeypatch, capsys):
+    # a bound one ulp below the exact value is rounding, (P + 1) ulps of max|paths| is
+    # the level over P = 2 paths, and a bound 1e-15 below it is a violation
+    cfg = write_config(tmp_path, {"spaces": [{
+        "dist": [[0.0, 1.0], [1.0, 0.0]],
+        "process": {"kind": "tabulated", "paths": [[0.1, -0.1], [-0.1, 0.1]],
+                    "weights": [0.5, 0.5]}}]})
+    for bound, code in ((math.nextafter(0.1, 0.0), 0), (0.1 - 3 * 0.1 * 2.0**-52, 0),
+                        (0.1 - 1e-15, 1)):
+        monkeypatch.setattr(cli.sup, "ft_sup_bound", lambda mu, space, p: bound)
+        assert cli.main(["ft", "--config", cfg]) == code, bound
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"violated: spaces[0] ft_sup_bound: lhs "
+                       f"0.10000000000000001, rhs {cli._fmt(bound)}, slack {cli._fmt(bound - 0.1)}\n")
+
+
 def test_stdout_when_no_out_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problems": [problem_entry()]})
     rc = cli.main(["bounds", "--config", cfg, "--bounds", "mi"])
@@ -1065,11 +1129,11 @@ def test_mc_stdout_matches_the_recorded_csv(argv, golden, workers, capsys):
     # *_mc.csv files hold the exact rows: bounds_mc.csv is bounds_exact.csv byte
     # for byte, tail_mc.csv is tail_exact.csv, and tail_heavy_mc.csv is the exact
     # tail of the heavy-tailed losses of tail_heavy.json at delta 0.99, whose
-    # pointwise tail has positive mass. The ft rows carry the stream: tabulated
-    # paths over mc_spaces.json, and ft_gauss.json pins the Gaussian stream over
-    # two blocks, a rank-2 Gram of points in R^2 and a full-rank explicit cov. An
-    # intended change to an exact bound shows up here too: re-record the file with
-    # the same command and say so.
+    # pointwise tail has positive mass. ft_mc.csv holds the exact rows of the
+    # tabulated processes of mc_spaces.json, 0.05 and 0.25 with stderr 0, and
+    # ft_gauss.json pins the Gaussian stream over two blocks, a rank-2 Gram of
+    # points in R^2 and a full-rank explicit cov. An intended change to an exact
+    # bound shows up here too: re-record the file with the same command and say so.
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     assert cli.main(argv + ["--seed", "5", "--workers", workers]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()

@@ -267,10 +267,9 @@ def test_expected_gen_matches_bruteforce(small_problem, gibbs_alg):
 
 def joint_draws(prob, alg, seed, samples, workers=1):
     # the flat cells s * N + w of Monte Carlo (sample, hypothesis) draws, one list entry
-    # per block of seed's substreams: one 1-D mc.Sampler over the flattened joint cells
-    sampler = mc.Sampler(learning.joint_cells(prob, alg).ravel())
-    sizes = mc.block_sizes(samples)
-    return mc.run_blocks(lambda b: sampler.draw(mc.substream(seed, b).random(sizes[b])),
+    # per block of seed's substreams: numpy's categorical draw over the joint cells
+    mass, sizes = learning.joint_cells(prob, alg).ravel(), mc.block_sizes(samples)
+    return mc.run_blocks(lambda b: mc.substream(seed, b).choice(mass.size, sizes[b], p=mass),
                          len(sizes), workers)
 
 
@@ -363,16 +362,19 @@ def test_draw_pairs_equals_a_search_of_the_cumulative_joint_cells():
 
 
 def test_draw_pairs_reproduces_the_choice_stream_bits():
-    # numpy's own categorical draw: Generator.choice over the joint cells, fed each
-    # block's substream, takes the same uniforms and lands in the same cells
+    # block b draws from a Philox generator keyed by (seed mod 2^64, b), built here
+    # by hand, and the blocks come back in task order for any worker count
     for prob, alg in draw_edge_cases():
         mass = learning.joint_cells(prob, alg).ravel()
         for seed, samples in DRAW_SEEDS:
-            got = joint_draws(prob, alg, seed, samples)
-            want = [mc.substream(seed, b).choice(mass.size, size=size, p=mass)
+            want = [np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, b],
+                                                                      dtype=np.uint64)))
+                    .choice(mass.size, size=size, p=mass)
                     for b, size in enumerate(mc.block_sizes(samples))]
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            for workers in (1, 3):
+                got = joint_draws(prob, alg, seed, samples, workers)
+                assert len(got) == len(want)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_draw_pairs_counts_digits_past_one_byte():

@@ -1,119 +1,138 @@
-"""The guide-table sampler against a full comparison of every CDF column."""
+"""The Monte Carlo helpers that remain, and the exact tabulated sum that replaced
+the categorical sampler: substreams, block sizes, task-ordered blocks, and the
+Gaussian row chunks of `expected_sup_mc` under a patched BLOCK_BYTES."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from genbound import errors, mc
+from genbound import (FiniteMetricSpace, MarkovKernel, Selector, errors, expected_sup_mc,
+                      gaussian_from_metric, gaussian_process, mc, tabulated_process)
+
+from conftest import tabulated_sup_by_fsum
 
 
-def cdf_of(weights):
-    cdf = np.cumsum(weights, axis=-1)
-    cdf[..., -1] = np.inf
-    return cdf
-
-
-def compared(cdf, u, rows=None):
-    # the sampler as first written: the first column whose cumulative weight reaches u
-    table = cdf if rows is None else cdf[rows]
-    return (table < u[:, None]).argmin(axis=1)
+def plane_space(size, seed, dim=2):
+    pts = np.random.default_rng(seed).normal(size=(size, dim))
+    return FiniteMetricSpace(np.linalg.norm(pts[:, None] - pts[None], axis=2))
 
 
 def weight_tables(gen, count):
-    """(S, N) tables with sparse and dense rows, zero-weight columns and point masses."""
+    """(P,) path weights, sparse and dense, with zero weights and point masses."""
     for _ in range(count):
-        size, cols = int(gen.integers(1, 30)), int(gen.integers(1, 40))
-        w = gen.dirichlet(np.full(cols, gen.choice([0.05, 1.0, 20.0])), size=size)
-        w[:, gen.random(cols) < 0.3] = 0.0
-        w[gen.random(size) < 0.2] = 0.0
-        empty = w.sum(axis=1) == 0.0  # point masses, as ERM rows are
-        w[empty, gen.integers(0, cols, int(empty.sum()))] = 1.0
-        yield w / w.sum(axis=1, keepdims=True)
+        size = int(gen.integers(1, 40))
+        w = gen.dirichlet(np.full(size, gen.choice([0.05, 1.0, 20.0])))
+        w[gen.random(size) < 0.3] = 0.0
+        if w.sum() == 0.0:  # a point mass
+            w[gen.integers(0, size)] = 1.0
+        yield w / w.sum()
 
 
-def edge_uniforms(gen, cdf, buckets):
-    """Uniforms at every bucket edge b/G, at each finite CDF entry and its float
-    neighbours, at 0 and just below 1, and at random."""
-    entries = cdf[np.isfinite(cdf)]
-    u = np.concatenate([np.arange(buckets) / buckets, entries, np.nextafter(entries, 0.0),
-                        np.nextafter(entries, 1.0), [0.0, 1.0 - 2.0**-53], gen.random(200)])
-    return u[(u >= 0.0) & (u < 1.0)]
+def mirrored_process(gen, space, weights):
+    # paths +h and -h share each weight, so the process is centered; a scale of
+    # 0.05 keeps its psi_2 increments inside the spaces here (tabulated_process checks)
+    half = 0.05 * gen.uniform(-1.0, 1.0, size=(weights.size, space.size))
+    return tabulated_process(space, np.vstack([half, -half]),
+                             np.concatenate([weights, weights]) / 2.0)
 
 
-def check_table(gen, weights):
-    sampler = mc.Sampler(weights)
-    cdf = cdf_of(weights)
-    assert np.array_equal(sampler.cdf, cdf)
-    assert sampler.guide.nbytes <= errors.BLOCK_BYTES
-    u = edge_uniforms(gen, cdf, sampler.buckets)
-    if weights.ndim == 1:
-        assert np.array_equal(sampler.draw(u), compared(cdf, u))
-        return
-    # every uniform on every row
-    rows = np.repeat(np.arange(weights.shape[0]), u.size)
-    uu = np.tile(u, weights.shape[0])
-    assert np.array_equal(sampler.draw(uu, rows), compared(cdf, uu, rows))
+def looped_gaussian(proc, selector, samples, seed):
+    """The Gaussian estimate as a loop: each block's normals in one call, each
+    draw's path built and picked on its own, the sums taken by math.fsum."""
+    picks = []
+    for b, size in enumerate(mc.block_sizes(samples)):
+        for z in mc.substream(seed, b).standard_normal((size, proc.factor.shape[1])):
+            x = proc.factor @ z
+            picks.append(x.max() if selector.rule == "argmax" else x[selector.index])
+    return mc.mean_and_stderr(math.fsum(picks), math.fsum(v * v for v in picks), samples)
 
 
 def test_guide_draws_equal_the_full_comparison():
+    # a tabulated E[X_tau] is the weighted sum over every path, for every selector rule
     gen = np.random.default_rng(2024)
-    for weights in weight_tables(gen, 300):
-        check_table(gen, weights)
-        check_table(gen, weights[0])  # a 1-D table
-    for weights in ([1.0], [[1.0], [1.0]], [0.0, 0.0, 1.0], [[0.5, 0.5], [1.0, 0.0]]):
-        check_table(gen, np.array(weights))  # N = 1, point masses
+    space = FiniteMetricSpace(np.abs(np.subtract.outer([0.0, 0.4, 1.0, 1.7],
+                                                       [0.0, 0.4, 1.0, 1.7])))
+    for weights in list(weight_tables(gen, 100)) + [np.array([1.0]), np.array([0.0, 1.0])]:
+        proc = mirrored_process(gen, space, weights)
+        paths = proc.paths.shape[0]
+        kernel = gen.dirichlet(np.ones(space.size), size=paths)
+        kernel[:, 0] = 0.0  # a zero-mass point
+        kernel = MarkovKernel(kernel / kernel.sum(axis=1, keepdims=True))
+        level = (paths + space.size + 1) * np.finfo(float).eps * np.abs(proc.paths).max()
+        for selector in (Selector("argmax"), Selector("fixed", index=3),
+                         Selector("randomized", kernel=kernel)):
+            mean, stderr = expected_sup_mc(proc, space, selector, 1, 0)
+            assert mean == pytest.approx(tabulated_sup_by_fsum(proc, selector), abs=level)
+            assert stderr == 0.0
 
 
 @pytest.mark.parametrize("block_bytes", [4, 64, 1000])
 def test_guide_shrinks_to_its_budget_and_stays_exact(monkeypatch, block_bytes):
-    monkeypatch.setattr(mc, "BLOCK_BYTES", block_bytes)
-    gen = np.random.default_rng(block_bytes)
-    smallest = set()
-    for weights in weight_tables(gen, 40):
-        sampler = mc.Sampler(weights)
-        assert sampler.guide.nbytes <= block_bytes or sampler.buckets == 1
-        smallest.add(sampler.buckets)
-        check_table(gen, weights)
-    if block_bytes <= 64:
-        assert 1 in smallest  # one bucket per row, every draw compared
+    # Gaussian blocks build their paths in row chunks of BLOCK_BYTES: a smaller
+    # budget cuts more chunks out of the same stream; a tabulated sum has no chunks
+    space = plane_space(12, 4)
+    # iid coordinates of variance below (3/16) nearest^2 keep psi_2 increments, at full rank
+    nearest = space.dist[~np.eye(12, dtype=bool)].min()
+    gauss = gaussian_from_metric(space)
+    full = gaussian_process(space, 0.18 * nearest**2 * np.eye(12))
+    assert gauss.factor.shape == (12, 2) and full.factor.shape == (12, 12)
+    tab = mirrored_process(np.random.default_rng(1), space, np.full(3, 1 / 3))
+    calls = [(proc, selector) for proc in (gauss, full, tab)
+             for selector in (Selector("argmax"), Selector("fixed", index=5))]
+    whole = [expected_sup_mc(proc, space, sel, 8192 + 9, 3) for proc, sel in calls]
+    monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
+    assert errors.block_rows(8 * (12 + 2), "rows") == max(1, block_bytes // 112)
+    for (proc, selector), want in zip(calls, whole):
+        got = expected_sup_mc(proc, space, selector, 8192 + 9, 3)
+        if proc is tab:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_guide_counted_in_blocks_that_cut_rows(monkeypatch):
-    # the guide counts CDF entries in blocks of GUIDE_STEP; blocks of 7 cut most rows
-    gen = np.random.default_rng(7)
-    tables = list(weight_tables(gen, 40))
-    whole = [mc.Sampler(w).guide for w in tables]
-    monkeypatch.setattr(mc, "GUIDE_STEP", 7)
-    for weights, guide in zip(tables, whole):
-        assert np.array_equal(mc.Sampler(weights).guide, guide)
-        check_table(gen, weights)
-        check_table(gen, weights.ravel() / weights.sum())  # a 1-D table of S N entries
+    # chunks of 7 rows cut both blocks of 8192 + 300 draws, and each block's
+    # estimate is the per-draw loop's, for any worker count
+    space = plane_space(12, 4)
+    proc = gaussian_from_metric(space)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 7 * 8 * (12 + 2))
+    for selector in (Selector("argmax"), Selector("fixed", index=0)):
+        one = expected_sup_mc(proc, space, selector, 8192 + 300, 9)
+        assert expected_sup_mc(proc, space, selector, 8192 + 300, 9, workers=3) == one
+        assert one == pytest.approx(looped_gaussian(proc, selector, 8192 + 300, 9), rel=1e-12)
 
 
 def test_guide_size_rule():
-    # G = 2^ceil(log2(32 N)), halved while the (S, G + 1) int32 guide is over BLOCK_BYTES
-    assert mc.Sampler(np.full(6, 1 / 6)).buckets == 256
-    assert mc.Sampler(np.full((81, 6), 1 / 6)).buckets == 256
-    assert mc.Sampler(np.full(20000, 1 / 20000)).buckets == 2**20
-    wide = mc.Sampler(np.full((2**15, 4), 0.25))
-    assert wide.buckets == 32 and wide.guide.nbytes <= errors.BLOCK_BYTES
+    # blocks of BLOCK draws and a remainder; a Philox key per (seed, block), seed mod 2^64
+    assert mc.block_sizes(1) == [1]
+    assert mc.block_sizes(mc.BLOCK) == [mc.BLOCK]
+    assert mc.block_sizes(3 * mc.BLOCK + 5) == [mc.BLOCK] * 3 + [5]
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            mc.block_sizes(bad)
+    for seed, task in ((0, 0), (2**63, 1), (-1, 2)):
+        key = np.array([seed % 2**64, task], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(5)
+        assert np.array_equal(mc.substream(seed, task).random(5), want)
+    assert mc.run_blocks(lambda b: b * b, 5, workers=3) == [0, 1, 4, 9, 16]
+    assert mc.mean_and_stderr(4.0, 8.0, 4) == (1.0, 0.5)
 
 
 def test_one_bucket_guide_compares_in_blocks(monkeypatch):
-    # with one bucket per row every draw of a wide table is compared against its
-    # CDF row: one (8192, 2000) gather would take 131 MB, blocks of rows stay small
-    monkeypatch.setattr(mc, "BLOCK_BYTES", 4)
-    gen = np.random.default_rng(11)
-    weights = gen.dirichlet(np.ones(2000), size=4)
-    sampler = mc.Sampler(weights)
-    assert sampler.buckets == 1
-    u, rows = gen.random(8192), gen.integers(0, 4, 8192)
+    # one row a chunk: a block of 8192 draws on 400 points holds its (8192,)
+    # picks and one path, where the whole (8192, 400) block would take 26 MB
+    space = plane_space(400, 11, dim=3)
+    proc = gaussian_from_metric(space)
+    assert proc.factor.shape == (400, 3)
+    want = expected_sup_mc(proc, space, Selector("argmax"), mc.BLOCK, 2)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 4)
     tracemalloc.start()
     try:
-        got = sampler.draw(u, rows)
+        got = expected_sup_mc(proc, space, Selector("argmax"), mc.BLOCK, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(got, compared(cdf_of(weights), u, rows))
-    assert peak < 2 * errors.BLOCK_BYTES
+    assert got == pytest.approx(want, rel=1e-12)
+    assert peak < 4 * 8 * mc.BLOCK

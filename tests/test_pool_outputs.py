@@ -1,8 +1,13 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "pool_outputs.py"
+from conftest import src_env
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "pool_outputs.py"
 spec = importlib.util.spec_from_file_location("pool_outputs", TOOL)
 pool_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(pool_outputs)
@@ -36,3 +41,17 @@ def test_compare_judges_an_ft_mean_by_its_standard_errors(tmp_path, capsys):
     assert verdicts["bound"] == 1
     # without --rel-tol every difference fails, as before
     assert pool_outputs.compare(parent, tmp_path / "within.json") == 1
+
+
+def test_reach_lists_only_the_functions_kept_on_purpose():
+    # each is kept for a reason the README gives; a new name here needs a caller,
+    # a reason added there and here, or its deletion
+    proc = subprocess.run([sys.executable, str(TOOL), "reach", "."], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    *missed, summary = proc.stdout.splitlines()
+    assert [line.split()[1] for line in missed] == [
+        "measures.MarkovKernel.input_size", "measures.MarkovKernel.output_size",
+        "measures.conditional_divergence", "measures.conditional_mutual_information",
+        "suprema.process_from_json"]
+    assert summary.startswith("5 of ")

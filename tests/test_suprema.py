@@ -16,6 +16,8 @@ from genbound import errors, mc
 from genbound.orlicz import psi
 from genbound.suprema import INCREMENT_TOL, _integral_gradient
 
+from conftest import tabulated_sup_by_fsum
+
 VAR_RATIO = 3.0 / 8.0
 
 
@@ -499,26 +501,20 @@ def test_mc_randomized_selector_oracle():
     assert abs(mean - exact) <= 4 * max(stderr, 1e-12)
 
 
-def reference_tabulated_mc(proc, space, selector, samples, seed):
-    # the tabulated loop as first written: per-block cumsums of the path weights
-    # and of the gathered selector rows, each count capped by np.minimum
-    parts = []
-    for b, size in enumerate(mc.block_sizes(samples)):
-        gen = mc.substream(seed, b)
-        rows = (np.cumsum(proc.weights) < gen.random(size)[:, None]).sum(axis=1)
-        rows = np.minimum(rows, proc.weights.size - 1)
-        x = proc.paths[rows]
-        if selector.rule == "randomized":
-            cdf = np.cumsum(selector.kernel.matrix[rows], axis=1)
-            t_idx = np.minimum((cdf < gen.random(size)[:, None]).sum(axis=1), space.size - 1)
-            picked = x[np.arange(size), t_idx]
-        else:
-            picked = x.max(axis=1)
-        parts.append((picked.sum(), (picked**2).sum()))
-    return mc.mean_and_stderr(sum(p[0] for p in parts), sum(p[1] for p in parts), samples)
+def assert_exact_sup(proc, space, selector, *calls):
+    # every (samples, seed) call returns the same bits, the fsum within (P + T + 1)
+    # ulps of max|paths| (a randomized pick sums T products), and stderr 0
+    got = {expected_sup_mc(proc, space, selector, samples, seed) for samples, seed in calls}
+    assert len(got) == 1
+    ((mean, stderr),) = got
+    level = (proc.paths.shape[0] + space.size + 1) * np.finfo(float).eps
+    assert mean == pytest.approx(tabulated_sup_by_fsum(proc, selector),
+                                 abs=level * np.abs(proc.paths).max())
+    assert stderr == 0.0
 
 
 def test_tabulated_and_randomized_draws_keep_their_bits():
+    # a tabulated E[X_tau] is a finite sum: no draw, so neither samples nor seed moves it
     space = line_space(0.0, 0.4, 1.0)
     path = np.array([-0.1, -0.0213, 0.1])
     tables = [(np.vstack([np.zeros(3), path, -path, np.zeros(3)]), [0.0, 0.3, 0.3, 0.4]),
@@ -532,11 +528,12 @@ def test_tabulated_and_randomized_draws_keep_their_bits():
         kernel = MarkovKernel(np.hstack([np.zeros((k, 1)),
                                          np.random.default_rng(k).dirichlet([1, 1], size=k)]))
         edge = MarkovKernel(np.tile([0.0, 1.0, 0.0], (k, 1)))
-        for selector in (Selector("argmax"), Selector("randomized", kernel=kernel),
+        for selector in (Selector("argmax"), Selector("fixed", index=2),
+                         Selector("randomized", kernel=kernel),
                          Selector("randomized", kernel=edge)):
-            for samples, seed in ((1, 0), (7, 3), (8192 + 7, 21)):
-                got = expected_sup_mc(proc, space, selector, samples, seed)
-                assert got == reference_tabulated_mc(proc, space, selector, samples, seed)
+            assert_exact_sup(proc, space, selector, (1, 0), (7, 3), (8192 + 7, 21))
+    proc = tabulated_process(space, np.vstack([path, -path]), np.array([0.5, 0.5]))
+    assert expected_sup_mc(proc, space, Selector("argmax"), 1, 0) == (0.1, 0.0)
 
 
 def test_tabulated_mc_on_many_paths_stays_within_the_block_budget():
@@ -556,14 +553,13 @@ def test_tabulated_mc_on_many_paths_stays_within_the_block_budget():
         finally:
             tracemalloc.stop()
         assert peak < 2 * errors.BLOCK_BYTES
-    # and on 300 of those paths the draws are the full comparison's
+        assert_exact_sup(proc, space, selector, (mc.BLOCK, 5), (5, 1))
+    # and on 300 of those paths
     few = tabulated_process(space, np.vstack([half[:150], -half[:150]]),
                             np.concatenate([mass[:150], mass[:150]]) / (2.0 * mass[:150].sum()))
     selector = Selector("randomized", kernel=MarkovKernel(kernel.matrix[:300]))
-    for samples, seed in ((5, 1), (8192 + 300, 2)):
-        for sel in (Selector("argmax"), selector):
-            got = expected_sup_mc(few, space, sel, samples, seed)
-            assert got == reference_tabulated_mc(few, space, sel, samples, seed)
+    for sel in (Selector("argmax"), Selector("fixed", index=1), selector):
+        assert_exact_sup(few, space, sel, (5, 1), (8192 + 300, 2))
 
 
 def test_mc_worker_count_does_not_change_result(monkeypatch):
