@@ -21,9 +21,9 @@ sweeps over many problems never die halfway.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, block_rows, check_memory
 from .learning import (Algorithm, LearningProblem, delta_bound, exact_joint, expected_gen,
                        joint_cells, subgaussian_sigma)
-from .measures import FiniteMeasure, MarkovKernel, mutual_information, readonly, rel_entr
+from .measures import (FiniteMeasure, MarkovKernel, kl_divergence_array, mutual_information,
+                       mutual_information_array, readonly, rel_entr)
 from .orlicz import psi_inv
 # plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
 from .transport import (DEDUP_DECIMALS, EmbeddedSupport, TransportPlan,  # noqa: F401
@@ -104,7 +105,7 @@ def _gen_rounding(prob: LearningProblem) -> float:
 
 def hypothesis_marginal(prob: LearningProblem, alg: Algorithm) -> FiniteMeasure:
     """Exact marginal law of the returned hypothesis."""
-    return prob.table(alg.matrix, "marginal",
+    return prob.table(alg.kernel, "marginal",
                       lambda: FiniteMeasure(prob.sample_probs @ alg.matrix))
 
 
@@ -129,26 +130,23 @@ def loss_embedding(prob: LearningProblem) -> EmbeddedSupport:
 
 
 def _psi2_inv_ratio(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Elementwise psi_2^{-1}(num/den); second value flags density escape."""
+    """Elementwise psi_2^{-1}(num/den), read-only; second value flags density escape."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     escape = bool(np.any((num > 0.0) & (den == 0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
     ratio = np.where(num == 0.0, 0.0, ratio)
-    return psi_inv(ratio, 2.0), escape
+    return readonly(psi_inv(ratio, 2.0)), escape
 
 
-def _density_table(prob: LearningProblem, alg: Algorithm, num: np.ndarray, den: np.ndarray,
-                   pairs: PairList | None = None) -> tuple[np.ndarray, bool]:
-    """_psi2_inv_ratio(num, den[None]) as a read-only table, built once per (problem, algorithm,
-    num, den): the kernel's against Q_W, a chain step's (pairs) against its reference."""
-    def build():
-        inv, escape = _psi2_inv_ratio(num, den[None])
-        return readonly(inv), escape
-
-    where = num.shape if pairs is None else pairs.u.tobytes() + pairs.v.tobytes()
-    return prob.table(alg.matrix, ("density", where, num.tobytes(), den.tobytes()), build)
+def _density_table(prob: LearningProblem, alg: Algorithm,
+                   q_w: FiniteMeasure | None) -> tuple[np.ndarray, bool]:
+    """_psi2_inv_ratio of the kernel against Q_W (see _q_w) as a read-only table,
+    built once per (problem, algorithm, Q_W)."""
+    den = _q_w(prob, alg, q_w).weights
+    return prob.table(alg.kernel, ("density", den.tobytes()),
+                      lambda: _psi2_inv_ratio(alg.matrix, den[None]))
 
 
 def _escaped_report(name: str, lhs: float, kind: str, rhs: float, components: dict,
@@ -199,7 +197,7 @@ def bound_density(prob: LearningProblem, alg: Algorithm,
                   sigma: float | None = None) -> BoundReport:
     """E|gen| <= sqrt(12 sigma^2 / n) * (E psi_2^{-1}(posterior/prior density) + 1)."""
     sig = _sigma(prob, sigma)
-    inv, escape = _density_table(prob, alg, alg.matrix, _q_w(prob, alg, q_w).weights)
+    inv, escape = _density_table(prob, alg, q_w)
     joint = exact_joint(prob, alg)
     expect = float((joint.weights * inv).sum()) if not escape else np.inf
     scale = np.sqrt(12.0 * sig**2 / prob.n)
@@ -227,15 +225,11 @@ def _supersample_index(prob: LearningProblem) -> np.ndarray:
     Pair t = ghost * S + train; sign vectors run lexicographically over
     {-1, +1}^n with -1 first, and +1 keeps the train draw.
     """
-    S = prob.num_samples
-    powers = prob.num_outcomes ** np.arange(prob.n - 1, -1, -1, dtype=np.int64)
-    ghost_digits = prob.samples[:, None, :]  # (S, 1, n)
-    train_digits = prob.samples[None, :, :]  # (1, S, n)
-    index = np.empty((S * S, 2**prob.n), dtype=np.int64)
-    for e, keep_train in enumerate(itertools.product((False, True), repeat=prob.n)):
-        pick = np.where(keep_train, train_digits, ghost_digits)  # (S, S, n)
-        index[:, e] = (pick @ powers).reshape(-1)
-    return index
+    S, bits = prob.num_samples, np.arange(prob.n - 1, -1, -1)
+    keep = np.arange(2**prob.n)[:, None] >> bits & 1  # (2^n, n) sign vectors, 1 keeps train
+    part = (prob.samples * prob.num_outcomes ** bits) @ keep.T  # (S, 2^n): the kept digits
+    # the complement of sign vector e is 2^n - 1 - e, so its column order is reversed
+    return (part[None] + part[:, None, ::-1]).reshape(S * S, -1)
 
 
 def bound_cmi(prob: LearningProblem, alg: Algorithm) -> BoundReport:
@@ -287,7 +281,7 @@ def optimal_couplings(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure)
     if prob.embedding is None:
         prob.check_pair_table("optimal_couplings")
         return readonly(alg.matrix[:, :, None] * q_w.weights[None, None, :])
-    return prob.w2_plans(alg.matrix, q_w)[1]
+    return prob.w2_plans(alg.kernel, q_w)[1]
 
 
 def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | None = None,
@@ -312,7 +306,7 @@ def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | N
         return ChainSpec((prior, alg.kernel), (pi,), (mu,))
 
     if couplings is None and mu_uv is None:
-        return prob.table(alg.matrix, ("coupling", q_w.weights.tobytes()), build)
+        return prob.table(alg.kernel, ("coupling", q_w.weights.tobytes()), build)
     return build()
 
 
@@ -361,7 +355,7 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
     s, p = np.nonzero(w)  # a W_2 plan has at most 2N - 1 entries per sample
     g = prob.loss[pairs.u] - prob.loss[pairs.v]
     d2 = (g[:, :, None] - g[:, None, :]) ** 2  # (pair, train outcome, ghost outcome)
-    inv, escape = _density_table(prob, alg, w, mu, pairs)
+    inv, escape = chain.densities[0]
     term1 = np.inf if escape else _ghost_pair_sum(prob, d2, p, s, p_s[s] * w[s, p] * inv[s, p])
     term2 = _ghost_pair_sum(prob, np.einsum("p,pab->ab", mu, d2)[None],
                             np.zeros(S, dtype=np.int64), np.arange(S), p_s)
@@ -373,11 +367,9 @@ def bound_coupling(prob: LearningProblem, alg: Algorithm,
                            escape, ("decorrelation",))
 
 
-def _chain_step_terms(prob: LearningProblem, alg: Algorithm, pairs: PairList,
-                      rho: np.ndarray) -> tuple[float, float, bool]:
-    """Loss-metric chain step on its pair list: (cross term, reference term, escape flag)."""
-    u, v, w = pairs
-    inv, escape = _density_table(prob, alg, w, rho, pairs)
+def _chain_step_terms(prob: LearningProblem, chain: ChainSpec, k: int) -> tuple[float, float, bool]:
+    """Loss-metric chain step k on its pair list: (cross term, reference term, escape flag)."""
+    (u, v, w), rho, (inv, escape) = chain.couplings[k], chain.references[k], chain.densities[k]
     dl = prob.population_dists[u, v]
     cross = float(np.einsum("s,sp,sp->", prob.sample_probs, w * inv,
                             dl + np.sqrt(prob.pair_sq_dists(u, v))))
@@ -391,7 +383,7 @@ def bound_coupling_simplified(prob: LearningProblem, alg: Algorithm,
     * psi_2^{-1}(coupling density) + reference population distance], the
     one step of bound_chain on coupling_chain(prob, alg, q_w, couplings, mu_uv)."""
     chain = coupling_chain(prob, alg, q_w, couplings, mu_uv)
-    cross, ref, escape = _chain_step_terms(prob, alg, chain.couplings[0], chain.references[0])
+    cross, ref, escape = _chain_step_terms(prob, chain, 0)
     scale = np.sqrt(48.0 / prob.n)
     est = expected_gen(prob, alg)
     return _escaped_report("coupling_simplified", est.signed, "signed", scale * (cross + ref),
@@ -461,6 +453,13 @@ class ChainSpec:
         object.__setattr__(self, "couplings", tuple(pairs for pairs, _ in steps))
         object.__setattr__(self, "references", tuple(ref for _, ref in steps))
 
+    @cached_property
+    def densities(self) -> tuple:
+        """(inv, escaped) per step: psi_2^{-1}(weights / reference), read-only, and
+        whether a weight escaped its reference. Built on the first read."""
+        return tuple(_psi2_inv_ratio(w, ref[None])
+                     for (_, _, w), ref in zip(self.couplings, self.references))
+
 
 def dyadic_partitions(size: int) -> list[np.ndarray]:
     """Halving partition hierarchy of {0..size-1} as label arrays, from the root
@@ -521,7 +520,7 @@ def chain_from_partitions(prob: LearningProblem, alg: Algorithm, partitions) -> 
 def root_chain(prob: LearningProblem, alg: Algorithm) -> ChainSpec:
     """The dyadic chain with its root, built once per (problem, algorithm); the
     chain and transductive bounds of one problem read the same one."""
-    return prob.table(alg.matrix, "root_chain", lambda: chain_from_partitions(
+    return prob.table(alg.kernel, "root_chain", lambda: chain_from_partitions(
         prob, alg, dyadic_partitions(prob.num_hypotheses)))
 
 
@@ -551,7 +550,7 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     _check_ends(prob, alg, chain, root=True)
     est = expected_gen(prob, alg)
 
-    terms = [_chain_step_terms(prob, alg, *step) for step in zip(chain.couplings, chain.references)]
+    terms = [_chain_step_terms(prob, chain, k) for k in range(len(chain.couplings))]
     cross_terms, ref_terms = [t[0] for t in terms], [t[1] for t in terms]
     loss_scale, escape_any = np.sqrt(48.0 / prob.n), any(t[2] for t in terms)
     loss = _escaped_report("chain", est.signed, "signed",
@@ -567,9 +566,9 @@ def bound_chain(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     increment_check(prob, metric)
     scale = np.sqrt(2.0 / prob.n)
     steps = []
-    for pairs, ref in zip(chain.couplings, chain.references):
-        inv, d = _density_table(prob, alg, pairs.weights, ref, pairs)[0], metric[pairs.u, pairs.v]
-        cross = float(np.einsum("s,sp,p->", prob.sample_probs, pairs.weights * inv, d))
+    for (u, v, w), ref, (inv, _) in zip(chain.couplings, chain.references, chain.densities):
+        d = metric[u, v]
+        cross = float(np.einsum("s,sp,p->", prob.sample_probs, w * inv, d))
         steps.append(scale * (cross + float(ref @ d)))
     return _escaped_report("chain_metric", est.signed, "signed", sum(steps),
                            {f"step_{k + 1}": step for k, step in enumerate(steps)},
@@ -623,7 +622,7 @@ def bound_stochastic_chain(prob: LearningProblem, alg: Algorithm,
         sqrt_div = np.sqrt(np.maximum(div, 0.0))
         du = d[u, v]
         form1_terms.append(float(mix @ (du * (sqrt_div[u] + 1.0))))
-        mi = float(rel_entr(tab, np.outer(tab.sum(axis=1), col)).sum())
+        mi = float(mutual_information_array(tab))
         form2_terms.append(float(np.sqrt(mix @ du**2) * (np.sqrt(max(0.0, mi)) + 2.0)))
 
     scale = np.sqrt(2.0 / prob.n)
@@ -662,11 +661,11 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm) -> BoundRe
     merge = np.eye(atom.max() + 1)[atom]  # (hypothesis, atom) one-hot
 
     live = p_s > 0
-    dist, plan_stack = prob.w2_plans(alg.matrix, q_w)
+    dist, plan_stack = prob.w2_plans(alg.kernel, q_w)
     w2 = np.where(live, dist, 0.0)
     plans = np.where(live[:, None, None], merge.T @ plan_stack @ merge, 0.0)
     mix = np.einsum("s,sab->ab", p_s, plans)
-    div = rel_entr(plans, mix[None]).sum(axis=(1, 2))
+    div = kl_divergence_array(plans.reshape(len(plans), -1), mix.reshape(-1))
     expected_w2 = float(p_s @ w2)
     step_sum = float(p_s @ (w2 * np.sqrt(np.maximum(div, 0.0))))
 
@@ -689,7 +688,7 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
     if not 0.0 < delta <= 1.0:
         raise DomainError("tail_pointwise_check: delta in (0, 1]")
     sig = _sigma(prob, sigma)
-    inv, _ = _density_table(prob, alg, alg.matrix, _q_w(prob, alg, q_w).weights)  # inf allowed
+    inv, _ = _density_table(prob, alg, q_w)  # inf allowed
     base = inv + np.sqrt(np.log(1.0 / delta))
     threshold = sig * np.sqrt(6.0 / prob.n) * base if sig > 0 else np.zeros_like(base)
     # a |gen| at rounding level counts as zero; an inf threshold is never exceeded
@@ -708,7 +707,7 @@ def tail_pac_bayes(prob: LearningProblem, alg: Algorithm, delta: float,
     if not 0.0 < delta < 1.0:
         raise DomainError("tail_pac_bayes: delta in (0, 1)")
     sig = _sigma(prob, sigma)
-    inv, _ = _density_table(prob, alg, alg.matrix, _q_w(prob, alg, q_w).weights)
+    inv, _ = _density_table(prob, alg, q_w)
     lhs = (alg.matrix * np.abs(prob.gen_matrix.T)).sum(axis=1)
     # inv is +inf only where alg.matrix > 0, so no 0 * inf arises
     density_term = (alg.matrix * inv).sum(axis=1)
@@ -765,8 +764,8 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     _, reps, inverse = np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0],
                                  return_index=True, return_inverse=True)
     rhs = np.zeros((S, reps.size))  # (ghost, distinct train column)
-    for k, ((_, _, w), ref, d2) in enumerate(zip(chain.couplings, chain.references, dsl2)):
-        inv, escape = _density_table(prob, alg, w, ref, chain.couplings[k])
+    for k, ((_, _, w), ref, d2, (inv, escape)) in enumerate(
+            zip(chain.couplings, chain.references, dsl2, chain.densities)):
         if escape:
             rhs[:] = np.inf
             break

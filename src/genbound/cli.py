@@ -251,16 +251,16 @@ def cmd_ft(args) -> int:
             if proc.p != p:
                 raise ConfigurationError(f"process has p = {_fmt(proc.p)}, "
                                          f"the entry p = {_fmt(p)}: give both the same p")
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"spaces[{idx}]: {exc}") from exc
-        if args.mu_mode == "uniform":
-            mu = FiniteMeasure.uniform(space.size)
-        else:
-            mu, _ = sup.optimize_mu(FiniteMeasure.uniform(space.size), space, p,
-                                    method=args.mu_mode)
-        bound = sup.ft_sup_bound(mu, space, p)
-        est, stderr = sup.expected_sup_mc(proc, space, sup.Selector("argmax"),
-                                          args.mc_samples, seed, workers=args.workers)
+            if args.mu_mode == "uniform":
+                mu = FiniteMeasure.uniform(space.size)
+            else:
+                mu, _ = sup.optimize_mu(FiniteMeasure.uniform(space.size), space, p,
+                                        method=args.mu_mode)
+            bound = sup.ft_sup_bound(mu, space, p)
+            est, stderr = sup.expected_sup_mc(proc, space, sup.Selector("argmax"),
+                                              args.mc_samples, seed, workers=args.workers)
+        except GenboundError as exc:
+            raise type(exc)(f"spaces[{idx}]: {exc}") from exc
         samples, level = args.mc_samples, 4.0 * stderr
         if proc.kind == "tabulated":  # nothing drawn, and the rounding level of the docstring
             samples, level = 0, (len(proc.paths) + 1) * 2.0**-52 * np.abs(proc.paths).max()

@@ -170,27 +170,27 @@ class LearningProblem:
         S, N = self.num_samples, self.num_hypotheses
         check_memory(8 * S * N * N, f"{what}: an (S, N, N) = ({S}, {N}, {N}) table")
 
-    def table(self, matrix, name, build):
-        """Table `name` of one algorithm kernel, an (S, N) matrix: `build()` on
-        its first read, then kept as long as the problem lives.
+    def table(self, kernel: MarkovKernel, name, build):
+        """Table `name` of one algorithm kernel: `build()` on its first read, then
+        kept as long as the problem lives.
 
-        A kernel's tables are keyed by the bytes of its matrix, so an equal
-        copy reads the same ones. The shape is checked on every read; the
-        problem refused an (S, N) over the memory budget when it was built.
+        Tables are keyed on the kernel object, so an equal copy builds its own.
+        The (S, N) shape is checked on every read; the problem refused an (S, N)
+        over the memory budget when it was built.
         """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (self.num_samples, self.num_hypotheses):
+        if kernel.matrix.shape != (self.num_samples, self.num_hypotheses):
             raise ConfigurationError("algorithm kernel shape does not match the problem")
-        tables = self._tables.setdefault(matrix.tobytes(), {})
+        tables = self._tables.setdefault(kernel, {})
         if name not in tables:
             tables[name] = build()
         return tables[name]
 
-    def w2_plans(self, matrix: np.ndarray, target: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    def w2_plans(self, kernel: MarkovKernel,
+                 target: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
         """W_2 distances (S,) and optimal plans (S, N, N) from each row of an
-        (S, N) posterior matrix to `target` on the embedding.
+        (S, N) posterior kernel to `target` on the embedding.
 
-        The distinct rows are solved as one batch, once per (matrix, target)
+        The distinct rows are solved as one batch, once per (kernel, target)
         per problem; the coupling and geodesic bounds all read this table.
         """
         if self.embedding is None:
@@ -198,7 +198,7 @@ class LearningProblem:
 
         def solve():
             self.check_pair_table("w2_plans")
-            rows, inverse = np.unique(matrix, axis=0, return_inverse=True)
+            rows, inverse = np.unique(kernel.matrix, axis=0, return_inverse=True)
             cost = euclidean_cost(self.embedding, self.embedding)
             solved = wasserstein_batch([(FiniteMeasure(r), target, cost) for r in rows], p=2.0)
             inverse = inverse.reshape(-1)
@@ -206,7 +206,7 @@ class LearningProblem:
             plans = np.stack([plan.weights for _, plan in solved])[inverse]
             return readonly(dist), readonly(plans)
 
-        return self.table(matrix, ("w2", target.weights.tobytes()), solve)
+        return self.table(kernel, ("w2", target.weights.tobytes()), solve)
 
     def to_json(self) -> str:
         obj = {"m": self.num_outcomes, "N": self.num_hypotheses, "n": self.n,
@@ -314,13 +314,13 @@ def algorithm_from_json(prob: LearningProblem, obj) -> Algorithm:
 def joint_cells(prob: LearningProblem, alg: Algorithm) -> np.ndarray:
     """(S, N) cells p_s(s) kernel(s, w) as multiplied; `exact_joint`
     renormalizes them, which moves some cells in the last bits."""
-    return prob.table(alg.matrix, "cells",
+    return prob.table(alg.kernel, "cells",
                       lambda: readonly(prob.sample_probs[:, None] * alg.matrix))
 
 
 def exact_joint(prob: LearningProblem, alg: Algorithm) -> JointMeasure:
     """Joint law of (sample index, hypothesis index); m^n * N cells, within the budget."""
-    return prob.table(alg.matrix, "joint", lambda: JointMeasure(joint_cells(prob, alg)))
+    return prob.table(alg.kernel, "joint", lambda: JointMeasure(joint_cells(prob, alg)))
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,7 @@ def expected_gen(prob: LearningProblem, alg: Algorithm) -> GenEstimate:
         cells, gen = joint_cells(prob, alg), prob.gen_matrix.T
         return GenEstimate(float((cells * gen).sum()), float((cells * np.abs(gen)).sum()))
 
-    return prob.table(alg.matrix, "gen", exact)
+    return prob.table(alg.kernel, "gen", exact)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,9 @@ class FiniteMeasure:
         return FiniteMeasure(np.full(k, 1.0 / k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovKernel:
-    """Row-stochastic matrix: one FiniteMeasure per input point."""
+    """Row-stochastic matrix, one FiniteMeasure per input point; equal and hashed by identity."""
 
     matrix: np.ndarray
 

@@ -278,13 +278,11 @@ def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selec
     """E[X_tau] with its standard error: exact for a tabulated process, else Monte Carlo.
 
     A tabulated process has finitely many paths, so E[X_tau] is the weighted sum of
-    each path's pick, with standard error 0; seed goes unused, samples only checked.
+    each path's pick, with standard error 0; seed and samples go unused.
     A Gaussian draw takes r normals (r = rank of proc.factor), built into paths in
     row chunks of BLOCK_BYTES. Counter-based substreams make the estimate bitwise
     independent of the worker count; ties in the argmax rule go to the lowest index.
     """
-    if samples < 1:
-        raise ConfigurationError("expected_sup_mc: samples >= 1")
     if selector.rule == "fixed" and selector.index >= space.size:
         raise ConfigurationError("expected_sup_mc: fixed index out of range")
     if selector.rule == "randomized":
@@ -303,7 +301,8 @@ def expected_sup_mc(proc: ProcessSpec, space: FiniteMetricSpace, selector: Selec
         else:
             picked = np.einsum("ij,ij->i", selector.kernel.matrix, proc.paths)
         return float(proc.weights @ picked), 0.0
-
+    if samples < 1:
+        raise ConfigurationError("expected_sup_mc: samples >= 1")
     sizes = mc.block_sizes(samples)
     step = block_rows(8 * (space.size + proc.factor.shape[1]), "expected_sup_mc")
 

@@ -551,7 +551,12 @@ def test_coupling_refuses_ragged_or_miscounted_tables():
 
 def test_default_coupling_chain_is_one_table(small_problem, gibbs_alg):
     chain = coupling_chain(small_problem, gibbs_alg)
-    assert coupling_chain(small_problem, gibbs_algorithm(small_problem, 1.0)) is chain
+    assert coupling_chain(small_problem, gibbs_alg) is chain
+    # the store is keyed on the kernel object: an equal kernel built anew gets its
+    # own chain, with equal values
+    again = coupling_chain(small_problem, gibbs_algorithm(small_problem, 1.0))
+    assert again is not chain
+    assert all(np.array_equal(a, b) for a, b in zip(dense_step(again, 0), dense_step(chain, 0)))
     q_w = hypothesis_marginal(small_problem, gibbs_alg)
     assert coupling_chain(small_problem, gibbs_alg, q_w=q_w) is chain
     assert np.array_equal(dense_step(chain, 0)[0], optimal_couplings(small_problem, gibbs_alg, q_w))
@@ -692,8 +697,12 @@ def test_problem_tables_are_cached_and_read_only(small_problem, gibbs_alg):
         assert not table.flags.writeable
     assert np.array_equal(prob.pair_norms, prob.pair_norms.T)
     q_w = hypothesis_marginal(prob, gibbs_alg)
-    table = prob.w2_plans(gibbs_alg.matrix, q_w)
-    assert prob.w2_plans(gibbs_alg.matrix.copy(), hypothesis_marginal(prob, gibbs_alg)) is table
+    table = prob.w2_plans(gibbs_alg.kernel, q_w)
+    assert prob.w2_plans(gibbs_alg.kernel, hypothesis_marginal(prob, gibbs_alg)) is table
+    again = gibbs_algorithm(prob, 1.0)  # an equal kernel: its own table, equal values
+    rebuilt = prob.w2_plans(again.kernel, hypothesis_marginal(prob, again))
+    assert rebuilt is not table
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt, table))
     dist, plans = table
     assert dist.shape == (prob.num_samples,)
     assert plans.shape == (prob.num_samples, prob.num_hypotheses, prob.num_hypotheses)
@@ -1000,7 +1009,7 @@ def step_registry_geodesic(prob, alg, steps):
     p_s = prob.sample_probs
     times = np.linspace(0.0, 1.0, steps + 1)
     live = np.nonzero(p_s > 0)[0]
-    dist, plans = prob.w2_plans(alg.matrix, q_w)
+    dist, plans = prob.w2_plans(alg.kernel, q_w)
     geos = {}
     for s in live:
         plan = TransportPlan(plans[s], FiniteMeasure(alg.matrix[s]), q_w)
@@ -1081,7 +1090,7 @@ def test_tail_pointwise_delta_edges(small_problem, gibbs_alg):
 def looped_pointwise_frequency(prob, alg, delta, sigma):
     # the pointwise tail as a loop: the mass of each (sample, hypothesis) cell whose
     # |gen| exceeds its threshold, by the 2-D index, summed exactly
-    inv, _ = bounds._density_table(prob, alg, alg.matrix, bounds._q_w(prob, alg, None).weights)
+    inv, _ = bounds._density_table(prob, alg, None)
     threshold = sigma * np.sqrt(6.0 / prob.n) * (inv + np.sqrt(np.log(1.0 / delta)))
     cells, floor = joint_cells(prob, alg), bounds._gen_rounding(prob)
     return math.fsum(cells[s, w] for s in range(prob.num_samples)

@@ -462,8 +462,8 @@ def count_builds(monkeypatch) -> list:
     builds = []
     table = LearningProblem.table
 
-    def counted(prob, matrix, name, build):
-        return table(prob, matrix, name, lambda: builds.append((id(prob), name)) or build())
+    def counted(prob, kernel, name, build):
+        return table(prob, kernel, name, lambda: builds.append((id(prob), name)) or build())
 
     monkeypatch.setattr(LearningProblem, "table", counted)
     return builds
@@ -478,15 +478,18 @@ def test_bounds_op_builds_each_table_once_per_entry(tmp_path, monkeypatch):
     assert len(builds) == len(set(builds))  # no table twice for one problem
     names = [name for _, name in builds]
     assert names.count("gen") == names.count("marginal") == len(entries)
-    # the kernel's density against Q_W, the marginal: (S, N) where a coupling's is 3-d
-    assert sum(name[0] == "density" and len(name[1]) == 2 for name in names) == len(entries)
+    # the kernel's density against Q_W, the marginal; chain steps keep theirs on the chain
+    assert sum(name[0] == "density" for name in names) == len(entries)
     prob = problem_from_json(entries[0])
     alg = algorithm_from_json(prob, entries[0]["algorithm"])
+    marginal = hypothesis_marginal(prob, alg)
+    assert prob.table(alg.kernel, "marginal", None) is marginal  # read, never built
+    # tables are keyed on the kernel object: an equal kernel built anew gets its own
     again = algorithm_from_json(prob, entries[0]["algorithm"])
     assert again.matrix is not alg.matrix
-    assert expected_gen(prob, again) is expected_gen(prob, alg)
-    marginal = hypothesis_marginal(prob, again)
-    assert prob.table(alg.matrix.copy(), "marginal", None) is marginal  # read, never built
+    assert expected_gen(prob, again) is not expected_gen(prob, alg)
+    assert expected_gen(prob, again) == expected_gen(prob, alg)
+    assert np.array_equal(hypothesis_marginal(prob, again).weights, marginal.weights)
 
 
 def test_chain_token_computes_each_step_once(monkeypatch):
@@ -1026,6 +1029,36 @@ def test_ft_refuses_a_process_checked_at_another_p(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert cli.main(["ft", "--config", cfg, "--out", str(out)]) == 0
     assert read_rows(str(out))[0]["p"] == "1"
+
+
+def test_ft_process_errors_name_the_entry(tmp_path, capsys):
+    # only a ConfigurationError was prefixed; these exited 2 naming no entry
+    dist = [[0.0, 1.0], [1.0, 0.0]]
+    cycle = [[0.0, 1.0, 2.0, 1.0], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0],
+             [1.0, 2.0, 1.0, 0.0]]  # the 4-cycle metric embeds in no Euclidean space
+    for spaces, err in (
+            ([{"dist": dist}, {"dist": dist, "p": 1}],
+             "error: spaces[1]: gaussian_process: only p = 2 has a verifiable closed-form "
+             "increment\n"),
+            ([{"dist": cycle}],
+             "error: spaces[0]: gaussian_from_metric: metric is not Euclidean-embeddable\n")):
+        cfg = write_config(tmp_path, {"spaces": spaces})
+        assert cli.main(["ft", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
+
+def test_ft_zero_samples_runs_tabulated_processes_only(tmp_path, capsys):
+    # a tabulated row draws nothing, so --mc-samples 0 was refused for no draw
+    cfg = str(DATA / "mc_spaces.json")
+    assert cli.main(["ft", "--config", cfg, "--mc-samples", "0", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == (DATA / "ft_mc.csv").read_text()
+    cfg = write_config(tmp_path, {"spaces": [{"dist": [[0.0, 1.0], [1.0, 0.0]]}]})
+    assert cli.main(["ft", "--config", cfg, "--mc-samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spaces[0]: expected_sup_mc: samples >= 1\n"
 
 
 def test_ft_tabulated_row_is_the_exact_sum(tmp_path):

@@ -64,6 +64,22 @@ def test_problem_over_the_cap_is_refused_when_built():
     assert LearningProblem(np.zeros((2, 1)), FiniteMeasure([1.0]), 2**23).num_samples == 1
 
 
+def test_store_reads_copy_nothing():
+    # the store was keyed on matrix.tobytes(), so every read copied the whole kernel
+    gen = np.random.default_rng(45)
+    prob = LearningProblem(gen.uniform(size=(64, 2)), FiniteMeasure([0.4, 0.6]), 10, bound=1.0)
+    alg = gibbs_algorithm(prob, 5.0)
+    assert alg.matrix.nbytes == 512 * 1024
+    cells = learning.joint_cells(prob, alg)
+    tracemalloc.start()
+    try:
+        assert learning.joint_cells(prob, alg) is cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
 def test_pair_sq_dists_streams_blocks_of_block_bytes():
     # the dense table's block was 4096 samples whatever N and n: (24, 24, 4096, 12)
     # floats, 226 MB; on the list of all 576 pairs the gather streams the same way
@@ -132,7 +148,7 @@ def test_w2_plans_solves_one_block_per_distinct_row(monkeypatch):
         return wasserstein_batch(problems, *args, **kwargs)
 
     monkeypatch.setattr(learning, "wasserstein_batch", counting)
-    prob.w2_plans(alg.matrix, FiniteMeasure(alg.matrix.mean(axis=0)))
+    prob.w2_plans(alg.kernel, FiniteMeasure(alg.matrix.mean(axis=0)))
     # 256 sequences, 35 types, one block per type
     assert blocks == [35] == [np.unique(alg.matrix, axis=0).shape[0]]
 
