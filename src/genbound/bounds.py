@@ -32,7 +32,7 @@ from .errors import ConfigurationError, DomainError, block_rows, check_memory
 from .learning import (Algorithm, LearningProblem, delta_bound, exact_joint, expected_gen,
                        joint_cells, subgaussian_sigma)
 from .measures import (FiniteMeasure, MarkovKernel, kl_divergence_array, mutual_information,
-                       mutual_information_array, readonly, rel_entr)
+                       mutual_information_array, readonly, rel_entr, unique_rows)
 from .orlicz import psi_inv
 # plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
 from .transport import (DEDUP_DECIMALS, EmbeddedSupport, TransportPlan,  # noqa: F401
@@ -97,10 +97,11 @@ def _sigma(prob: LearningProblem, sigma: float | None) -> float:
     return subgaussian_sigma(prob)
 
 
-def _gen_rounding(prob: LearningProblem) -> float:
-    """(m + n) ulps of the largest |loss|, the rounding level of gen = loss @ p_z
-    minus a mean of n draws; the tails count a |gen| at or below it as zero."""
-    return (prob.num_outcomes + prob.n) * np.finfo(float).eps * float(np.abs(prob.loss).max())
+def _gen_rounding(prob: LearningProblem, ulps: float | None = None) -> float:
+    """`ulps` ulps of the largest |loss|; by default m + n, the rounding level of
+    gen = loss @ p_z minus a mean of n draws, at or below which a tail's |gen| is 0."""
+    ulps = prob.num_outcomes + prob.n if ulps is None else ulps
+    return ulps * np.finfo(float).eps * float(np.abs(prob.loss).max())
 
 
 def hypothesis_marginal(prob: LearningProblem, alg: Algorithm) -> FiniteMeasure:
@@ -656,8 +657,7 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm) -> BoundRe
     q_w = hypothesis_marginal(prob, alg)
     p_s = prob.sample_probs
     est = expected_gen(prob, alg)
-    key = np.round(emb.points, DEDUP_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
-    atom = np.unique(key, axis=0, return_inverse=True)[1].reshape(-1)
+    atom = unique_rows(np.round(emb.points, DEDUP_DECIMALS) + 0.0)[1]  # + 0.0: -0.0 is 0.0
     merge = np.eye(atom.max() + 1)[atom]  # (hypothesis, atom) one-hot
 
     live = p_s > 0
@@ -689,10 +689,13 @@ def tail_pointwise_check(prob: LearningProblem, alg: Algorithm, delta: float,
         raise DomainError("tail_pointwise_check: delta in (0, 1]")
     sig = _sigma(prob, sigma)
     inv, _ = _density_table(prob, alg, q_w)  # inf allowed
-    base = inv + np.sqrt(np.log(1.0 / delta))
-    threshold = sig * np.sqrt(6.0 / prob.n) * base if sig > 0 else np.zeros_like(base)
+    threshold = inv + np.sqrt(np.log(1.0 / delta))  # the one (S, N) threshold, built in place
+    if sig > 0:
+        threshold *= sig * np.sqrt(6.0 / prob.n)
+    else:
+        threshold.fill(0.0)
     # a |gen| at rounding level counts as zero; an inf threshold is never exceeded
-    exceed = np.abs(prob.gen_matrix.T) > np.maximum(threshold, _gen_rounding(prob))
+    exceed = np.abs(prob.gen_matrix.T) > np.maximum(threshold, _gen_rounding(prob), out=threshold)
     violation = float(joint_cells(prob, alg)[exceed].sum())
     return TailReport("tail_pointwise", float(delta), violation, details={"sigma": sig})
 
@@ -737,6 +740,13 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
     where d^2_pair averages the squared loss differences over both halves of
     the pair. The exact probability of lhs > rhs must not exceed delta. A chain
     of the root alone (K = 0, one hypothesis) has no level: rhs and lhs are 0.
+
+    An lhs at or below its rounding level counts as zero. To first order, with L the
+    largest |loss| and u = eps / 2, lhs is two N-term sums of a contrast c (sum |c| <= 2)
+    times training risks (|risk| <= L). A risk, a mean of n draws, is within n u L (2 n u L
+    in a sum); the posterior and prior, normalized over N hypotheses, are within (N + 1) u
+    relative and c rounds once more (2 (N + 2) u L); the sum rounds by 2 N u L. Two sums
+    and their difference (|lhs| <= 4 L) make (2n + 4N + 6) ulps of L.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("tail_transductive: delta in (0, 1)")
@@ -779,7 +789,7 @@ def tail_transductive(prob: LearningProblem, alg: Algorithm, chain: ChainSpec,
             rhs[:, col] += d @ (w[s, sup] * (inv[s, sup] + log_term))
     rhs = rhs[:, inverse.reshape(-1)] * np.sqrt(96.0 / prob.n)
 
-    bad = lhs > rhs
+    bad = lhs > np.maximum(rhs, _gen_rounding(prob, 2 * prob.n + 4 * prob.num_hypotheses + 6))
     violation = float((p_s[:, None] * p_s[None, :])[bad].sum())
     return TailReport("tail_transductive", float(delta), violation,
                       details={"levels": K, "level_weights": p_k.tolist(), "per_pair_rhs": rhs})

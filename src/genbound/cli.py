@@ -181,8 +181,8 @@ def _violated(prob, report) -> bool:
     """
     violated = report.slack < -SLACK_TOL
     if violated and isinstance(report, bnd.BoundReport):  # the level costs a pass over the losses
-        cells, digits = prob.num_samples * prob.num_hypotheses, prob.num_outcomes + prob.n
-        level = bnd._gen_rounding(prob) * (digits + cells + prob.n) / digits
+        cells = prob.num_samples * prob.num_hypotheses
+        level = bnd._gen_rounding(prob, prob.num_outcomes + 2 * prob.n + cells)
         violated = report.slack < -(SLACK_TOL + level)
     return violated
 

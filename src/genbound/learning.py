@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, block_rows, check_memory, integer, read_field
-from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, readonly
+from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, readonly, unique_rows
 from .orlicz import orlicz_norms
 from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
 
@@ -198,10 +198,9 @@ class LearningProblem:
 
         def solve():
             self.check_pair_table("w2_plans")
-            rows, inverse = np.unique(kernel.matrix, axis=0, return_inverse=True)
+            rows, inverse = unique_rows(kernel.matrix)
             cost = euclidean_cost(self.embedding, self.embedding)
             solved = wasserstein_batch([(FiniteMeasure(r), target, cost) for r in rows], p=2.0)
-            inverse = inverse.reshape(-1)
             dist = np.array([d for d, _ in solved])[inverse]
             plans = np.stack([plan.weights for _, plan in solved])[inverse]
             return readonly(dist), readonly(plans)

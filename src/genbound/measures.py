@@ -28,6 +28,17 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, axis=0, return_inverse=True) of a 2-d array, inverse flat: one
+    lexsort (first column most significant), one comparison of sorted neighbours."""
+    order = np.lexsort(a.T[::-1])
+    ranked = a[order]
+    new = np.concatenate(([True], np.any(ranked[1:] != ranked[:-1], axis=1)))
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
 def rel_entr(x, y) -> np.ndarray:
     """Elementwise x log(x/y): 0 where x = 0 <= y, +inf where x > 0 = y.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedGeometryError
-from .measures import FiniteMeasure
+from .measures import FiniteMeasure, unique_rows
 
 PLAN_MARGINAL_TOL = 1e-9
 DEDUP_DECIMALS = 12
@@ -135,7 +135,6 @@ class LPResult:
     """One HiGHS solve: x and nit (simplex iterations) as scipy's linprog reports them."""
 
     success: bool
-    status: int
     message: str
     x: np.ndarray | None
     nit: int
@@ -145,43 +144,39 @@ def linprog(c, start, index, b_eq) -> LPResult:
     """min c.x subject to A x = b_eq, x >= 0, by one direct HiGHS call.
 
     A is the 0/1 transportation matrix in column-wise form: column j has ones
-    at rows index[start[j]:start[j+1]]. HiGHS runs with the options that
-    scipy.optimize.linprog(method="highs") passes it (presolve on, dual
-    simplex, output off, feasibility tolerances 1e-10), so the solution is
-    the same bit for bit; linprog's input checks, sparse conversions and dual
-    post-processing cost more than the solve at these sizes. Presolve can call a
-    feasible LP with atoms below 1e-10 infeasible, so a solve that is not optimal
-    runs once more with presolve off. The first call loads the HiGHS extension by
-    itself (see _highs); scipy.optimize is never imported.
+    at rows index[start[j]:start[j+1]]; the model goes to HiGHS as arrays. HiGHS
+    runs with the options that scipy.optimize.linprog(method="highs") passes it
+    (dual simplex, output off, feasibility tolerances 1e-10) but presolve off,
+    so the solution is linprog's with options={"presolve": False}, bit for bit;
+    on transport LPs presolve moves neither the iterations nor the optimum and
+    costs a third of the solve. A solve that is not optimal runs once more with
+    presolve on: without it, a two-point W_2 LP with a cost^p just below
+    LP_COST_CAP ends in a solve error. linprog's input checks, sparse conversions
+    and dual post-processing cost more than the solve at these sizes. The first
+    call loads the HiGHS extension by itself (see _highs); scipy.optimize is
+    never imported.
     """
     highs = _highs()
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = b_eq.size
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(c.size)
-    lp.col_upper_ = np.full(c.size, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    # the matrix fields take Python sequences; lists convert fastest
-    lp.a_matrix_.start_ = start.tolist()
-    lp.a_matrix_.index_ = index.tolist()
-    lp.a_matrix_.value_ = [1.0] * index.size
+    num_col = c.size
+    # HiGHS wants an integrality entry per column (an empty array is an error)
+    model = (num_col, b_eq.size, index.size, highs.MatrixFormat.kColwise,
+             highs.ObjSense.kMinimize, 0.0, c, np.zeros(num_col),
+             np.full(num_col, highs.kHighsInf), b_eq, b_eq, start[:num_col].astype(np.int32),
+             index.astype(np.int32), np.ones(index.size), np.zeros(num_col, np.int32))
     options = highs.HighsOptions()
     options.simplex_strategy = 1  # dual simplex
     options.output_flag = options.log_to_console = False
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
-    for presolve in ("on", "off"):
+    for presolve in ("off", "on"):
         options.presolve = presolve
         solver = highs._Highs()
         solver.passOptions(options)
-        solver.passModel(lp)
+        solver.passModel(*model)
         solver.run()
         status = solver.getModelStatus()
         if success := status == highs.HighsModelStatus.kOptimal:
             break
-    return LPResult(success=success, status=0 if success else 4,
-                    message=solver.modelStatusToString(status),
+    return LPResult(success=success, message=solver.modelStatusToString(status),
                     x=np.array(solver.getSolution().col_value) if success else None,
                     nit=solver.getInfo().simplex_iteration_count)
 
@@ -219,41 +214,35 @@ def wasserstein_batch(pairs, p: float = 1.0) -> list[tuple[float, TransportPlan]
 
 def _solve_blocks(pairs, p: float) -> list[tuple[float, TransportPlan]]:
     # the transportation system of an m x n block has rank m + n - 1; keeping
-    # all m + n rows makes HiGHS presolve declare instances with atoms below
-    # its feasibility tolerance infeasible, so each block drops its redundant
-    # last column constraint: variable (i, j) of a block has its source row,
-    # and its target row unless j = n - 1 (-1 marks the dropped row)
-    costs, src, tgt, b_eq = [], [], [], []
-    row0 = 0
-    for mu, nu, cost in pairs:
-        m, n = mu.support_size, nu.support_size
-        if cost.entries.shape != (m, n):
-            raise ConfigurationError("wasserstein: cost shape does not match supports")
-        i, j = np.divmod(np.arange(m * n), n)
-        src.append(row0 + i)
-        tgt.append(np.where(j < n - 1, row0 + m + j, -1))
-        with np.errstate(over="ignore"):
-            costs.append((cost.entries**p).ravel())
-        b_eq += [mu.weights, nu.weights[:-1]]
-        row0 += m + n - 1
-    c, tgt = np.concatenate(costs), np.concatenate(tgt)
+    # all m + n rows makes HiGHS presolve (the fallback solve) declare instances
+    # with atoms below its feasibility tolerance infeasible, so each block drops
+    # its redundant last column constraint: variable (i, j) of a block has its
+    # source row, and its target row unless j = n - 1 (-1 marks the dropped row)
+    m = np.array([mu.support_size for mu, _, _ in pairs])
+    n = np.array([nu.support_size for _, nu, _ in pairs])
+    if any(cost.entries.shape != (a, b) for (_, _, cost), a, b in zip(pairs, m, n)):
+        raise ConfigurationError("wasserstein: cost shape does not match supports")
+    col0 = np.concatenate(([0], np.cumsum(m * n)))
+    block = np.repeat(np.arange(len(pairs)), m * n)  # the block of each variable
+    row0 = (np.cumsum(m + n - 1) - (m + n - 1))[block]  # and its block's first row
+    i, j = np.divmod(np.arange(col0[-1]) - col0[block], n[block])
+    tgt = np.where(j < n[block] - 1, row0 + m[block] + j, -1)
+    with np.errstate(over="ignore"):
+        c = np.concatenate([cost.entries.ravel() for _, _, cost in pairs]) ** p
     if not np.all(c < LP_COST_CAP):
         raise DomainError(f"wasserstein: a transport cost^p of {c.max():.3g} is not below "
                           f"LP_COST_CAP = {LP_COST_CAP:g}, past which HiGHS cannot solve it")
-    index = np.stack([np.concatenate(src), tgt], axis=1).ravel()
+    index = np.stack([row0 + i, tgt], axis=1).ravel()
     start = np.concatenate(([0], np.cumsum(1 + (tgt >= 0))))
-    res = linprog(c, start, index[index >= 0], np.concatenate(b_eq))
+    b_eq = np.concatenate([w for mu, nu, _ in pairs for w in (mu.weights, nu.weights[:-1])])
+    res = linprog(c, start, index[index >= 0], b_eq)
     if not res.success:
         # a transport LP between validated measures is feasible and bounded
         raise RuntimeError(f"wasserstein: LP failed: {res.message}")
-    out, col0 = [], 0
-    for (mu, nu, cost), c_block in zip(pairs, costs):
-        x = res.x[col0:col0 + c_block.size]
-        col0 += c_block.size
-        plan = TransportPlan(x.reshape(cost.entries.shape), mu, nu)
-        # round-off in x can leave a zero optimum a hair below 0
-        out.append((max(float(c_block @ x), 0.0) ** (1.0 / p), plan))
-    return out
+    # round-off in x can leave a zero optimum a hair below 0
+    return [(max(float(c[lo:hi] @ res.x[lo:hi]), 0.0) ** (1.0 / p),
+             TransportPlan(res.x[lo:hi].reshape(cost.entries.shape), mu, nu))
+            for (mu, nu, cost), lo, hi in zip(pairs, col0[:-1], col0[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +270,6 @@ class Geodesic:
     atom_mass: np.ndarray = field(compare=False)
     atom_to_point: tuple = field(compare=False)
     distance: float
-
-
-def _dedupe(positions: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Atoms landing on the same coordinates (to DEDUP_DECIMALS places) merge.
-    key = np.round(positions, DEDUP_DECIMALS)
-    key[key == 0.0] = 0.0  # normalize -0.0
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, inverse, mass)
-    return uniq, merged, inverse
 
 
 def geodesic(mu: FiniteMeasure, nu: FiniteMeasure, emb: EmbeddedSupport, times) -> Geodesic:
@@ -323,9 +302,10 @@ def displacement_interpolation(plan: TransportPlan, distance: float, emb: Embedd
     dst = emb.points[jj]
 
     points, members = [], []
-    for tk in t:
-        pos = (1.0 - tk) * src + tk * dst
-        uniq, merged, inverse = _dedupe(pos, mass)
+    for tk in t:  # atoms landing on the same coordinates (to DEDUP_DECIMALS places) merge
+        key = np.round((1.0 - tk) * src + tk * dst, DEDUP_DECIMALS) + 0.0  # + 0.0: -0.0 is 0.0
+        uniq, inverse = unique_rows(key)
+        merged = np.bincount(inverse, weights=mass, minlength=len(uniq))
         points.append(GeodesicPoint(FiniteMeasure(merged), EmbeddedSupport(uniq)))
         members.append(inverse)
     return Geodesic(times=tuple(float(x) for x in t), points=tuple(points), plan=plan,

@@ -387,6 +387,24 @@ def test_ghost_pair_sums_add_the_draws_in_order():
             assert bounds._ghost_pair_sum(*args) == looped_ghost_pair_sum(*args), (ghost, key)
 
 
+def test_warm_tail_pointwise_holds_one_threshold_table():
+    # with the density, gen and cell tables built, the tail holds its (S, N) threshold,
+    # |gen| and the bool mask: about 2.1 tables of 8 S N bytes (4.2 when it held four)
+    gen = np.random.default_rng(46)
+    prob = LearningProblem(gen.uniform(0.0, 1.0, size=(200, 2)), FiniteMeasure([0.4, 0.6]), 10,
+                           bound=1.0)
+    alg = gibbs_algorithm(prob, 5.0)
+    warm = tail_pointwise_check(prob, alg, 0.05)
+    tracemalloc.start()
+    try:
+        report = tail_pointwise_check(prob, alg, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violation == warm.violation
+    assert peak < 2.5 * 8 * prob.num_samples * prob.num_hypotheses
+
+
 def test_coupling_refuses_too_many_ghost_pairs_before_allocating():
     # product couplings fill all N^2 entries of every sample: 2187 * 256 support
     # entries times 2187 ghosts times 7 draws is 8.6e9 > 2e8. At N = 88, n = 10 the

@@ -577,6 +577,20 @@ def test_tail_constant_loss_rounding_is_no_violation(tmp_path):
     assert [float(row["lhs"]) for row in read_rows(str(out))] == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 2e7])
+def test_tail_transductive_rounding_is_no_violation(tmp_path, scale):
+    # equal loss rows: every pair's lhs and rhs are exactly 0, but the Gibbs posterior
+    # rows of 1/3 do not sum to 1 and the lhs computed as 1.1e-16: violation 0.25, exit 1
+    entry = {"m": 2, "N": 3, "n": 1, "loss": [[0.0, scale]] * 3, "p_z": [0.5, 0.5],
+             "bound": scale, "algorithm": {"kind": "gibbs", "beta": 1.0 / scale}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    out = tmp_path / "rows.csv"
+    for argv in (["tail"], ["bounds", "--bounds", "transductive"]):
+        assert cli.main(argv + ["--config", cfg, "--out", str(out)]) == 0, argv
+        row = read_rows(str(out))[-1]
+        assert row["bound_name"] == "tail_transductive" and float(row["lhs"]) == 0.0
+
+
 def test_one_hypothesis_is_not_bad_input(tmp_path):
     # tail and the chain tokens exited 2: "chain: need K+1 kernels and K couplings"
     loss = [[0.2, 0.9]]
@@ -869,7 +883,7 @@ def test_lp_solver_failure_is_not_an_input_error(tmp_path, monkeypatch):
     # a transport LP between validated measures is always feasible, so a
     # failed solve is a fault of the program, not exit 2 for bad input
     def failing(*args, **kwargs):
-        return transport.LPResult(success=False, status=4, message="numerical difficulties",
+        return transport.LPResult(success=False, message="numerical difficulties",
                                   x=None, nit=0)
 
     monkeypatch.setattr(transport, "linprog", failing)

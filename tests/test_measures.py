@@ -8,7 +8,7 @@ from genbound import (ConfigurationError, FiniteMeasure, JointMeasure,
                       MarkovKernel, conditional_divergence,
                       conditional_mutual_information, kl_divergence,
                       mutual_information)
-from genbound.measures import logsumexp, rel_entr
+from genbound.measures import logsumexp, rel_entr, unique_rows
 
 
 def test_measure_rejects_bad_weights():
@@ -294,3 +294,21 @@ def test_object_level_functionals_keep_their_bits():
     cmi_inputs[1] /= cmi_inputs[1].sum()
     for w in cmi_inputs:
         assert conditional_mutual_information(w) == per_object_cmi(w)
+
+
+def test_unique_rows_matches_np_unique_on_axis_0():
+    gen = np.random.default_rng(46)
+    tables = [gen.normal(size=(20, 3)), gen.normal(size=(1, 4)), gen.normal(size=(7, 1)),
+              np.zeros((5, 2)), gen.integers(-2, 3, size=(40, 3)).astype(float)]
+    for _ in range(50):  # tied rows, in shuffled order
+        k, dim = int(gen.integers(1, 30)), int(gen.integers(1, 5))
+        base = gen.normal(size=(max(1, k // 3), dim))
+        tables.append(base[gen.integers(0, len(base), size=k)])
+    signed = np.round(gen.normal(size=(30, 2)), 0) * gen.choice([-1.0, 1.0], size=(30, 2))
+    assert np.signbit(signed[signed == 0.0]).any()
+    tables.append(signed + 0.0)  # keys normalize -0.0 to 0.0, as the geodesic atoms do
+    for table in tables:
+        rows, inverse = unique_rows(table)
+        ref_rows, ref_inverse = np.unique(table, axis=0, return_inverse=True)
+        assert rows.tobytes() == ref_rows.tobytes() and rows.shape == ref_rows.shape
+        assert np.array_equal(inverse, ref_inverse.reshape(-1)) and inverse.ndim == 1
