@@ -664,8 +664,10 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm) -> BoundRe
     dist, plan_stack = prob.w2_plans(alg.kernel, q_w)
     w2 = np.where(live, dist, 0.0)
     plans = np.where(live[:, None, None], merge.T @ plan_stack @ merge, 0.0)
-    mix = np.einsum("s,sab->ab", p_s, plans)
-    div = kl_divergence_array(plans.reshape(len(plans), -1), mix.reshape(-1))
+    flat, mix = plans.reshape(len(plans), -1), np.einsum("s,sab->ab", p_s, plans).reshape(-1)
+    div, step = np.empty(len(flat)), block_rows(5 * flat[0].nbytes, "bound_wasserstein_geodesic")
+    for lo in range(0, len(flat), step):  # rel_entr holds about five row-sized temporaries
+        div[lo:lo + step] = kl_divergence_array(flat[lo:lo + step], mix)
     expected_w2 = float(p_s @ w2)
     step_sum = float(p_s @ (w2 * np.sqrt(np.maximum(div, 0.0))))
 

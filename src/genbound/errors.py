@@ -4,7 +4,7 @@ field reader that turns malformed input into a ConfigurationError."""
 import numbers
 
 MEMORY_BUDGET = 2**26  # bytes: the largest single array an op may build
-BLOCK_BYTES = 2**23  # bytes: one block of a streamed loop
+BLOCK_BYTES = 2**20  # bytes: one block of a streamed loop
 
 
 class GenboundError(Exception):

@@ -19,10 +19,10 @@ from genbound import (Algorithm, ChainSpec, ConfigurationError, DiscreteRandomVa
                       optimal_couplings, orlicz_norm, orlicz_norms, psi_inv,
                       subgaussian_sigma, tail_pac_bayes, tail_pointwise_check,
                       tail_transductive)
-from genbound import bounds
+from genbound import bounds, errors
 from genbound.bounds import _psi2_inv_ratio
 from genbound.learning import joint_cells
-from genbound.errors import BLOCK_BYTES, MEMORY_BUDGET, block_rows
+from genbound.errors import MEMORY_BUDGET, block_rows
 from genbound.orlicz import NORM_REL_TOL
 from genbound.transport import TransportPlan, displacement_interpolation
 
@@ -315,23 +315,27 @@ def test_coupling_memory_stays_off_the_ghost_pair_tensor():
     assert peak < 64 * 2**20
 
 
-def test_warm_coupling_peak_stays_under_two_blocks():
+def test_warm_coupling_and_geodesic_peaks_stay_under_two_mib():
     # the same N=16, m=4, n=4 problem; the warm-up call solves the W_2 plans (and
-    # imports HiGHS), so the traced call holds the ghost-pair sums' two buffers
+    # imports HiGHS), so the traced call holds only the bound's own working set: the
+    # ghost-pair sums' two buffers, or the geodesic's merged plans and one block of
+    # rel_entr temporaries. With 8 MiB blocks and one unblocked divergence these
+    # peaked at 10.6 and 2.6 MiB
     gen = np.random.default_rng(36)
     loss = gen.uniform(0.0, 1.0, size=(16, 4))
     base = LearningProblem(loss, FiniteMeasure(gen.dirichlet(np.ones(4))), 4, bound=1.0)
     prob = LearningProblem(base.loss, base.p_z, 4, bound=1.0, embedding=loss_embedding(base))
     alg = gibbs_algorithm(prob, 1.0)
-    warm = bound_coupling(prob, alg)
-    tracemalloc.start()
-    try:
-        report = bound_coupling(prob, alg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.rhs == warm.rhs
-    assert peak < 2 * BLOCK_BYTES
+    for bound in (bound_coupling, bound_wasserstein_geodesic):
+        warm = bound(prob, alg)
+        tracemalloc.start()
+        try:
+            report = bound(prob, alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.rhs == warm.rhs
+        assert peak <= 2 * 2**20, (bound.__name__, peak)
 
 
 def looped_ghost_pair_sum(prob, table, keys, train, weights):
@@ -1074,6 +1078,22 @@ def test_wasserstein_step_counts_and_slack():
             assert report.rhs - report.lhs >= -1e-9
             assert abs(report.components["endpoint"]
                        + report.components["steps"] - report.rhs) < 1e-9
+
+
+def test_wasserstein_divergence_blocks_keep_the_one_block_bits(monkeypatch):
+    # each sample's divergence is its own row sum, so any row blocking gives the
+    # bits of one block over all samples: at most 3 rows per block, or all of them
+    gen = np.random.default_rng(47)
+    for _ in range(4):
+        prob = random_problem(gen)
+        for alg in algorithm_family(prob):
+            reports = []
+            for rows in (3, 2**30):
+                with monkeypatch.context() as patch:
+                    patch.setattr(errors, "BLOCK_BYTES", rows * 5 * 8 * prob.num_hypotheses**2)
+                    reports.append(bound_wasserstein_geodesic(prob, alg))
+            assert reports[0].components == reports[1].components
+            assert reports[0].rhs == reports[1].rhs
 
 
 def test_wasserstein_merges_hypotheses_at_one_point():

@@ -247,9 +247,10 @@ def test_chain_ops_stay_within_four_budgets(tmp_path, capsys):
     # each chain level was an (S, N, N) coupling, its density table and a bytes copy
     # of it as the store key, beside the (S, N, N) empirical distances: at these edge
     # shapes chain peaked at 361 and 1521 MiB, transductive at 405 and 1421 MiB, and
-    # tail --mc-samples at N = 2000 at 3610 MB, each array within the budget
+    # tail --mc-samples at N = 2000 at 3610 MB, each array within the budget. coupling
+    # without an embedding holds several (S, N^2)-sized arrays at once: 79 MiB at N = 700
     gen = np.random.default_rng(12)
-    shapes = [(2, 1, 700, ["chain", "stochain", "transductive"]),
+    shapes = [(2, 1, 700, ["chain", "stochain", "transductive", "coupling"]),
               (2, 10, 88, ["chain", "stochain", "transductive"]), (2, 1, 2000, ["tail"])]
     for m, n, N, tokens in shapes:
         entry = {"m": m, "N": N, "n": n, "loss": gen.uniform(size=(N, m)).tolist(),

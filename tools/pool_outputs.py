@@ -23,6 +23,13 @@ rows' standard errors instead: |a - b| <= 4 sqrt(se_a^2 + se_b^2); its
 prints the largest relative change per ``bound_name`` (per column for ``ft``),
 the largest ``mc_mean`` move in combined standard errors, and a count of the
 ``ft`` ops whose ``mc_mean`` moved; it exits 1 on any op outside the tolerance.
+A ``verify`` op matches when its argv, exit code, stderr and each suite's
+``suite``, ``trials``, ``tol``, ``passed`` and ``checks`` agree and its
+``max_violation`` moved by at most VIOLATION_TOL = 1e-14 absolute, whatever X
+is: a violation is a residual near 0, where a relative change means nothing,
+and 1e-14 is about 45 ulps of 1, the rounding of a residual of unit-scale
+data. A moved ``worst_case_input`` is printed, not failed, since a rounding
+move can change which trial attains the maximum.
 
 `reach` runs the ops that `dump` runs, then every script in TREE/demos, all in
 this process under ``sys.setprofile`` (and ``threading.setprofile`` for the
@@ -50,6 +57,8 @@ from pathlib import Path
 
 VERIFY_PASSES = 3
 MC_SIGMAS = 4.0  # an ft mc_mean may move by this many combined standard errors
+VIOLATION_TOL = 1e-14  # a verify max_violation may move by this much, absolute
+VERIFY_FIELDS = ("suite", "trials", "tol", "passed", "checks")
 
 
 def pool(workloads) -> list[tuple[str, object]]:
@@ -196,15 +205,45 @@ def _csv_change(x: dict, y: dict, worst: dict) -> tuple[float, float]:
     return top, sigmas
 
 
+def _verify_change(x: dict, y: dict) -> tuple[float, bool]:
+    """(largest absolute max_violation move, whether a worst_case_input moved)
+    between two records of one verify op; inf where anything else differs."""
+    if x["argv"] != y["argv"] or x["code"] != y["code"] or x["stderr"] != y["stderr"]:
+        return math.inf, False
+    try:
+        payloads = [json.loads(r["stdout"]) for r in (x, y)]
+    except json.JSONDecodeError:
+        return math.inf, False
+    px, py = ([p] if isinstance(p, dict) else p for p in payloads)  # --suite all prints a list
+    if len(px) != len(py) or any(a.keys() != b.keys() or any(a[f] != b[f] for f in VERIFY_FIELDS)
+                                 for a, b in zip(px, py)):
+        return math.inf, False
+    move = 0.0
+    for a, b in zip(px, py):
+        va, vb = a["max_violation"], b["max_violation"]  # inf and nan are strings
+        if va != vb:
+            finite = all(isinstance(v, (int, float)) and math.isfinite(v) for v in (va, vb))
+            move = max(move, abs(va - vb) if finite else math.inf)
+    return move, any(a["worst_case_input"] != b["worst_case_input"] for a, b in zip(px, py))
+
+
 def compare(a: Path, b: Path, rel_tol: float | None = None) -> int:
     left, right = json.loads(a.read_text()), json.loads(b.read_text())
     keys = left.keys() | right.keys()
     differ = sorted(key for key in keys if left.get(key) != right.get(key))
-    worst, failed, moved, top_sigmas = {}, 0, 0, 0.0
+    worst, failed, moved, top_sigmas, top_violation = {}, 0, 0, 0.0, 0.0
     for key in differ:
         if key not in left or key not in right:
             print(f"{key}: only in {a if key in left else b}")
             failed += 1
+        elif rel_tol is not None and left[key]["argv"][0] == "verify":
+            move, case_moved = _verify_change(left[key], right[key])
+            top_violation = max(top_violation, move)
+            if not move <= VIOLATION_TOL:
+                print(f"{key}: max_violation moved by {move:.3g}, or not only it differs")
+                failed += 1
+            elif case_moved:
+                print(f"{key}: worst_case_input moved (reported, not failed)")
         elif rel_tol is not None and left[key]["argv"][0] in ("bounds", "tail", "ft"):
             change, sigmas = _csv_change(left[key], right[key], worst)
             top_sigmas = max(top_sigmas, sigmas)
@@ -222,8 +261,9 @@ def compare(a: Path, b: Path, rel_tol: float | None = None) -> int:
         print(f"largest relative change, {name}: {worst[name]:.3g}")
     if rel_tol is not None:
         print(f"largest ft mc_mean move: {top_sigmas:.3g} combined standard errors")
+        print(f"largest verify max_violation move: {top_violation:.3g} absolute")
     print(f"{len(keys) - len(differ)} of {len(keys)} ops identical"
-          + (f", {len(differ) - failed - moved} more within {rel_tol:g} relative"
+          + (f", {len(differ) - failed - moved} more within the tolerances"
              if rel_tol is not None else ""))
     if rel_tol is not None:
         print(f"{moved} ft ops whose mc_mean moved within {MC_SIGMAS:g} combined standard errors")
@@ -240,7 +280,8 @@ def main(argv=None) -> int:
     pc.add_argument("a", type=Path)
     pc.add_argument("b", type=Path)
     pc.add_argument("--rel-tol", type=float, default=None,
-                    help="let numeric CSV fields differ by at most this relative change")
+                    help="let numeric CSV fields differ by at most this relative change, "
+                         "and verify max_violation by VIOLATION_TOL absolute")
     pr = subs.add_parser("reach", help="list the functions of TREE that no op or demo enters")
     pr.add_argument("tree", type=Path)
     args = parser.parse_args(argv)
