@@ -1,9 +1,10 @@
 """Command-line harness: seeded verification suites and batch bound reports.
 
 Exit codes: 0 all checks pass, 1 an inequality was violated (one stderr line
-per failing row names it), 2 bad input (a GenboundError or an unreadable file);
-any other exception is a bug and propagates. Outputs are byte-deterministic for
-a fixed seed and config, whatever the worker count.
+per failing row names it), 2 bad input (a GenboundError, named by its config
+entry, or an unreadable file); any other exception is a bug and propagates.
+Outputs are byte-deterministic for a fixed seed and config, whatever the worker
+count. `tail` is `bounds` with the three tail tokens as its default.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .learning import algorithm_from_json, gibbs_algorithm, problem_from_json
 from .measures import FiniteMeasure
 from .verify import SUITES, run_suite
 
-BOUND_TOKENS = ("thm1", "mi", "cmi", "coupling", "chain", "stochain", "wass",
-                "transductive")
+# every token, in the order its rows print; tail is bounds with TAIL_TOKENS as its default
+BOUND_TOKENS = ("chain", "cmi", "coupling", "mi", "stochain", "thm1", "pointwise", "pacbayes",
+                "transductive", "wass")
+TAIL_TOKENS = ("pointwise", "pacbayes", "transductive")
 SLACK_TOL = 1e-9
 CSV_COLUMNS = ("bound_name", "mode", "lhs", "rhs", "slack", "n", "m", "N",
                "seed", "components_json")
@@ -90,20 +93,6 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _entries(cfg: dict):
-    problems = cfg.get("problems")
-    if not isinstance(problems, list) or not problems:
-        raise GenboundError("config needs a non-empty 'problems' list")
-    for idx, obj in enumerate(problems):
-        try:
-            prob = problem_from_json(obj)
-            alg = read_field(obj, "algorithm", lambda a: algorithm_from_json(prob, a),
-                             None) or gibbs_algorithm(prob, 1.0)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"problems[{idx}]: {exc}") from exc
-        yield f"problems[{idx}]", prob, alg
-
-
 def _token_reports(prob, alg, token: str, delta: float):
     if token == "thm1":
         return [bnd.bound_density(prob, alg)]
@@ -123,13 +112,19 @@ def _token_reports(prob, alg, token: str, delta: float):
             chain.kernels[k:], chain.couplings[k:], chain.references[k:]))]
     if token == "wass":
         return [bnd.bound_wasserstein_geodesic(prob, alg)]
+    if token == "pointwise":
+        return [bnd.tail_pointwise_check(prob, alg, delta)]
+    if token == "pacbayes":
+        return [bnd.tail_pac_bayes(prob, alg, delta)]
     if token == "transductive":
-        bnd.check_transductive_pairs(prob)  # before the root chain
         return [bnd.tail_transductive(prob, alg, bnd.root_chain(prob, alg), delta)]
     raise GenboundError(f"unknown bound name {token!r}")
 
 
-def _report_rows(prob, report, seed: int, components: dict) -> dict:
+def _report_row(prob, report, seed: int) -> dict:
+    """A BoundReport's row shows its components, a TailReport's its scalar details."""
+    components = (report.components if isinstance(report, bnd.BoundReport) else
+                  {k: v for k, v in report.details.items() if not isinstance(v, np.ndarray)})
     return {"bound_name": report.bound_name, "mode": "exact",
             "lhs": _fmt(float(report.lhs)), "rhs": _fmt(float(report.rhs)),
             "slack": _fmt(float(report.slack)), "n": prob.n, "m": prob.num_outcomes,
@@ -168,8 +163,8 @@ def cmd_verify(args) -> int:
 
 
 def _violated(prob, report) -> bool:
-    """An expectation lhs counts as a violation only beyond SLACK_TOL plus its
-    rounding level.
+    """A tail fails exactly when it has not passed. An expectation lhs counts as
+    a violation only beyond SLACK_TOL plus its rounding level.
 
     That lhs, E[gen] or E|gen|, sums cell * gen over the S N (sample, hypothesis)
     cells. Each gen is within bnd._gen_rounding(prob) = (m + n) eps L of its exact
@@ -179,8 +174,10 @@ def _violated(prob, report) -> bool:
     sum |cell * gen| = E|gen| <= 2 L. That adds (S N + n) eps L, so the level is
     (m + 2n + S N) eps L. The rhs is compared as computed.
     """
+    if isinstance(report, bnd.TailReport):
+        return not report.passed
     violated = report.slack < -SLACK_TOL
-    if violated and isinstance(report, bnd.BoundReport):  # the level costs a pass over the losses
+    if violated:  # the level costs a pass over the losses
         cells = prob.num_samples * prob.num_hypotheses
         level = bnd._gen_rounding(prob, prob.num_outcomes + 2 * prob.n + cells)
         violated = report.slack < -(SLACK_TOL + level)
@@ -188,37 +185,34 @@ def _violated(prob, report) -> bool:
 
 
 def cmd_bounds(args) -> int:
+    """Rows of the requested tokens for each problems[i], in BOUND_TOKENS order; any
+    error an entry raises, reading or evaluating it, names problems[i]."""
     seed = _resolve_seed(args)
     cfg = _load_config(args.config)
-    tokens = args.bounds.split(",") if args.bounds else list(BOUND_TOKENS)
-    for token in tokens:
+    requested = args.bounds.split(",")
+    for token in requested:
         if token not in BOUND_TOKENS:
             raise GenboundError(f"unknown bound name {token!r}")
+    tokens = [token for token in BOUND_TOKENS if token in requested]
+    problems = cfg.get("problems")
+    if not isinstance(problems, list) or not problems:
+        raise GenboundError("config needs a non-empty 'problems' list")
     rows, offenders = [], []
-    for where, prob, alg in _entries(cfg):
-        for token in sorted(set(tokens)):
-            for report in _token_reports(prob, alg, token, args.delta):
-                rows.append(_report_rows(prob, report, seed, getattr(report, "components", {})))
-                if _violated(prob, report):
-                    offenders.append((where, report.bound_name, report.lhs, report.rhs))
-    return _finish(args.out, _csv_text(CSV_COLUMNS, rows), offenders)
-
-
-def cmd_tail(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = _load_config(args.config)
-    delta = args.delta
-    rows, offenders = [], []
-    for where, prob, alg in _entries(cfg):
-        bnd.check_transductive_pairs(prob)  # before the other tails and the root chain
-        reports = [bnd.tail_pointwise_check(prob, alg, delta),
-                   bnd.tail_pac_bayes(prob, alg, delta),
-                   bnd.tail_transductive(prob, alg, bnd.root_chain(prob, alg), delta)]
-        for rep in reports:
-            rows.append(_report_rows(prob, rep, seed, {
-                k: v for k, v in rep.details.items() if not isinstance(v, np.ndarray)}))
-            if not rep.passed:
-                offenders.append((where, rep.bound_name, rep.lhs, rep.rhs))
+    for idx, obj in enumerate(problems):
+        try:
+            prob = problem_from_json(obj)
+            alg = read_field(obj, "algorithm", lambda a: algorithm_from_json(prob, a),
+                             None) or gibbs_algorithm(prob, 1.0)
+            if "transductive" in tokens:
+                bnd.check_transductive_pairs(prob)  # before any token, the root chain among them
+            for token in tokens:
+                for report in _token_reports(prob, alg, token, args.delta):
+                    rows.append(_report_row(prob, report, seed))
+                    if _violated(prob, report):
+                        offenders.append((f"problems[{idx}]", report.bound_name,
+                                          report.lhs, report.rhs))
+        except GenboundError as exc:
+            raise type(exc)(f"problems[{idx}]: {exc}") from exc
     return _finish(args.out, _csv_text(CSV_COLUMNS, rows), offenders)
 
 
@@ -274,12 +268,14 @@ def cmd_ft(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="genbound",
-                                     description="generalization-bound verification harness")
+    parser = argparse.ArgumentParser(
+        prog="genbound", description="generalization-bound verification harness; bad input "
+        "exits 2, naming the config entry (problems[i] or spaces[i]) it came from")
     subs = parser.add_subparsers(dest="command", required=True)
     pv = subs.add_parser("verify", help="run property suites")
-    pb = subs.add_parser("bounds", help="evaluate expectation bounds on problems")
-    pt = subs.add_parser("tail", help="evaluate tail bounds on problems")
+    pb = subs.add_parser("bounds", help="evaluate expectation and tail bounds on problems")
+    pt = subs.add_parser("tail", help="bounds with the three tail tokens " + ",".join(TAIL_TOKENS))
+    pt.set_defaults(bounds=",".join(TAIL_TOKENS))
     pf = subs.add_parser("ft", help="majorizing-measure bound vs expected supremum")
     # options are added in the order --help lists them
     for sub in (pb, pt, pf):
@@ -287,10 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
     pv.add_argument("--trials", type=int, default=1000)
     pv.add_argument("--tol", type=float, default=None)
-    pb.add_argument("--bounds", default=None,
-                    help="comma-separated subset of " + ",".join(BOUND_TOKENS))
-    pb.add_argument("--delta", type=float, default=0.05)
-    pt.add_argument("--delta", type=float, default=0.05)
+    default = ",".join(t for t in BOUND_TOKENS if t not in ("pointwise", "pacbayes"))
+    pb.add_argument("--bounds", default=default, help="comma-separated subset of "
+                    + ",".join(BOUND_TOKENS) + ", rows in that order (default: %(default)s)")
+    for sub in (pb, pt):
+        sub.add_argument("--delta", type=float, default=0.05)
     pf.add_argument("--mu-mode", choices=("uniform", "grid", "eg"), default="uniform")
     ignored = "accepted and ignored: every %(prog)s row is exact"
     for sub in (pb, pt, pf):
@@ -310,7 +307,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-COMMANDS = {"verify": cmd_verify, "bounds": cmd_bounds, "tail": cmd_tail, "ft": cmd_ft}
+COMMANDS = {"verify": cmd_verify, "bounds": cmd_bounds, "tail": cmd_bounds, "ft": cmd_ft}
 
 
 def main(argv=None) -> int:

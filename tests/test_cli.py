@@ -140,6 +140,25 @@ def test_config_embedding_dim_must_match_its_points(tmp_path, capsys):
     assert cli.main(["bounds", "--config", cfg, "--bounds", "thm1"]) == 0
 
 
+@pytest.mark.parametrize("argv, dropped, message", [
+    (["bounds", "--bounds", "wass"], "embedding",
+     "bound_wasserstein_geodesic: problem has no embedding"),
+    (["tail"], "bound", "subgaussian_sigma: declare bounded-loss mode"),
+    (["bounds", "--bounds", "chain"], "bound", "chain_metric: bounded-loss mode required"),
+    (["bounds", "--bounds", "thm1"], "N", "field 'N' is missing")])
+def test_entry_errors_name_their_entry(tmp_path, capsys, argv, dropped, message):
+    # only a config error in reading an entry named it; an error a bound raised on
+    # the entry printed without problems[i]
+    entry = problem_entry(seed=3)
+    del entry[dropped]
+    cfg = write_config(tmp_path, {"problems": [problem_entry(), entry]})
+    assert cli.main([*argv, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: problems[1]: {message}"), captured.err
+    assert captured.err.count("problems[") == 1, captured.err
+
+
 def range_entry(scale):
     return {"m": 2, "N": 2, "n": 1, "loss": [[scale, 0.0], [0.0, scale]], "p_z": [0.5, 0.5],
             "bound": scale}
@@ -286,6 +305,52 @@ def test_tail_refuses_its_sample_pair_table_before_other_work(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert "tail_transductive: an (S, S) = (4096, 4096) pair table" in captured.err
     assert peak <= 4 * MEMORY_BUDGET, peak
+
+
+def test_the_tails_answer_past_the_pair_table_cap(tmp_path, capsys):
+    # tail ran its three tails as one unit, so the transductive row's (S, S) table
+    # refused every problem at m = 2, n >= 12; the other two need (S, N) tables only
+    gen = np.random.default_rng(16)
+    entry = {"m": 2, "N": 32, "n": 16, "loss": gen.uniform(size=(32, 2)).tolist(),
+             "p_z": [0.5, 0.5], "bound": 1.0, "algorithm": {"kind": "gibbs", "beta": 5.0}}
+    cfg = write_config(tmp_path, {"problems": [entry]})
+    tracemalloc.start()
+    try:
+        code = cli.main(["bounds", "--bounds", "pointwise,pacbayes", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [row["bound_name"] for row in rows] == ["tail_pointwise", "tail_pac_bayes"]
+    assert peak <= 4 * MEMORY_BUDGET, peak
+    assert cli.main(["tail", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tail_transductive: an (S, S) = (65536, 65536) pair table" in captured.err
+
+
+def test_one_transductive_row_one_line_one_verdict(tmp_path, monkeypatch, capsys):
+    # bounds printed the tail_transductive row with components_json {} where tail
+    # printed its details, and passed a violation of delta + 1e-10 that tail failed
+    cfg = write_config(tmp_path, {"problems": [problem_entry()]})
+    lines = {}
+    for name, argv in (("tail", ["tail"]), ("bounds", ["bounds", "--bounds", "transductive"]),
+                       ("subset", ["bounds", "--bounds", "transductive,pacbayes,pointwise"])):
+        assert cli.main([*argv, "--config", cfg]) == 0, name
+        lines[name] = capsys.readouterr().out.splitlines()
+    assert lines["subset"] == lines["tail"]  # tail is bounds with the three tail tokens
+    assert lines["bounds"] == [lines["tail"][0], lines["tail"][3]]
+    assert json.loads(next(csv.reader([lines["bounds"][1]]))[-1]) == {
+        "level_weights": [1.0], "levels": 1}
+    assert cli.main(["tail", "--bounds", "mi", "--config", cfg]) == 2  # tail takes no subset
+    capsys.readouterr()
+    monkeypatch.setattr(cli.bnd, "tail_transductive", lambda prob, alg, chain, delta:
+                        cli.bnd.TailReport("tail_transductive", delta, delta + 1e-10))
+    for argv in (["tail"], ["bounds", "--bounds", "transductive"]):
+        assert cli.main([*argv, "--config", cfg]) == 1, argv
+        assert capsys.readouterr().err.startswith("violated: problems[0] tail_transductive:")
 
 
 def test_monte_carlo_draws_at_a_huge_n_stay_within_the_memory_budget(tmp_path, capsys):
@@ -705,16 +770,21 @@ def test_metric_checks_do_not_depend_on_the_scale(tmp_path, capsys, k):
 
 def test_bounds_transductive_refuses_its_pair_table_before_the_root_chain(tmp_path, monkeypatch,
                                                                           capsys):
-    # the root chain was built first, and then tail_transductive refused its (S, S) tables
+    # the root chain was built first, and then tail_transductive refused its (S, S) tables;
+    # default bounds built it for chain and then exited on bound_cmi's refusal
     calls, real = [], cli.bnd.root_chain
     monkeypatch.setattr(cli.bnd, "root_chain", lambda *args: calls.append(args) or real(*args))
     gen = np.random.default_rng(5)
     entry = {"m": 2, "N": 3, "n": 12, "loss": gen.uniform(size=(3, 2)).tolist(),
              "p_z": [0.5, 0.5], "bound": 1.0, "algorithm": {"kind": "erm"}}
     cfg = write_config(tmp_path, {"problems": [entry]})
-    assert cli.main(["bounds", "--config", cfg, "--bounds", "transductive"]) == 2
-    assert calls == []
-    assert "tail_transductive: an (S, S) = (4096, 4096) pair table" in capsys.readouterr().err
+    for argv in (["bounds", "--bounds", "transductive"], ["bounds"]):
+        assert cli.main([*argv, "--config", cfg]) == 2, argv
+        assert calls == [], argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith(
+            "error: problems[0]: tail_transductive: an (S, S) = (4096, 4096) pair table"), argv
 
 
 # Run in a fresh interpreter: argv[1] is a JSON list of (label, cli argv);
