@@ -34,9 +34,9 @@ from .learning import (Algorithm, LearningProblem, delta_bound, exact_joint, exp
 from .measures import (FiniteMeasure, MarkovKernel, kl_divergence_array, mutual_information,
                        mutual_information_array, readonly, rel_entr, unique_rows)
 from .orlicz import psi_inv
-# plans come from LearningProblem.w2_plans; perfbench/smoke.py reads bounds.wasserstein
-from .transport import (DEDUP_DECIMALS, EmbeddedSupport, TransportPlan,  # noqa: F401
-                        euclidean_cost, wasserstein)
+# perfbench/smoke.py reads bounds.wasserstein
+from .transport import (DEDUP_DECIMALS, EmbeddedSupport, euclidean_cost,  # noqa: F401
+                        wasserstein, wasserstein_batch)
 
 COMPONENT_TOL = 1e-9
 
@@ -273,37 +273,59 @@ def bound_cmi(prob: LearningProblem, alg: Algorithm) -> BoundReport:
 # coupling bounds
 # ---------------------------------------------------------------------------
 
-def optimal_couplings(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure) -> np.ndarray:
-    """Per-sample W_2-optimal plans pi[s] between the posterior row and q_w.
+def _plans(prob: LearningProblem, alg: Algorithm, target: FiniteMeasure) -> tuple:
+    """W_2 distances (S,) and optimal plans from the algorithm's rows to `target` on the
+    embedding (without one: no distances, product couplings), as one PairList on the
+    row-major union of their supports; each distinct row is solved once, all in one batch."""
+    def build():
+        rows, inverse = unique_rows(alg.matrix)
+        (R, N), S = rows.shape, prob.num_samples
+        if prob.embedding is None:  # the pair list may hold all of the (S, N, N) product
+            check_memory(8 * S * N * N, f"optimal_couplings: an (S, N, N) = ({S}, {N}, {N}) table")
+            dist, plans = None, rows[:, :, None] * target.weights[None, None, :]
+        else:  # the plans of the distinct rows are checked before any LP runs
+            check_memory(8 * R * N * N, f"optimal_couplings: an (R, N, N) = ({R}, {N}, {N}) table")
+            cost = euclidean_cost(prob.embedding, prob.embedding)
+            solved = wasserstein_batch([(FiniteMeasure(r), target, cost) for r in rows], p=2.0)
+            dist = readonly(np.array([d for d, _ in solved])[inverse])
+            plans = np.stack([plan.weights for _, plan in solved])
+        u, v = np.nonzero(plans.any(axis=0))  # a vertex plan has at most 2N - 1 cells
+        check_memory(8 * S * u.size, f"optimal_couplings: an (S, P) = ({S}, {u.size}) table")
+        return dist, PairList(u, v, readonly(plans[:, u, v][inverse]))
 
-    Falls back to product couplings without an embedding. Plans come from
-    the problem's plan table, so each distinct row is solved once.
-    """
-    if prob.embedding is None:
-        prob.check_pair_table("optimal_couplings")
-        return readonly(alg.matrix[:, :, None] * q_w.weights[None, None, :])
-    return prob.w2_plans(alg.kernel, q_w)[1]
+    return prob.table(alg.kernel, ("plans", target.weights.tobytes()), build)
+
+
+def optimal_couplings(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure) -> PairList:
+    """Per-sample W_2-optimal plans to q_w (product couplings without an embedding), a PairList."""
+    return _plans(prob, alg, q_w)[1]
 
 
 def coupling_chain(prob: LearningProblem, alg: Algorithm, q_w: FiniteMeasure | None = None,
                    couplings=None, mu_uv: np.ndarray | None = None) -> ChainSpec:
-    """The one-step chain, constant Q_W (the hypothesis marginal by default) to
-    the algorithm, that the coupling bounds read. Its coupling is one (N, N)
-    table or TransportPlan per sample (optimal_couplings by default), its
-    reference mu_uv (their sample mixture by default). The default chain of a
-    Q_W is built once per kernel."""
+    """The one-step chain, constant Q_W (the hypothesis marginal by default) to the
+    algorithm, that the coupling bounds read; the default one is built once per kernel and
+    Q_W. Its coupling is one (N, N) table or TransportPlan per sample (by default the
+    PairList of optimal_couplings), its reference mu_uv (by default their sample mixture)."""
     q_w = _q_w(prob, alg, q_w)
+    S, N, p_s = prob.num_samples, prob.num_hypotheses, prob.sample_probs
 
     def build() -> ChainSpec:
-        prior = MarkovKernel.constant(q_w, prob.num_samples)  # built before the plans
-        pi = optimal_couplings(prob, alg, q_w) if couplings is None else [
-            c.weights if isinstance(c, TransportPlan) else c for c in couplings]
+        prior = MarkovKernel.constant(q_w, S)  # built before the plans
+        pi = optimal_couplings(prob, alg, q_w) if couplings is None else couplings
         try:  # ragged tables, or not one per sample; ChainSpec checks the rest
-            pi = np.asarray(pi, dtype=float)
-            mu = (readonly(np.einsum("s,suv->uv", prob.sample_probs, pi)) if mu_uv is None
+            if not isinstance(pi, PairList):
+                pi = np.asarray([getattr(c, "weights", c) for c in pi], dtype=float)
+            mu = (np.einsum("s,s...->...", p_s, getattr(pi, "weights", pi)) if mu_uv is None
                   else np.asarray(mu_uv, dtype=float))
         except ValueError as exc:
             raise ConfigurationError(f"coupling_chain: {exc}") from exc
+        if isinstance(pi, PairList) and mu_uv is not None and mu.shape == (N, N):
+            keys, at = np.unique(np.r_[pi.u * N + pi.v, np.flatnonzero(mu)], return_inverse=True)
+            check_memory(8 * S * keys.size, f"coupling_chain: an (S, P) = ({S}, {keys.size}) table")
+            w = np.zeros((S, keys.size))  # the pairs where a plan or the reference has mass
+            w[:, at[:pi.u.size]] = pi.weights
+            pi, mu = PairList(*np.divmod(keys, N), w), mu.reshape(-1)[keys]
         return ChainSpec((prior, alg.kernel), (pi,), (mu,))
 
     if couplings is None and mu_uv is None:
@@ -658,13 +680,13 @@ def bound_wasserstein_geodesic(prob: LearningProblem, alg: Algorithm) -> BoundRe
     p_s = prob.sample_probs
     est = expected_gen(prob, alg)
     atom = unique_rows(np.round(emb.points, DEDUP_DECIMALS) + 0.0)[1]  # + 0.0: -0.0 is 0.0
-    merge = np.eye(atom.max() + 1)[atom]  # (hypothesis, atom) one-hot
-
     live = p_s > 0
-    dist, plan_stack = prob.w2_plans(alg.kernel, q_w)
-    w2 = np.where(live, dist, 0.0)
-    plans = np.where(live[:, None, None], merge.T @ plan_stack @ merge, 0.0)
-    flat, mix = plans.reshape(len(plans), -1), np.einsum("s,sab->ab", p_s, plans).reshape(-1)
+    dist, (u, v, w) = _plans(prob, alg, q_w)
+    merged = unique_rows(np.stack([atom[u], atom[v]], axis=1))[1]  # one column per atom pair
+    flat = np.zeros((len(w), merged.max() + 1))
+    np.add.at(flat.T, merged, w.T)
+    flat[~live] = 0.0
+    w2, mix = np.where(live, dist, 0.0), p_s @ flat
     div, step = np.empty(len(flat)), block_rows(5 * flat[0].nbytes, "bound_wasserstein_geodesic")
     for lo in range(0, len(flat), step):  # rel_entr holds about five row-sized temporaries
         div[lo:lo + step] = kl_divergence_array(flat[lo:lo + step], mix)

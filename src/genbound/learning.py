@@ -17,9 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, block_rows, check_memory, integer, read_field
-from .measures import FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, readonly, unique_rows
+from .measures import DRIFT_TOL, FiniteMeasure, JointMeasure, MarkovKernel, logsumexp, readonly
 from .orlicz import orlicz_norms
-from .transport import EmbeddedSupport, euclidean_cost, wasserstein_batch
+from .transport import EmbeddedSupport
 
 # The bounds square loss differences, sigma and the chain metric (at most sqrt(6) R for a
 # loss range R), sum at most n <= 18 squares (the sample table's n at MEMORY_BUDGET for m >= 2;
@@ -129,6 +129,8 @@ class LearningProblem:
     @cached_property
     def loss_differences(self) -> np.ndarray:
         """g[u, v, z] = loss(u, z) - loss(v, z)."""
+        N, m = self.loss.shape
+        check_memory(8 * N * N * m, f"loss_differences: an (N, N, m) = ({N}, {N}, {m}) table")
         return readonly(self.loss[:, None, :] - self.loss[None, :, :])
 
     @cached_property
@@ -165,11 +167,6 @@ class LearningProblem:
     def _tables(self) -> dict:
         return {}
 
-    def check_pair_table(self, what: str) -> None:
-        """Refuse an (S, N, N) table over the memory budget before it is built."""
-        S, N = self.num_samples, self.num_hypotheses
-        check_memory(8 * S * N * N, f"{what}: an (S, N, N) = ({S}, {N}, {N}) table")
-
     def table(self, kernel: MarkovKernel, name, build):
         """Table `name` of one algorithm kernel: `build()` on its first read, then
         kept as long as the problem lives.
@@ -184,28 +181,6 @@ class LearningProblem:
         if name not in tables:
             tables[name] = build()
         return tables[name]
-
-    def w2_plans(self, kernel: MarkovKernel,
-                 target: FiniteMeasure) -> tuple[np.ndarray, np.ndarray]:
-        """W_2 distances (S,) and optimal plans (S, N, N) from each row of an
-        (S, N) posterior kernel to `target` on the embedding.
-
-        The distinct rows are solved as one batch, once per (kernel, target)
-        per problem; the coupling and geodesic bounds all read this table.
-        """
-        if self.embedding is None:
-            raise ConfigurationError("w2_plans: problem has no embedding")
-
-        def solve():
-            self.check_pair_table("w2_plans")
-            rows, inverse = unique_rows(kernel.matrix)
-            cost = euclidean_cost(self.embedding, self.embedding)
-            solved = wasserstein_batch([(FiniteMeasure(r), target, cost) for r in rows], p=2.0)
-            dist = np.array([d for d, _ in solved])[inverse]
-            plans = np.stack([plan.weights for _, plan in solved])[inverse]
-            return readonly(dist), readonly(plans)
-
-        return self.table(kernel, ("w2", target.weights.tobytes()), solve)
 
     def to_json(self) -> str:
         obj = {"m": self.num_outcomes, "N": self.num_hypotheses, "n": self.n,
@@ -270,6 +245,8 @@ def gibbs_algorithm(prob: LearningProblem, beta: float,
     with np.errstate(divide="ignore"):
         logits = np.log(prior.weights)[None, :] - beta * prob.n * prob.empirical_matrix.T
     rows = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+    total = rows.sum(axis=1)  # from beta n |loss| ~ 2e7 the logits' ulp moves it past DRIFT_TOL
+    rows /= np.where(np.abs(total - 1.0) > DRIFT_TOL, total, 1.0)[:, None]  # x / 1.0 is x
     return Algorithm(MarkovKernel(rows), "gibbs",
                      {"beta": float(beta), "prior": prior.weights.tolist()})
 

@@ -24,7 +24,7 @@ from genbound.bounds import _psi2_inv_ratio
 from genbound.learning import joint_cells
 from genbound.errors import MEMORY_BUDGET, block_rows
 from genbound.orlicz import NORM_REL_TOL
-from genbound.transport import TransportPlan, displacement_interpolation
+from genbound.transport import TransportPlan, displacement_interpolation, wasserstein_batch
 
 from conftest import algorithm_family, random_problem
 
@@ -439,7 +439,7 @@ def test_single_step_chain_equals_simplified_coupling():
     alg = gibbs_algorithm(prob, 1.0)
     q_w = hypothesis_marginal(prob, alg)
     pi = optimal_couplings(prob, alg, q_w)
-    mu = np.einsum("s,suv->uv", prob.sample_probs, pi)
+    mu = np.einsum("s,sp->p", prob.sample_probs, pi.weights)
     spec = ChainSpec(kernels=(MarkovKernel.constant(q_w, prob.num_samples),
                               alg.kernel),
                      couplings=(pi,), references=(mu,))
@@ -481,8 +481,7 @@ def test_chain_validation_errors():
     prob = xor_problem()
     alg = gibbs_algorithm(prob, 1.0)
     q_w = hypothesis_marginal(prob, alg)
-    pi = optimal_couplings(prob, alg, q_w)
-    mu = np.einsum("s,suv->uv", prob.sample_probs, pi)
+    pi, mu = dense_step(coupling_chain(prob, alg, q_w), 0)
     good = (MarkovKernel.constant(q_w, prob.num_samples), alg.kernel)
     with pytest.raises(ConfigurationError):
         # sample-dependent coarsest level
@@ -531,8 +530,7 @@ MALFORMED_STEPS = ("nan coupling", "nan reference", "coupling shape", "reference
 
 def malformed_step(prob, alg, q_w, kind):
     """The default coupling step with one defect that ChainSpec must refuse."""
-    pi = np.array(optimal_couplings(prob, alg, q_w))
-    mu = np.einsum("s,suv->uv", prob.sample_probs, pi)
+    pi, mu = dense_step(coupling_chain(prob, alg, q_w), 0)
     if kind == "nan coupling":
         pi[0, 0, 0] = np.nan
     elif kind == "nan reference":
@@ -565,7 +563,7 @@ def test_coupling_refuses_ragged_or_miscounted_tables():
     prob = xor_problem()
     alg = gibbs_algorithm(prob, 1.0)
     q_w = hypothesis_marginal(prob, alg)
-    pi = optimal_couplings(prob, alg, q_w)
+    pi = dense_step(coupling_chain(prob, alg, q_w), 0)[0]
     for couplings in (list(pi)[:-1], [pi[0], np.full((3, 3), 1 / 9)]):
         with pytest.raises(ConfigurationError):
             bound_coupling(prob, alg, q_w=q_w, couplings=couplings)
@@ -581,7 +579,10 @@ def test_default_coupling_chain_is_one_table(small_problem, gibbs_alg):
     assert all(np.array_equal(a, b) for a, b in zip(dense_step(again, 0), dense_step(chain, 0)))
     q_w = hypothesis_marginal(small_problem, gibbs_alg)
     assert coupling_chain(small_problem, gibbs_alg, q_w=q_w) is chain
-    assert np.array_equal(dense_step(chain, 0)[0], optimal_couplings(small_problem, gibbs_alg, q_w))
+    pairs = optimal_couplings(small_problem, gibbs_alg, q_w)
+    assert all(np.array_equal(a, b) for a, b in zip(chain.couplings[0], pairs))
+    assert np.array_equal(chain.references[0],
+                          np.einsum("s,sp->p", small_problem.sample_probs, pairs.weights))
     uniform = FiniteMeasure(np.full(small_problem.num_hypotheses, 0.25))
     assert coupling_chain(small_problem, gibbs_alg, q_w=uniform) is not chain
 
@@ -719,16 +720,18 @@ def test_problem_tables_are_cached_and_read_only(small_problem, gibbs_alg):
         assert not table.flags.writeable
     assert np.array_equal(prob.pair_norms, prob.pair_norms.T)
     q_w = hypothesis_marginal(prob, gibbs_alg)
-    table = prob.w2_plans(gibbs_alg.kernel, q_w)
-    assert prob.w2_plans(gibbs_alg.kernel, hypothesis_marginal(prob, gibbs_alg)) is table
+    table = bounds._plans(prob, gibbs_alg, q_w)
+    assert bounds._plans(prob, gibbs_alg, hypothesis_marginal(prob, gibbs_alg)) is table
     again = gibbs_algorithm(prob, 1.0)  # an equal kernel: its own table, equal values
-    rebuilt = prob.w2_plans(again.kernel, hypothesis_marginal(prob, again))
+    rebuilt = bounds._plans(prob, again, hypothesis_marginal(prob, again))
     assert rebuilt is not table
-    assert all(np.array_equal(a, b) for a, b in zip(rebuilt, table))
+    assert np.array_equal(rebuilt[0], table[0])
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt[1], table[1]))
     dist, plans = table
     assert dist.shape == (prob.num_samples,)
-    assert plans.shape == (prob.num_samples, prob.num_hypotheses, prob.num_hypotheses)
-    assert not dist.flags.writeable and not plans.flags.writeable
+    assert plans.weights.shape == (prob.num_samples, plans.u.size) == (prob.num_samples,
+                                                                       plans.v.size)
+    assert not dist.flags.writeable and not plans.weights.flags.writeable
     assert optimal_couplings(prob, gibbs_alg, q_w) is plans
 
 
@@ -1031,10 +1034,12 @@ def step_registry_geodesic(prob, alg, steps):
     p_s = prob.sample_probs
     times = np.linspace(0.0, 1.0, steps + 1)
     live = np.nonzero(p_s > 0)[0]
-    dist, plans = prob.w2_plans(alg.kernel, q_w)
+    dist, (u, v, w) = bounds._plans(prob, alg, q_w)
     geos = {}
     for s in live:
-        plan = TransportPlan(plans[s], FiniteMeasure(alg.matrix[s]), q_w)
+        dense = np.zeros((prob.num_hypotheses, prob.num_hypotheses))
+        dense[u, v] = w[s]
+        plan = TransportPlan(dense, FiniteMeasure(alg.matrix[s]), q_w)
         geos[s] = displacement_interpolation(plan, dist[s], prob.embedding, times)
     expected_w2 = float(sum(p_s[s] * geos[s].distance for s in live))
     step_sum = 0.0
@@ -1090,10 +1095,74 @@ def test_wasserstein_divergence_blocks_keep_the_one_block_bits(monkeypatch):
             reports = []
             for rows in (3, 2**30):
                 with monkeypatch.context() as patch:
-                    patch.setattr(errors, "BLOCK_BYTES", rows * 5 * 8 * prob.num_hypotheses**2)
+                    patch.setattr(errors, "BLOCK_BYTES", rows * 5 * 8)
                     reports.append(bound_wasserstein_geodesic(prob, alg))
             assert reports[0].components == reports[1].components
             assert reports[0].rhs == reports[1].rhs
+
+
+def dense_geodesic_terms(prob, alg):
+    """Reference: the geodesic bound's (endpoint, steps) terms from the (S, N, N) stack of
+    the stored plans, merged to atoms by one-hot products, the way they were computed
+    before the plans were pair lists."""
+    p_s, S, N = prob.sample_probs, prob.num_samples, prob.num_hypotheses
+    dist, (u, v, w) = bounds._plans(prob, alg, hypothesis_marginal(prob, alg))
+    stack = np.zeros((S, N, N))
+    stack[:, u, v] = w
+    points = np.round(prob.embedding.points, 12) + 0.0
+    atom = np.unique(points, axis=0, return_inverse=True)[1].reshape(-1)
+    merge = np.eye(atom.max() + 1)[atom]
+    live = p_s > 0
+    w2 = np.where(live, dist, 0.0)
+    plans = np.where(live[:, None, None], merge.T @ stack @ merge, 0.0).reshape(S, -1)
+    div = rel_entr(plans, p_s @ plans).sum(axis=1)
+    scale = np.sqrt(2.0 / prob.n)
+    return scale * 2.0 * (p_s @ w2), scale * (p_s @ (w2 * np.sqrt(np.maximum(div, 0.0))))
+
+
+def test_wasserstein_pair_lists_match_the_dense_plan_stack():
+    # the plans are pair lists from the LP on; the dense stack of one (N, N) plan per
+    # sample, merged by one-hot products, is the reference. The family repeats embedded
+    # points (atoms merge) and gives some outcomes no mass (samples of probability 0)
+    gen = np.random.default_rng(49)
+    merged = dead = 0
+    for trial in range(16):
+        prob = random_problem(gen, embed=False)
+        loss, p_z = prob.loss, prob.p_z.weights.copy()
+        if trial % 2:
+            loss = np.vstack([loss, loss[gen.integers(len(loss))]])
+        if trial % 4 > 1:
+            p_z[0] = 0.0
+            p_z /= p_z.sum()
+        plain = LearningProblem(loss, FiniteMeasure(p_z), prob.n, bound=1.0)
+        prob = LearningProblem(loss, plain.p_z, prob.n, bound=1.0, embedding=loss_embedding(plain))
+        merged += trial % 2
+        dead += bool(np.any(prob.sample_probs == 0.0))
+        for alg in algorithm_family(prob):
+            report = bound_wasserstein_geodesic(prob, alg)
+            for name, want in zip(("endpoint", "steps"), dense_geodesic_terms(prob, alg)):
+                assert abs(report.components[name] - want) <= 1e-12 * abs(want), (trial, name)
+    assert merged == 8 and dead == 8
+
+
+def test_optimal_couplings_solve_one_block_per_distinct_row(monkeypatch):
+    gen = np.random.default_rng(22)
+    loss = gen.uniform(size=(16, 4))
+    base = LearningProblem(loss, FiniteMeasure(gen.dirichlet(np.ones(4))), n=4, bound=1.0)
+    prob = LearningProblem(loss, base.p_z, 4, bound=1.0, embedding=loss_embedding(base))
+    alg = gibbs_algorithm(prob, 1.0)
+    blocks = []
+
+    def counting(problems, *args, **kwargs):
+        blocks.append(len(problems))
+        return wasserstein_batch(problems, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "wasserstein_batch", counting)
+    pairs = optimal_couplings(prob, alg, FiniteMeasure(alg.matrix.mean(axis=0)))
+    # 256 sequences, 35 types, one block per type
+    assert blocks == [35] == [np.unique(alg.matrix, axis=0).shape[0]]
+    # a vertex plan has at most 2N - 1 cells, so the union has at most 35 (2N - 1) pairs
+    assert pairs.weights.shape == (256, pairs.u.size) and pairs.u.size <= 35 * 31
 
 
 def test_wasserstein_merges_hypotheses_at_one_point():

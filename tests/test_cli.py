@@ -237,15 +237,35 @@ def test_problem_over_the_memory_budget_exits_two(tmp_path, capsys):
         assert "MEMORY_BUDGET" in captured.err, argv
 
 
-def test_tables_over_the_memory_budget_exit_two_before_allocating(tmp_path, capsys):
-    # both passed the old cell cap and then asked numpy for the table: an 8 GiB (S, S)
-    # pair table in tail_transductive, and a 1.3 GiB block of a 118 MB (S, N, N) table
-    # (the chain's then; the product couplings' now, as chains are pair lists)
+def test_tables_over_the_memory_budget_exit_two_before_allocating(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the first two passed the old cell cap and then asked numpy for the table: an 8 GiB
+    # (S, S) pair table in tail_transductive, and a 1.3 GiB block of a 118 MB (S, N, N)
+    # table (the chain's then; the product couplings' now, as chains are pair lists).
+    # The (N, N, m) loss differences were counted by no check: chain peaked at 491 MiB
+    # and stochain at 285 MiB at N = 3000. The distinct-row plans of wass are refused
+    # before any LP runs
+    gen = np.random.default_rng(60)
     tail = {"m": 2, "N": 1, "n": 15, "loss": [[0.2, 0.7]], "p_z": [0.5, 0.5], "bound": 1.0}
-    loss = np.random.default_rng(60).uniform(0.0, 1.0, size=(60, 2)).tolist()
+    loss = gen.uniform(0.0, 1.0, size=(60, 2)).tolist()
     wide = {"m": 2, "N": 60, "n": 12, "loss": loss, "p_z": [0.4, 0.6], "bound": 1.0}
+    many = {"m": 2, "N": 3000, "n": 1, "loss": gen.uniform(size=(3000, 2)).tolist(),
+            "p_z": [0.5, 0.5], "bound": 1.0}
+    plans = gen.uniform(size=(1000, 2))
+    embedded = {"m": 2, "N": 1000, "n": 8, "loss": plans.tolist(), "p_z": [0.5, 0.5],
+                "bound": 1.0, "embedding": {"points": (np.sqrt(6.0) * plans).tolist()},
+                "algorithm": {"kind": "gibbs", "beta": 5.0}}
+    differences = "loss_differences: an (N, N, m) = (3000, 3000, 2) table"
     cases = ((tail, ["tail"], "tail_transductive: an (S, S) = (32768, 32768)"),
+             (many, ["bounds", "--bounds", "chain"], differences),
+             (many, ["bounds", "--bounds", "stochain"], differences),
+             (embedded, ["bounds", "--bounds", "wass"], "an (R, N, N) = (9, 1000, 1000) table"),
              (wide, ["bounds", "--bounds", "coupling"], "(S, N, N) = (4096, 60, 60)"))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the plan table was checked")
+
+    monkeypatch.setattr(cli.bnd, "wasserstein_batch", no_lp)
     for entry, argv, site in cases:
         cfg = write_config(tmp_path, {"problems": [entry]})
         tracemalloc.start()
@@ -268,12 +288,17 @@ def test_chain_ops_stay_within_four_budgets(tmp_path, capsys):
     # shapes chain peaked at 361 and 1521 MiB, transductive at 405 and 1421 MiB, and
     # tail --mc-samples at N = 2000 at 3610 MB, each array within the budget. coupling
     # without an embedding holds several (S, N^2)-sized arrays at once: 79 MiB at N = 700
+    # wass held the (S, N, N) plan stack and its merged copies: 184.5 MiB at N = 88; its
+    # pair lists stay within one budget
     gen = np.random.default_rng(12)
     shapes = [(2, 1, 700, ["chain", "stochain", "transductive", "coupling"]),
-              (2, 10, 88, ["chain", "stochain", "transductive"]), (2, 1, 2000, ["tail"])]
+              (2, 10, 88, ["chain", "stochain", "transductive", "wass"]), (2, 1, 2000, ["tail"])]
     for m, n, N, tokens in shapes:
-        entry = {"m": m, "N": N, "n": n, "loss": gen.uniform(size=(N, m)).tolist(),
-                 "p_z": [1.0 / m] * m, "bound": 1.0, "algorithm": {"kind": "gibbs", "beta": 5.0}}
+        loss = gen.uniform(size=(N, m))
+        entry = {"m": m, "N": N, "n": n, "loss": loss.tolist(), "p_z": [1.0 / m] * m,
+                 "bound": 1.0, "algorithm": {"kind": "gibbs", "beta": 5.0}}
+        if "wass" in tokens:  # the loss embedding
+            entry["embedding"] = {"points": (np.sqrt(6.0) * loss).tolist()}
         cfg = write_config(tmp_path, {"problems": [entry]})
         for token in tokens:
             argv = (["tail", "--mc-samples", "10000"] if token == "tail"
@@ -285,7 +310,7 @@ def test_chain_ops_stay_within_four_budgets(tmp_path, capsys):
             finally:
                 tracemalloc.stop()
             assert code == 0 and capsys.readouterr().err == "", (N, token)
-            assert peak <= 4 * MEMORY_BUDGET, (N, token, peak)
+            assert peak <= (1 if token == "wass" else 4) * MEMORY_BUDGET, (N, token, peak)
 
 
 def test_tail_refuses_its_sample_pair_table_before_other_work(tmp_path, capsys):

@@ -15,9 +15,8 @@ from genbound import (Algorithm, ConfigurationError, DomainError, FiniteMeasure,
 from genbound import learning, mc
 from genbound.bounds import _psi2_inv_ratio, _supersample_index
 from genbound.errors import BLOCK_BYTES
-from genbound.measures import rel_entr
+from genbound.measures import DRIFT_TOL, logsumexp, rel_entr
 from genbound.orlicz import DiscreteRandomVariable
-from genbound.transport import wasserstein_batch
 
 from conftest import algorithm_family, random_problem
 
@@ -119,7 +118,7 @@ def test_problem_rejects_out_of_range_loss():
 
 def test_same_type_samples_share_rows_bit_for_bit():
     # samples with the same outcome counts (type) get identical bits in every
-    # per-sample table, which is what lets w2_plans solve one block per type
+    # per-sample table, which is what lets optimal_couplings solve one block per type
     gen = np.random.default_rng(21)
     probs = [random_problem(gen, m_max=4, n_max=4) for _ in range(12)]
     loss = gen.uniform(size=(4, 3))
@@ -133,24 +132,6 @@ def test_same_type_samples_share_rows_bit_for_bit():
             members = np.flatnonzero(types.reshape(-1) == t)
             for name, table in rows.items():
                 assert all(np.array_equal(table[s], table[members[0]]) for s in members), name
-
-
-def test_w2_plans_solves_one_block_per_distinct_row(monkeypatch):
-    gen = np.random.default_rng(22)
-    loss = gen.uniform(size=(16, 4))
-    base = LearningProblem(loss, FiniteMeasure(gen.dirichlet(np.ones(4))), n=4, bound=1.0)
-    prob = LearningProblem(loss, base.p_z, 4, bound=1.0, embedding=loss_embedding(base))
-    alg = gibbs_algorithm(prob, 1.0)
-    blocks = []
-
-    def counting(problems, *args, **kwargs):
-        blocks.append(len(problems))
-        return wasserstein_batch(problems, *args, **kwargs)
-
-    monkeypatch.setattr(learning, "wasserstein_batch", counting)
-    prob.w2_plans(alg.kernel, FiniteMeasure(alg.matrix.mean(axis=0)))
-    # 256 sequences, 35 types, one block per type
-    assert blocks == [35] == [np.unique(alg.matrix, axis=0).shape[0]]
 
 
 def test_problem_json_roundtrip(small_problem):
@@ -177,6 +158,22 @@ def test_gibbs_hand_softmax():
     assert abs(alg.matrix[0, 0] - w0) < 1e-12
     assert abs(alg.matrix[0, 1] - (1.0 - w0)) < 1e-12
     assert abs(alg.matrix[1, 1] - w0) < 1e-12
+
+
+def test_gibbs_rows_stay_stochastic_at_large_loss_scales():
+    # logits - logsumexp keeps only the absolute precision of ulp(beta n L): from about
+    # L = 2e7 exp of it put a row's mass off 1 by more than DRIFT_TOL, and the kernel
+    # refused three equal loss rows [0, L] at L = 2e7, 1e8 and 1e9
+    for scale in (1e7, 2e7, 1e8, 1e9):
+        prob = LearningProblem(np.array([[0.0, scale]] * 3), FiniteMeasure([0.5, 0.5]), n=1)
+        alg = gibbs_algorithm(prob, 1.0)
+        assert np.abs(alg.matrix - 1.0 / 3.0).max() <= 1e-15, scale
+        logits = np.log(np.full(3, 1.0 / 3.0))[None, :] - prob.empirical_matrix.T
+        raw = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        drifted = np.abs(raw.sum(axis=1) - 1.0) > DRIFT_TOL
+        assert drifted.any() == (scale > 1e7), scale
+        # a row within DRIFT_TOL keeps the bits the kernel built it with
+        assert np.array_equal(alg.matrix[~drifted], MarkovKernel(raw[~drifted]).matrix), scale
 
 
 def test_gibbs_large_beta_concentrates(small_problem):
